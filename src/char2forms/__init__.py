@@ -1,5 +1,6 @@
 """Exact arithmetic for non-alternating symmetric bilinear forms in characteristic two."""
 
+from .errors import Char2FormsError, CheckFailed
 from .fields import (GF2, GF2k, RationalFunctionField, FieldElement, FieldError,
                      DescriptorMismatch, DivisionByZero, ParseError, parse_field,
                      square_span_dimension, square_span_kernel, square_span_solve)

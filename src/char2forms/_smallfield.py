@@ -3,7 +3,8 @@
 Group enumeration multiplies tens of thousands of matrices; doing that on
 wrapped field elements is needlessly slow.  Elements of GF(2) and GF(2^k)
 are already ints underneath, so this module precomputes a dense q x q
-multiplication table (addition is xor) and works on tuples of ints.
+multiplication table (addition is xor) and an inverse table, and works on
+tuples of ints.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ class IntField:
         self.order = field.order
         self.mul = [[field._mul(a, b) for b in range(self.order)]
                     for a in range(self.order)]
+        self.inv = [0] + [field._inv(a) for a in range(1, self.order)]
 
     def encode(self, el: FieldElement) -> int:
         return el.payload

@@ -13,7 +13,8 @@ Input documents are small line-oriented files:
 ``decompose`` reads a 2x2 ``matrix:`` block instead (entries may use ``j``
 when ``ring: k(<delta>)`` selects the quadratic algebra).  Reports are plain
 text with a stable section order; ``--machine`` switches to flat key=value
-lines.  Exit codes: 0 success, 1 verification failure, 2 input error.
+lines.  Exit codes: 0 success, 1 verification failure (a failed check, or a
+``CheckFailed`` from an internal check), 2 bad input or any other library error.
 """
 
 from __future__ import annotations
@@ -26,17 +27,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import oracle
+from .errors import Char2FormsError, CheckFailed
 from .exterior import alt_matrix, hodge, hodge_identities, pq
 from .fields import Field, FieldError, ParseError, parse_field
 from .forms import (BilinearForm, FormError, orthogonalize, quadratic_data,
                     discriminant_class)
-from .groups import (GroupError, NotUnimodular, classify, generate_closure,
-                     sl2_decompose)
+from .groups import NotUnimodular, classify, generate_closure, sl2_decompose
 from .kalgebra import KAlgebra, KAlgebraError, build_module, normalize_split, wz_submodule
-from .linalg import LinalgError, Matrix, Vector
+from .linalg import Matrix, Vector, bilinear
 
 
-class CliInputError(Exception):
+class CliInputError(Char2FormsError):
     pass
 
 
@@ -296,7 +297,7 @@ def cmd_verify(doc: InputDocument, args, report: Report) -> int:
             v = module.hodge.space.basis_vector(doc.field, t_set)
             try:
                 oracle.direct_g(u, v, module)
-            except AssertionError:
+            except CheckFailed:
                 agree = False
     report.check("g two-formula agreement", agree)
     report.item("K split", _yesno(module.split))
@@ -310,7 +311,7 @@ def cmd_verify(doc: InputDocument, args, report: Report) -> int:
             report.check("rho_z bijective", not rho.det().is_zero())
             report.check("j fixes Wz pointwise",
                          all(module.hodge.j_matrix * v == v for v in wz_basis))
-        except AssertionError as exc:
+        except CheckFailed as exc:
             report.check("split module structure", False, str(exc))
 
     failed = report.failures
@@ -349,12 +350,7 @@ def _verify_pq(doc: InputDocument, data, rng, report: Report) -> None:
 
 def _pf_scale1(data, x, y):
     # the polar-form comparison is stated at volume scale 1
-    scale_inv = data.volume_scale.inverse()
-    total = data.field.zero()
-    gy = data.pf_gram * y
-    for a, b in zip(x, gy):
-        total = total + a * b
-    return total * scale_inv
+    return bilinear(data.pf_gram, x, y) * data.volume_scale.inverse()
 
 
 def cmd_decompose(doc: InputDocument, args, report: Report) -> int:
@@ -416,13 +412,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = parse_document(args.input, text)
         report = Report(machine=args.machine)
         code = COMMANDS[args.command](doc, args, report)
-    except CliInputError as exc:
+    except Char2FormsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FieldError, FormError, LinalgError, KAlgebraError, GroupError,
-            oracle.OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CheckFailed) else 2
     sys.stdout.write(report.render())
     return code
 

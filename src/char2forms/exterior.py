@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import Char2FormsError
 from .fields import FieldElement
 from .forms import BilinearForm, DegenerateForm
 from .linalg import Matrix, Vector
 
 
-class ExteriorError(Exception):
+class ExteriorError(Char2FormsError):
     pass
 
 

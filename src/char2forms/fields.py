@@ -19,8 +19,11 @@ from __future__ import annotations
 import re
 from typing import Iterator, Optional
 
+from .errors import Char2FormsError
+from .linalg import Matrix, Vector
 
-class FieldError(Exception):
+
+class FieldError(Char2FormsError):
     pass
 
 
@@ -127,6 +130,19 @@ def gf2_poly_is_irreducible(mask: int) -> bool:
     return True
 
 
+def _power(base, n: int, one):
+    """base^n by square-and-multiply; a negative n inverts the base first."""
+    if n < 0:
+        base, n = base.inverse(), -n
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 
 _ATOM_RE = re.compile(r"^(?:[01]|[a-z](?:\^[0-9]+)?)$")
@@ -194,17 +210,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = self.field.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one())
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -335,6 +341,7 @@ class Field:
         """Elements e_m with a = sum over monomials m of m * e_m^2."""
         raise NotImplementedError
 
+    # explicit: the inherited __ne__ measured slower on descriptor comparisons
     def __ne__(self, other):
         return not self.__eq__(other)
 
@@ -783,72 +790,23 @@ def _coordinate_columns(elements) -> tuple[Field, list[list[FieldElement]]]:
     return field, cols
 
 
-def _eliminate(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
-    """In-place row echelon form; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x + f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def square_span_dimension(elements) -> int:
     """Dimension over F^2 of the F^2-span of the given elements of F."""
     field, cols = _coordinate_columns(list(elements))
-    rows = [list(col) for col in cols]  # one row per element
-    _, pivots = _eliminate(rows)
-    return len(pivots)
+    return Matrix(field, cols).rank()
 
 
 def square_span_solve(target: FieldElement, basis) -> Optional[list[FieldElement]]:
     """Coefficients x_i with target = sum x_i^2 * basis_i, or None."""
-    basis = list(basis)
-    field, cols = _coordinate_columns([target] + basis)
-    t_col, b_cols = cols[0], cols[1:]
-    height = len(t_col)
-    rows = [[b_cols[j][i] for j in range(len(b_cols))] + [t_col[i]]
-            for i in range(height)]
-    rows, pivots = _eliminate(rows)
-    if len(b_cols) in pivots:
-        return None
-    solution = [field.zero()] * len(b_cols)
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][-1]
-    return solution
+    field, cols = _coordinate_columns([target] + list(basis))
+    solution = Matrix(field, cols[1:]).transpose().solve(Vector(field, cols[0]))
+    return None if solution is None else list(solution)
 
 
 def square_span_kernel(elements) -> list[list[FieldElement]]:
     """All F-linear dependencies x with sum x_i^2 * elements_i = 0 (a basis)."""
-    elements = list(elements)
-    field, cols = _coordinate_columns(elements)
-    height = len(cols[0])
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(height)]
-    rows, pivots = _eliminate(rows)
-    free = [c for c in range(len(cols)) if c not in pivots]
-    kernel = []
-    for f in free:
-        vec = [field.zero()] * len(cols)
-        vec[f] = field.one()
-        for r, c in enumerate(pivots):
-            vec[c] = rows[r][f]
-        kernel.append(vec)
-    return kernel
+    field, cols = _coordinate_columns(list(elements))
+    return [list(v) for v in Matrix(field, cols).transpose().kernel_basis()]
 
 
 # ---------------------------------------------------------------------------

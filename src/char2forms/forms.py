@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import Char2FormsError
 from .fields import (FieldElement, square_span_dimension, square_span_kernel)
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, bilinear
 
 
-class FormError(Exception):
+class FormError(Char2FormsError):
     pass
 
 
@@ -61,7 +62,7 @@ class BilinearForm:
         return self.gram.nrows
 
     def evaluate(self, x: Vector, y: Vector) -> FieldElement:
-        return _dot(x, self.gram * y)
+        return bilinear(self.gram, x, y)
 
     def q(self, x: Vector) -> FieldElement:
         """The quadratic form q(x) = h(x, x)."""
@@ -92,13 +93,6 @@ class BilinearForm:
 
     def __repr__(self):
         return f"BilinearForm(\n{self.gram}\n)"
-
-
-def _dot(x: Vector, y: Vector) -> FieldElement:
-    total = x.ring.zero()
-    for a, b in zip(x, y):
-        total = total + a * b
-    return total
 
 
 @dataclass(frozen=True)
@@ -174,11 +168,10 @@ def _extend_to_complement(field, radical: list[Vector], n: int) -> list[Vector]:
         return [Vector.unit(field, n, i) for i in range(n)]
     rows = [list(v.entries) for v in radical]
     chosen: list[Vector] = []
-    from .linalg import _echelon
     for i in range(n):
         candidate = Vector.unit(field, n, i)
         trial = rows + [list(v.entries) for v in chosen] + [list(candidate.entries)]
-        if len(_echelon(trial, field)[1]) == len(rows) + len(chosen) + 1:
+        if Matrix(field, trial).rank() == len(rows) + len(chosen) + 1:
             chosen.append(candidate)
         if len(chosen) + len(rows) == n:
             break

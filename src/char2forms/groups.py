@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._smallfield import try_int_field
+from .errors import Char2FormsError
 from .exterior import compound_matrix, hodge
 from .fields import FieldElement, square_span_solve
 from .forms import BilinearForm, DegenerateForm, FormError, orthogonalize, quadratic_data
@@ -33,7 +34,7 @@ from .kalgebra import (KAlgebra, KModule, NotSplit, build_module, k_is_square,
 from .linalg import DimensionMismatch, Matrix, Vector
 
 
-class GroupError(Exception):
+class GroupError(Char2FormsError):
     pass
 
 
@@ -198,10 +199,8 @@ def o3_standard_form_group(ring) -> O3Data:
     infinite ring the representatives use the parameter 1 (the families are
     additive in their parameter).
     """
-    params = []
-    if getattr(ring, "order", None) is not None:
-        params = [x for x in ring.elements() if not x.is_zero()]
-    elif hasattr(ring, "field") and getattr(ring.field, "order", None) is not None:
+    # a K-algebra is finite when its base field is
+    if getattr(getattr(ring, "field", ring), "order", None) is not None:
         params = [x for x in ring.elements() if not x.is_zero()]
     else:
         params = [ring.one()]
@@ -212,44 +211,37 @@ def o3_standard_form_group(ring) -> O3Data:
 
 
 def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> list[Matrix]:
-    """Breadth-first closure of a finite matrix group; raises beyond `cap`."""
+    """Breadth-first closure of a finite matrix group; raises beyond `cap`.
+
+    Over small finite fields the search runs on int-encoded matrices.
+    """
     if not generators:
         return []
     ring = generators[0].ring
     n = generators[0].nrows
     intf = try_int_field(ring)
-    if intf is not None:
-        gens = [intf.encode_matrix(g) for g in generators]
-        ident = intf.identity(n)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for m in frontier:
-                for g in gens:
-                    p = intf.mat_mul(m, g)
-                    if p not in seen:
-                        if len(seen) >= cap:
-                            raise EnumerationTooLarge(f"closure exceeds cap {cap}")
-                        seen.add(p)
-                        new.append(p)
-            frontier = new
-        return [intf.decode_matrix(m) for m in seen]
-    ident = Matrix.identity(ring, n)
-    seen = {ident}
-    frontier = [ident]
+    if intf is None:
+        return list(_closure(Matrix.identity(ring, n), generators, Matrix.__mul__, cap))
+    gens = [intf.encode_matrix(g) for g in generators]
+    closure = _closure(intf.identity(n), gens, intf.mat_mul, cap)
+    return [intf.decode_matrix(m) for m in closure]
+
+
+def _closure(identity, generators, product, cap: int) -> set:
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         new = []
         for m in frontier:
             for g in generators:
-                p = m * g
+                p = product(m, g)
                 if p not in seen:
                     if len(seen) >= cap:
                         raise EnumerationTooLarge(f"closure exceeds cap {cap}")
                     seen.add(p)
                     new.append(p)
         frontier = new
-    return list(seen)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -770,10 +762,9 @@ def _verified_similitude(form: BilinearForm, mat: Matrix,
 def _classify_defect3(form, qd, k_split) -> ClassificationReport:
     field = form.field
     c1 = qd.values[0]
-    columns = []
-    for v, c in zip(qd.basis, qd.values):
-        columns.append(v.scale(_rescale_to(c, c1).inverse()))
-    s = Matrix.from_columns(field, columns)
+    # scale each orthogonal vector so that its value becomes c1
+    s = Matrix.from_columns(
+        field, [v.scale(_rescale_to(c, c1)) for v, c in zip(qd.basis, qd.values)])
     normal = Matrix.identity(field, 4)
     assert (s.transpose() * form.gram * s) == normal * c1
     s_inv = s.inverse()

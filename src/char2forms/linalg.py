@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from .errors import Char2FormsError
 
-class LinalgError(Exception):
+
+class LinalgError(Char2FormsError):
     pass
 
 
@@ -243,17 +245,9 @@ class Matrix:
         n = self.nrows
         rows = [list(r) + list(ident_row)
                 for r, ident_row in zip(self.entries, Matrix.identity(self.ring, n).entries)]
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if self.ring.is_unit(rows[r][c])), None)
-            if pivot is None:
-                raise SingularMatrix("matrix is not invertible")
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            inv = rows[c][c].inverse()
-            rows[c] = [x * inv for x in rows[c]]
-            for r in range(n):
-                if r != c and not rows[r][c].is_zero():
-                    f = rows[r][c]
-                    rows[r] = [a + f * b for a, b in zip(rows[r], rows[c])]
+        rows, pivots = _echelon(rows, self.ring, ncols=n)
+        if len(pivots) < n:
+            raise SingularMatrix("matrix is not invertible")
         return Matrix(self.ring, [row[n:] for row in rows])
 
     def rank(self) -> int:
@@ -314,6 +308,11 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix(\n{self}\n)"
+
+
+def bilinear(gram: Matrix, x: Vector, y: Vector):
+    """The pairing x^T G y."""
+    return _dot(x, gram * y)
 
 
 def _dot(row, col):

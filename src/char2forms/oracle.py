@@ -15,13 +15,14 @@ from itertools import product
 from typing import Optional
 
 from ._smallfield import IntField, try_int_field
+from .errors import Char2FormsError, CheckFailed
 from .exterior import alt_matrix, index_sets, pq
 from .forms import BilinearForm
 from .kalgebra import KElement, KModule
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, bilinear
 
 
-class OracleError(Exception):
+class OracleError(Char2FormsError):
     pass
 
 
@@ -81,8 +82,7 @@ def _congruent(intf: IntField, a, gram, n) -> bool:
 
 def _invertible(intf: IntField, a, n) -> bool:
     rows = [list(r) for r in a]
-    mul = intf.mul
-    inv_table = _inverse_table(intf)
+    mul, inv_table = intf.mul, intf.inv
     rank = 0
     for c in range(n):
         piv = next((r for r in range(rank, n) if rows[r][c]), None)
@@ -97,11 +97,6 @@ def _invertible(intf: IntField, a, n) -> bool:
                 rows[r] = [x ^ mul[f][y] for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank == n
-
-
-def _inverse_table(intf: IntField):
-    field = intf.field
-    return [0] + [field._inv(x) for x in range(1, intf.order)]
 
 
 def _full_scan(intf: IntField, gram, n):
@@ -195,28 +190,21 @@ def brute_pq_scalar(field):
 
 
 def direct_g(u: Vector, v: Vector, module: KModule) -> KElement:
-    """g(u,v) evaluated from both defining formulas; asserts they agree.
+    """g(u,v) evaluated from both defining formulas; CheckFailed if they differ.
 
     Left formula: Lh(u, v) + Lh(u, v*j) * j^(-1) with j^(-1) = j/delta.
     Right formula: Lh(u, v) + j * Pf(u, v).
     """
     algebra = module.algebra
     data = module.hodge
-    lh_uv = _pair(data.lh_gram, u, v)
-    lh_ujv = _pair(data.lh_gram, u, data.j_matrix * v)
+    lh_uv = bilinear(data.lh_gram, u, v)
+    lh_ujv = bilinear(data.lh_gram, u, data.j_matrix * v)
     j_inv = algebra.j().inverse()
     left = algebra.coerce(lh_uv) + algebra.coerce(lh_ujv) * j_inv
-    right = algebra.element(lh_uv, _pair(data.pf_gram, u, v))
-    assert left == right, "the two defining formulas for g disagree"
+    right = algebra.element(lh_uv, bilinear(data.pf_gram, u, v))
+    if left != right:
+        raise CheckFailed("the two defining formulas for g disagree")
     return right
-
-
-def _pair(gram: Matrix, x: Vector, y: Vector):
-    total = gram.ring.zero()
-    gy = gram * y
-    for a, b in zip(x, gy):
-        total = total + a * b
-    return total
 
 
 def compound_by_expansion(a: Matrix, ell: int) -> Matrix:

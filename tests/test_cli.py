@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from char2forms.cli import main
 
 
@@ -267,3 +274,58 @@ def test_alternating_gram_rejected(tmp_path, capsys):
     assert main(["analyze", path]) == 2
     err = capsys.readouterr().err
     assert "alternating" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "{ident}"], 0),
+    (["verify", "{ident}", "--corrupt-j"], 1),
+    (["analyze", "{bad}"], 2),
+    (["analyze", "/nonexistent/nope.txt"], 2),
+    (["analyze", "{ident}", "--volume-scale", "0"], 2),
+    (["verify", "{ident}", "--volume-scale", "0"], 2),
+])
+def test_exit_code_contract(tmp_path, capsys, argv, code):
+    paths = {"ident": _write(tmp_path, "ident.txt", IDENT_GF2),
+             "bad": _write(tmp_path, "bad.txt", "field: gf2\ngram:\n1^ 0\n0 1\n")}
+    assert main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out == GOLDEN_ANALYZE_IDENT
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
+OPTIMIZED_CHILD = """\
+import dataclasses, sys
+from char2forms import GF2, BilinearForm, CheckFailed, Matrix, build_module, hodge
+from char2forms.cli import main
+from char2forms.oracle import direct_g
+
+assert sys.flags.optimize == 1
+gf2 = GF2()
+module = build_module(hodge(BilinearForm(Matrix.identity(gf2, 4))))
+broken = dataclasses.replace(module.hodge, j_matrix=module.hodge.j_matrix
+                             + Matrix.identity(gf2, module.hodge.space.dim))
+module = dataclasses.replace(module, hodge=broken)
+u = module.basis_vector((1, 2))
+try:
+    direct_g(u, u, module)
+except CheckFailed:
+    pass
+else:
+    sys.exit("direct_g accepted a corrupted J")
+sys.exit(main(["verify", sys.argv[1]]))
+"""
+
+
+def test_verify_checks_survive_python_O(tmp_path, capsys):
+    path = _write(tmp_path, "ident.txt", IDENT_GF2)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHILD, path],
+                           capture_output=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr.decode()
+    assert main(["verify", path]) == 0
+    assert child.stdout.decode() == capsys.readouterr().out

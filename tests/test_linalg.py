@@ -1,6 +1,7 @@
 import pytest
 
 from char2forms.groups import t_hat
+from char2forms.kalgebra import KAlgebra
 from char2forms.linalg import (BadIndexSet, DimensionMismatch, Matrix, SingularMatrix,
                                Vector)
 
@@ -131,3 +132,15 @@ def test_shape_errors(gf2):
         a * b
     with pytest.raises(DimensionMismatch):
         a + b
+
+
+def test_inverse_over_split_local_ring(gf2):
+    # k(1) over GF(2) is F2[z]/(z^2) with z = 1 + j: z is a non-unit
+    k = KAlgebra(gf2, 1)
+    z, one = k.z(), k.one()
+    a = Matrix(k, [[z, one], [one, z]])
+    a_inv = a.inverse()
+    assert a * a_inv == Matrix.identity(k, 2)
+    assert a_inv * a == Matrix.identity(k, 2)
+    with pytest.raises(SingularMatrix):
+        Matrix.diagonal(k, [z, one]).inverse()
