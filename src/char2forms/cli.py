@@ -238,9 +238,6 @@ def cmd_classify(doc: InputDocument, args, report: Report) -> int:
     for g in rep.generators:
         if not g.multiplier.is_one():
             report.item("similitude multiplier", g.multiplier)
-    sim = rep.case_data.get("similitude")
-    if sim is not None:
-        report.item("similitude multiplier", sim.multiplier)
     if doc.field.order is not None:
         q = doc.field.order
         predicted = rep.predicted_order(q)

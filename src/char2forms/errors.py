@@ -7,3 +7,9 @@ class Char2FormsError(Exception):
 
 class CheckFailed(Char2FormsError):
     """An internal verification of a computed claim did not hold."""
+
+
+def require(cond, msg: str) -> None:
+    """Raise CheckFailed(msg) unless cond holds; unlike `assert`, it runs under -O."""
+    if not cond:
+        raise CheckFailed(msg)

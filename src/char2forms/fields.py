@@ -257,10 +257,8 @@ class FieldElement:
 class Field:
     """Base class: a field descriptor plus payload-level arithmetic."""
 
-    characteristic = 2
     variables: tuple[str, ...] = ()
     order: Optional[int] = None  # None means infinite
-    is_perfect = False
 
     # -- payload primitives supplied by subclasses -------------------------
     def _add(self, a, b):
@@ -350,7 +348,6 @@ class GF2(Field):
     """The prime field GF(2); payloads are the ints 0 and 1."""
 
     order = 2
-    is_perfect = True
 
     def _add(self, a, b):
         return a ^ b
@@ -402,7 +399,6 @@ class GF2k(Field):
     The residue class of x is exposed as the generator, written ``g``.
     """
 
-    is_perfect = True
     variables = ("g",)
 
     def __init__(self, k: int, modulus: int):
@@ -553,11 +549,6 @@ class Poly:
 
     def scale(self, s: FieldElement) -> "Poly":
         return Poly(self.field, [c * s for c in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero(),) * k + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Char2FormsError
+from .errors import Char2FormsError, require
 from .fields import (FieldElement, square_span_dimension, square_span_kernel)
 from .linalg import Matrix, Vector, bilinear
 
@@ -145,11 +145,11 @@ def orthogonalize(form: BilinearForm) -> tuple[list[Vector], list[FieldElement]]
         w_rep = w_k + x
         w_plus1 = w_k + y.scale(a)
         w_plus2 = w_k + x + y.scale(a)
-        for v in (w_rep, w_plus1, w_plus2):
-            assert form.q(v) == a
-        assert form.evaluate(w_rep, w_plus1).is_zero()
-        assert form.evaluate(w_rep, w_plus2).is_zero()
-        assert form.evaluate(w_plus1, w_plus2).is_zero()
+        require(all(form.q(v) == a for v in (w_rep, w_plus1, w_plus2))
+                and form.evaluate(w_rep, w_plus1).is_zero()
+                and form.evaluate(w_rep, w_plus2).is_zero()
+                and form.evaluate(w_plus1, w_plus2).is_zero(),
+                "internal: the hyperbolic repair step is not orthogonal")
         orthos[-1] = w_rep
         orthos.append(w_plus1)
         orthos.append(w_plus2)
@@ -158,7 +158,7 @@ def orthogonalize(form: BilinearForm) -> tuple[list[Vector], list[FieldElement]]
     basis = orthos + radical
     diag = [form.q(v) for v in orthos] + [field.zero()] * len(radical)
     gram = form.congruent(Matrix.from_columns(field, basis)).gram
-    assert gram.is_diagonal()
+    require(gram.is_diagonal(), "internal: the orthogonal basis does not diagonalize")
     return basis, diag
 
 
@@ -227,7 +227,7 @@ def quadratic_data(form: BilinearForm) -> QuadraticData:
         v = Vector.zero(form.field, form.dim)
         for c, b in zip(coeffs, basis):
             v = v + b.scale(c)
-        assert form.q(v).is_zero()
+        require(form.q(v).is_zero(), "internal: a kernel vector of q has q(v) != 0")
         kernel.append(v)
     return QuadraticData(values=tuple(diag), basis=tuple(basis),
                          kernel=tuple(kernel), defect=form.dim - range_dimension,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._smallfield import try_int_field
-from .errors import Char2FormsError
+from .errors import Char2FormsError, CheckFailed, require
 from .exterior import compound_matrix, hodge
 from .fields import FieldElement, square_span_solve
 from .forms import BilinearForm, DegenerateForm, FormError, orthogonalize, quadratic_data
@@ -147,7 +147,7 @@ def sl2_decompose(a: Matrix) -> SL2Word:
                               ("U", inv * (ad + one))))
     else:
         raise GroupError("internal: both corner entries non-invertible with det 1")
-    assert word.evaluate() == a
+    require(word.evaluate() == a, "internal: the L/U word does not reproduce the matrix")
     return word
 
 
@@ -659,16 +659,6 @@ _MULTIPLIERS = {
 }
 
 
-def _check_case_tag(defect: int, k_split: bool, case: str) -> None:
-    if _CASE_OF[(defect, k_split)] != case:
-        raise GroupError(f"internal: case {case} does not match (defect={defect}, "
-                         f"split={k_split})")
-
-
-def _conjugate(s: Matrix, s_inv: Matrix, mat: Matrix) -> Matrix:
-    return s * mat * s_inv
-
-
 def _same_square_class(a: FieldElement, b: FieldElement) -> bool:
     return (a * b).is_square()
 
@@ -676,7 +666,7 @@ def _same_square_class(a: FieldElement, b: FieldElement) -> bool:
 def _rescale_to(value: FieldElement, target: FieldElement) -> FieldElement:
     """r with r^2 * value = target (values in one square class)."""
     root = (target * value.inverse()).sqrt()
-    assert root is not None
+    require(root is not None, "internal: rescaling across square classes")
     return root
 
 
@@ -694,7 +684,8 @@ def build_case_defect2(field, m, variant: str) -> ClassificationReport:
     else:
         raise HypothesisViolated(f"variant must be H1 or H2, got {variant!r}")
     report = classify(BilinearForm(gram))
-    assert report.case_data["variant"] == variant
+    require(report.case_data["variant"] == variant,
+            f"internal: the {variant} normal form classified as another variant")
     return report
 
 
@@ -725,7 +716,6 @@ def classify(form: BilinearForm) -> ClassificationReport:
     if form.is_degenerate():
         raise DegenerateForm("classification needs a non-degenerate form")
     qd = quadratic_data(form)
-    field = form.field
     disc = form.gram.det()
     k_split = disc.is_square()
     defect = qd.defect
@@ -738,25 +728,39 @@ def classify(form: BilinearForm) -> ClassificationReport:
         return _classify_defect1(form, qd, k_split)
     if defect == 0:
         return _classify_defect0(form, qd, k_split)
-    raise GroupError(f"internal: impossible defect {defect}")
+    raise CheckFailed(f"internal: impossible defect {defect}")
 
 
-def _verified_isometries(form: BilinearForm, mats) -> tuple[GroupElement, ...]:
+def _case_report(form, qd, k_split, case, s, scale, normal, isometries=(), similitudes=(),
+                 *, notes, case_data, multipliers=None) -> ClassificationReport:
+    """Check a normal form and its generators, then build the report.
+
+    S^T H S must equal scale * normal.  The isometries and the (matrix,
+    multiplier) similitudes are given in the normal-form coordinates; each is
+    moved to the input coordinates as S g S^-1 and checked there.
+    """
+    require(_CASE_OF.get((qd.defect, k_split)) == case,
+            f"internal: case {case} does not match (defect={qd.defect}, split={k_split})")
+    require(s.transpose() * form.gram * s == normal * scale,
+            "internal: the normalizing basis does not reach the normal form")
+    s_inv = s.inverse()
     one = form.field.one()
-    out = []
-    for m in mats:
-        if not is_isometry(form, m):
-            raise GroupError("internal: constructed generator fails the isometry check")
-        out.append(GroupElement(matrix=m, multiplier=one))
-    return tuple(out)
-
-
-def _verified_similitude(form: BilinearForm, mat: Matrix,
-                         expected: FieldElement) -> GroupElement:
-    r = similitude_multiplier(form, mat)
-    if r is None or r != expected:
-        raise GroupError("internal: constructed similitude has the wrong multiplier")
-    return GroupElement(matrix=mat, multiplier=r)
+    generators = []
+    for g in isometries:
+        moved = s * g * s_inv
+        require(is_isometry(form, moved),
+                "internal: constructed generator fails the isometry check")
+        generators.append(GroupElement(matrix=moved, multiplier=one))
+    for g, mult in similitudes:
+        moved = s * g * s_inv
+        r = similitude_multiplier(form, moved)
+        require(r is not None and r == mult,
+                "internal: constructed similitude has the wrong multiplier")
+        generators.append(GroupElement(matrix=moved, multiplier=r))
+    return ClassificationReport(
+        defect=qd.defect, k_split=k_split, case=case, description=_DESCRIPTIONS[case],
+        multipliers=multipliers or _MULTIPLIERS[case], generators=tuple(generators),
+        normalizer=s, scale=scale, normal_gram=normal, notes=notes, case_data=case_data)
 
 
 def _classify_defect3(form, qd, k_split) -> ClassificationReport:
@@ -765,22 +769,13 @@ def _classify_defect3(form, qd, k_split) -> ClassificationReport:
     # scale each orthogonal vector so that its value becomes c1
     s = Matrix.from_columns(
         field, [v.scale(_rescale_to(c, c1)) for v, c in zip(qd.basis, qd.values)])
-    normal = Matrix.identity(field, 4)
-    assert (s.transpose() * form.gram * s) == normal * c1
-    s_inv = s.inverse()
-    gens = [_conjugate(s, s_inv, g) for g in defect3_generators(field)]
-    report = ClassificationReport(
-        defect=3, k_split=True, case="defect3",
-        description=_DESCRIPTIONS["defect3"],
-        multipliers=_MULTIPLIERS["defect3"],
-        generators=_verified_isometries(form, gens),
-        normalizer=s, scale=c1, normal_gram=normal,
+    return _case_report(
+        form, qd, k_split, "defect3", s, c1, Matrix.identity(field, 4),
+        isometries=defect3_generators(field),
         notes=("generators: xi(t1,t2,t3) spanning Xi and diag(1,B,1) with "
                "B in SL2(F), transported from the hyperbolic coordinates",),
         case_data={"b_basis": sum_squares_basis(field),
                    "h_tilde": h_tilde_gram(field)})
-    _check_case_tag(3, k_split, report.case)
-    return report
 
 
 def _defect2_normal_form(form, qd):
@@ -800,7 +795,7 @@ def _defect2_normal_form(form, qd):
         # rewrite the orthogonal pair (slot i, slot j) so that slot j takes the
         # value of slot target_idx: c_target = s^2 c_i + t^2 c_j
         sol = square_span_solve(vals[target_idx], [vals[i], vals[j]])
-        assert sol is not None
+        require(sol is not None, "internal: the rewriting step has no solution")
         sv, tv = sol
         fi = vecs[i].scale(tv * vals[j]) + vecs[j].scale(sv * vals[i])
         fj = vecs[i].scale(sv) + vecs[j].scale(tv)
@@ -816,7 +811,7 @@ def _defect2_normal_form(form, qd):
     # put an independent pair in slots 0, 1 (first pair in lex order)
     pair = next(((i, j) for i in range(4) for j in range(i + 1, 4)
                  if not _same_square_class(vals[i], vals[j])), None)
-    assert pair is not None
+    require(pair is not None, "internal: defect 2 without two square classes")
     order = [pair[0], pair[1]] + [k for k in range(4) if k not in pair]
     vecs = [vecs[k] for k in order]
     vals = [vals[k] for k in order]
@@ -827,7 +822,7 @@ def _defect2_normal_form(form, qd):
         rescale(2, vals[0])
     else:
         t_step(0, 2, 1)  # now slots 1 and 2 both carry c2
-    assert class_count() <= before
+    require(class_count() <= before, "internal: the rewriting step added a square class")
 
     dup_value = vals[2]
     single_idx = next(k for k in range(3) if not _same_square_class(vals[k], dup_value))
@@ -840,7 +835,7 @@ def _defect2_normal_form(form, qd):
     else:
         before = class_count()
         t_step(single_idx, 3, [k for k in range(3) if k != single_idx][0])
-        assert class_count() < before
+        require(class_count() < before, "internal: the rewriting step kept every square class")
         variant = "H1"
 
     if variant == "H1":
@@ -867,46 +862,32 @@ def _defect2_normal_form(form, qd):
         vecs = [vecs[k] for k in pair_a + pair_b]
         vals = [vals[k] for k in pair_a + pair_b]
 
-    assert not m.is_square()
+    require(not m.is_square(), "internal: the defect-2 parameter m is a square")
     s = Matrix.from_columns(form.field, vecs)
     return s, scale, m, variant
 
 
 def _classify_defect2(form, qd, k_split) -> ClassificationReport:
     field = form.field
+    one, zero = field.one(), field.zero()
     s, scale, m, variant = _defect2_normal_form(form, qd)
-    s_inv = s.inverse()
     if variant == "H1":
-        normal = h1_gram(field, m)
-        case = "defect2_nonsplit"
-        gens = [_conjugate(s, s_inv, h1_isometry_l(field, field.one())),
-                _conjugate(s, s_inv, h1_isometry_u(field, field.one()))]
-        sim_mat, sim_mult = h1_similitude(field, m, field.zero(), field.one())
+        case, normal = "defect2_nonsplit", h1_gram(field, m)
+        isometries = [h1_isometry_l(field, one), h1_isometry_u(field, one)]
+        similitude = h1_similitude(field, m, zero, one)
         notes = ("isometries diag(1, hat L_x) and diag(1, hat U_x), x in F, "
                  "generate O; similitudes diag(A, A) with A = [[a,b],[bm,a]] "
                  "realize every multiplier a^2 + b^2 m",)
     else:
-        normal = h2_gram(field, m)
-        case = "defect2_split"
-        one, zero = field.one(), field.zero()
-        gens = [_conjugate(s, s_inv, h2_isometry(field, m, one, zero, zero)),
-                _conjugate(s, s_inv, h2_isometry(field, m, zero, one, zero)),
-                _conjugate(s, s_inv, h2_isometry(field, m, zero, zero, one))]
-        sim_mat, sim_mult = h2_similitude(field, m, field.zero(), field.one())
+        case, normal = "defect2_split", h2_gram(field, m)
+        isometries = [h2_isometry(field, m, one, zero, zero),
+                      h2_isometry(field, m, zero, one, zero),
+                      h2_isometry(field, m, zero, zero, one)]
+        similitude = h2_similitude(field, m, zero, one)
         notes = ("O(V,h) = {[[E+aM, bM],[mbM, E+cM]]: a,b,c in F} with M the "
                  "all-ones matrix; the action on Wz has kernel {a = c}",)
-    assert (s.transpose() * form.gram * s) == normal * scale
-    generators = _verified_isometries(form, gens)
-    similitude = _verified_similitude(form, _conjugate(s, s_inv, sim_mat), sim_mult)
-    report = ClassificationReport(
-        defect=2, k_split=k_split, case=case,
-        description=_DESCRIPTIONS[case], multipliers=_MULTIPLIERS[case],
-        generators=generators,
-        normalizer=s, scale=scale, normal_gram=normal,
-        notes=notes,
-        case_data={"m": m, "variant": variant, "similitude": similitude})
-    _check_case_tag(2, k_split, case)
-    return report
+    return _case_report(form, qd, k_split, case, s, scale, normal, isometries, [similitude],
+                        notes=notes, case_data={"m": m, "variant": variant})
 
 
 def _classify_defect1(form, qd, k_split) -> ClassificationReport:
@@ -917,13 +898,13 @@ def _classify_defect1(form, qd, k_split) -> ClassificationReport:
     e = Vector.unit(field, 4, anchor)
     u2_vec = e.scale(form.evaluate(u1, e).inverse())
     s_val = form.q(u2_vec)
-    assert not s_val.is_zero(), "defect 1 forces h(u2,u2) != 0"
+    require(not s_val.is_zero(), "internal: defect 1 forces h(u2,u2) != 0")
     u1s = u1.scale(s_val)
 
     rows = [[form.evaluate(u1, Vector.unit(field, 4, j)) for j in range(4)],
             [form.evaluate(u2_vec, Vector.unit(field, 4, j)) for j in range(4)]]
     complement = Matrix(field, rows).kernel_basis()
-    assert len(complement) == 2
+    require(len(complement) == 2, "internal: the hyperbolic plane has no 2-dim complement")
     sub_gram = Matrix(field, [[form.evaluate(x, y) * s_val.inverse() for y in complement]
                               for x in complement])
     sub_basis, sub_diag = orthogonalize(BilinearForm(sub_gram))
@@ -932,21 +913,13 @@ def _classify_defect1(form, qd, k_split) -> ClassificationReport:
     c3, c4 = sub_diag
 
     s = Matrix.from_columns(field, [u1s, u2_vec, u3, u4])
-    normal = defect1_gram(field, c3, c4)
-    assert (s.transpose() * form.gram * s) == normal * s_val
-    s_inv = s.inverse()
-    gens = [_conjugate(s, s_inv, defect1_isometry(field, field.one()))]
-    report = ClassificationReport(
-        defect=1, k_split=False, case="defect1",
-        description=_DESCRIPTIONS["defect1"], multipliers=_MULTIPLIERS["defect1"],
-        generators=_verified_isometries(form, gens),
-        normalizer=s, scale=s_val, normal_gram=normal,
+    return _case_report(
+        form, qd, k_split, "defect1", s, s_val, defect1_gram(field, c3, c4),
+        isometries=[defect1_isometry(field, field.one())],
         notes=("O(V,h) = {diag(U_x, E): x in F} in the u-basis; on the K-basis "
                "(v1^v3, (v1^v4)(j/c4), v1^v2) the form g is diag(c3, c3, 1) and "
                "eta sends the generator family to hat U_x",),
         case_data={"c3": c3, "c4": c4})
-    _check_case_tag(1, k_split, "defect1")
-    return report
 
 
 def _classify_defect0(form, qd, k_split) -> ClassificationReport:
@@ -958,47 +931,30 @@ def _classify_defect0(form, qd, k_split) -> ClassificationReport:
     d4 = qd.values[3] * d1.inverse()
     b = d4 * c.inverse()
     normal = defect0_gram(field, a, c, b)
-    assert (s.transpose() * form.gram * s) == normal * d1
-    s_inv = s.inverse()
 
-    notes = []
     case_data: dict = {"a": a, "c": c, "b": b}
-    similitudes: list[GroupElement] = []
-    norm_form = BilinearForm(normal)
     if a == b:
         big_a, big_c = defect0_split_family(field, a, c)
-        for mat, mult in ((big_a, a), (big_c, c)):
-            r = similitude_multiplier(norm_form, mat)
-            assert r == mult
-            similitudes.append(_verified_similitude(form, _conjugate(s, s_inv, mat), mult))
+        similitudes = [(big_a, a), (big_c, c)]
         multipliers = ("every element of E = F^2(a) + F^2(a)c occurs as a "
                        "multiplier; GO(V,h) is sharply transitive on V minus 0")
-        notes.append("split sub-case (a = b): the similitudes F(A,C) form a "
-                     "field acting sharply transitively")
+        note = ("split sub-case (a = b): the similitudes F(A,C) form a "
+                "field acting sharply transitively")
         case_data["subcase"] = "split"
     elif (a + b).is_square():
-        mat, mult = defect0_nonsplit_similitude(field, a, b, field.zero(), field.one())
-        r = similitude_multiplier(norm_form, mat)
-        assert r == mult
-        similitudes.append(_verified_similitude(form, _conjugate(s, s_inv, mat), mult))
+        similitudes = [defect0_nonsplit_similitude(field, a, b, field.zero(), field.one())]
         multipliers = ("multipliers form F^2(a) minus 0, the multiplicative "
                        "group of an inseparable quadratic extension of F^2")
-        notes.append("non-split sub-case (rho = sqrt(a+b) in F): similitudes "
-                     "are the nonzero elements of the field L = {diag(A, psi(A))}")
+        note = ("non-split sub-case (rho = sqrt(a+b) in F): similitudes "
+                "are the nonzero elements of the field L = {diag(A, psi(A))}")
         case_data["subcase"] = "nonsplit"
         case_data["rho"] = (a + b).sqrt()
     else:
+        similitudes = []
         multipliers = ("no similitude with non-square multiplier found among "
                        "the constructed families; F^x * id is realized")
-        notes.append("similitude analysis skipped: the diagonal (1,a,c,cb) "
-                     "fits neither constructed family (a+b not a square, a != b)")
+        note = ("similitude analysis skipped: the diagonal (1,a,c,cb) "
+                "fits neither constructed family (a+b not a square, a != b)")
         case_data["subcase"] = "none"
-
-    report = ClassificationReport(
-        defect=0, k_split=k_split, case="defect0",
-        description=_DESCRIPTIONS["defect0"], multipliers=multipliers,
-        generators=tuple(similitudes),
-        normalizer=s, scale=d1, normal_gram=normal,
-        notes=tuple(notes), case_data=case_data)
-    _check_case_tag(0, k_split, "defect0")
-    return report
+    return _case_report(form, qd, k_split, "defect0", s, d1, normal, similitudes=similitudes,
+                        notes=(note,), case_data=case_data, multipliers=multipliers)

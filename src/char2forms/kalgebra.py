@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import Char2FormsError, CheckFailed
+from .errors import Char2FormsError, require
 from .exterior import HodgeData, hodge
 from .fields import FieldElement, _power, parse_expression, square_span_solve
-from .linalg import Matrix, Vector, bilinear
+from .linalg import Matrix, SingularMatrix, Vector, bilinear
 
 
 class KAlgebraError(Char2FormsError):
@@ -275,7 +275,7 @@ class KModule:
                 cols.append(self.hodge.j_matrix * e)
             try:
                 cached = Matrix.from_columns(self.field, cols).inverse()
-            except Exception:
+            except SingularMatrix:
                 raise KAlgebraError("internal: B1 failed to span the module") from None
             object.__setattr__(self, "_phi_inverse_cache", cached)
         return cached
@@ -340,7 +340,7 @@ def normalize_split(module: KModule) -> KModule:
         return module
     new_scale = module.hodge.volume_scale * root
     rebuilt = build_module(hodge(module.hodge.form, new_scale))
-    assert rebuilt.hodge.delta.is_one()
+    require(rebuilt.hodge.delta.is_one(), "internal: rescaling the volume left delta != 1")
     return KModule(hodge=rebuilt.hodge, algebra=rebuilt.algebra,
                    basis_sets=rebuilt.basis_sets, g_gram=rebuilt.g_gram,
                    split=True, volume_rescale=root)
@@ -363,19 +363,15 @@ def wz_submodule(module: KModule) -> tuple[list[Vector], Matrix]:
     m = len(basis)
     combined = Matrix.from_columns(
         field, basis + [module.basis_vector(s) for s in module.basis_sets])
-    if combined.rank() != 2 * m:
-        raise CheckFailed("Wz does not complement the span of B1")
+    require(combined.rank() == 2 * m, "Wz does not complement the span of B1")
     for u in basis:
-        if module.hodge.j_matrix * u != u:
-            raise CheckFailed("j must fix Wz pointwise")
+        require(module.hodge.j_matrix * u == u, "j must fix Wz pointwise")
         for v in basis:
-            if not module.g_value(u, v).is_zero():
-                raise CheckFailed("g must vanish on Wz")
+            require(module.g_value(u, v).is_zero(), "g must vanish on Wz")
     # rho_z sends the class of the i-th B1 wedge to the i-th basis vector of Wz;
     # solve honestly to confirm it is the identity matrix.
     # each image lies in the span by construction, so solve never returns None
     wz_mat = Matrix.from_columns(field, basis)
     rho = Matrix.from_columns(field, [wz_mat.solve(w) for w in basis])
-    if rho != Matrix.identity(field, m):
-        raise CheckFailed("rho_z is not the identity on the B1 classes")
+    require(rho == Matrix.identity(field, m), "rho_z is not the identity on the B1 classes")
     return basis, rho

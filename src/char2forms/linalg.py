@@ -150,9 +150,6 @@ class Matrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vector:
-        return Vector(self.ring, self.entries[i])
-
     def column(self, j: int) -> Vector:
         return Vector(self.ring, [self.entries[i][j] for i in range(self.nrows)])
 
@@ -205,17 +202,6 @@ class Matrix:
         return self.is_square() and all(
             self.entries[i][j].is_zero()
             for i in range(self.nrows) for j in range(self.ncols) if i != j)
-
-    def is_identity(self) -> bool:
-        return self == Matrix.identity(self.ring, self.nrows) if self.is_square() else False
-
-    def trace(self):
-        if not self.is_square():
-            raise LinalgError("trace needs a square matrix")
-        total = self.ring.zero()
-        for i in range(self.nrows):
-            total = total + self.entries[i][i]
-        return total
 
     def det(self):
         if not self.is_square():

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional
 
 from ._smallfield import IntField, try_int_field
-from .errors import Char2FormsError, CheckFailed
+from .errors import Char2FormsError, require
 from .exterior import alt_matrix, index_sets, pq
 from .forms import BilinearForm
 from .kalgebra import KElement, KModule
@@ -202,8 +202,7 @@ def direct_g(u: Vector, v: Vector, module: KModule) -> KElement:
     j_inv = algebra.j().inverse()
     left = algebra.coerce(lh_uv) + algebra.coerce(lh_ujv) * j_inv
     right = algebra.element(lh_uv, bilinear(data.pf_gram, u, v))
-    if left != right:
-        raise CheckFailed("the two defining formulas for g disagree")
+    require(left == right, "the two defining formulas for g disagree")
     return right
 
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from char2forms import groups
 from char2forms.cli import main
 
 
@@ -297,10 +299,32 @@ def test_exit_code_contract(tmp_path, capsys, argv, code):
         assert "Traceback" not in captured.err
 
 
+def test_classify_failed_internal_check_exits_1(tmp_path, capsys, monkeypatch):
+    # xi(1,0,0) left in the b-basis is an isometry of h~, not of the identity
+    monkeypatch.setattr(groups, "defect3_generators",
+                        lambda field: [groups.xi_matrix(field, 1, 0, 0)])
+    path = _write(tmp_path, "ident.txt", IDENT_GF2)
+    assert main(["classify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ")
+
+
+def test_no_assert_in_package():
+    # `python -O` strips assert statements, so no check in the package may be one
+    package = Path(__file__).resolve().parents[1] / "src" / "char2forms"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 OPTIMIZED_CHILD = """\
 import dataclasses, sys
 from char2forms import GF2, BilinearForm, CheckFailed, Matrix, build_module, hodge
+from char2forms import groups
 from char2forms.cli import main
+from char2forms.forms import quadratic_data
 from char2forms.oracle import direct_g
 
 assert sys.flags.optimize == 1
@@ -316,16 +340,31 @@ except CheckFailed:
     pass
 else:
     sys.exit("direct_g accepted a corrupted J")
-sys.exit(main(["verify", sys.argv[1]]))
+form = BilinearForm(Matrix.identity(gf2, 4))
+try:
+    groups._case_report(form, quadratic_data(form), True, "defect3",
+                        Matrix.identity(gf2, 4), gf2.one(), groups.h_tilde_gram(gf2),
+                        notes=(), case_data={})
+except CheckFailed:
+    pass
+else:
+    sys.exit("_case_report accepted a wrong normal form")
+codes = [main(["verify", sys.argv[1]])] + [main(["classify", p]) for p in sys.argv[1:]]
+sys.exit(max(codes))
 """
 
 
 def test_verify_checks_survive_python_O(tmp_path, capsys):
+    # the child also classifies one input of each of the five cases
     path = _write(tmp_path, "ident.txt", IDENT_GF2)
+    cases = [path] + [_write(tmp_path, f"case{i}.txt", doc)
+                      for i, doc in enumerate((H1_F2T, H2_F2T, DEFECT1, DEFECT0))]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    child = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHILD, path],
+    child = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHILD, *cases],
                            capture_output=True, env=env, timeout=120)
     assert child.returncode == 0, child.stderr.decode()
     assert main(["verify", path]) == 0
+    for case in cases:
+        assert main(["classify", case]) == 0
     assert child.stdout.decode() == capsys.readouterr().out
