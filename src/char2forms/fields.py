@@ -9,9 +9,17 @@ Three kinds of fields are supported:
 
 Elements are immutable value objects carrying a reference to their field.
 Rational functions are kept in canonical form (monic denominator, gcd one),
-so equality is plain representational equality.  Every field also exposes the
-decomposition of F as a vector space over its subfield of squares, which is
-what degenerate/defect computations downstream are built on.
+so equality is plain representational equality.  F2(t) stores numerator and
+denominator as int bit masks (bit i is the coefficient of t^i), the packed
+GF(2)[x] representation of Brent, Gaudry, Thome and Zimmermann ("Faster
+multiplication in GF(2)[x]", ANTS 2008), and computes with the ``_gf2x_*``
+helpers below.  Every other rational-function field (F2(t)(u), GF(2^k)(t))
+keeps `Poly` numerators and denominators over its base field, so a nested
+tower such as F2(t)(u) computes with packed coefficients.
+
+Every field also exposes the decomposition of F as a vector space over its
+subfield of squares, which is what degenerate/defect computations downstream
+are built on.
 """
 
 from __future__ import annotations
@@ -75,6 +83,39 @@ def _gf2x_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _gf2x_mod(a, b)
     return a
+
+
+def _gf2x_divexact(a: int, b: int) -> int:
+    """a / b, for a divisible by b."""
+    q = 0
+    db = _gf2x_degree(b)
+    while a:
+        shift = _gf2x_degree(a) - db
+        q |= 1 << shift
+        a ^= b << shift
+    return q
+
+
+def _gf2x_split(a: int) -> tuple[int, int]:
+    """(e, o) with a(x) = e(x)^2 + x*o(x)^2: the even and the odd bits of a."""
+    e = o = 0
+    i = 0
+    while a:
+        e |= (a & 1) << i
+        o |= ((a >> 1) & 1) << i
+        a >>= 2
+        i += 1
+    return e, o
+
+
+def _gf2x_format(a: int, var: str) -> str:
+    if a == 0:
+        return "0"
+    terms = []
+    for d in range(_gf2x_degree(a), -1, -1):
+        if (a >> d) & 1:
+            terms.append("1" if d == 0 else var if d == 1 else f"{var}^{d}")
+    return "+".join(terms)
 
 
 def _gf2x_invmod(a: int, m: int) -> int:
@@ -166,7 +207,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise DescriptorMismatch(
                     f"mixed fields: {self.field.describe()} vs {other.field.describe()}")
             return other
@@ -291,7 +332,7 @@ class Field:
 
     def coerce(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise DescriptorMismatch(
                     f"element of {x.field.describe()} used in {self.describe()}")
             return x
@@ -431,18 +472,7 @@ class GF2k(Field):
         return a == 0
 
     def _format(self, a):
-        if a == 0:
-            return "0"
-        terms = []
-        for d in range(_gf2x_degree(a), -1, -1):
-            if (a >> d) & 1:
-                if d == 0:
-                    terms.append("1")
-                elif d == 1:
-                    terms.append("g")
-                else:
-                    terms.append(f"g^{d}")
-        return "+".join(terms)
+        return _gf2x_format(a, "g")
 
     def from_int(self, n):
         return FieldElement(self, n & 1)
@@ -629,12 +659,32 @@ class Poly:
         return self.format("x")
 
 
+def _poly_bits(p: Poly) -> int:
+    """The bit mask of a polynomial over GF(2)."""
+    return sum(c.payload << i for i, c in enumerate(p.coeffs))
+
+
+def _f2t_reduce(num: int, den: int) -> tuple[int, int]:
+    """The canonical F2(t) payload of num/den (bit masks, den nonzero)."""
+    if num == 0:
+        return (0, 1)
+    if den != 1:
+        g = _gf2x_gcd(den, num)
+        if g != 1:
+            return (_gf2x_divexact(num, g), _gf2x_divexact(den, g))
+    return (num, den)
+
+
 class RationalFunctionField(Field):
     """The field F(t) of rational functions over a base field.
 
     Payloads are canonical pairs (numerator, denominator): the denominator is
-    monic, gcd(num, den) = 1, and zero is (0, 1).  Variable names are single
-    letters, distinct throughout the tower ('g' is reserved for gf2k towers).
+    monic, gcd(num, den) = 1, and zero is (0, 1).  Over GF(2), i.e. for F2(t),
+    the pair is two int bit masks (bit i is the coefficient of t^i) and the
+    arithmetic runs on the masks.  Over any other base, as in F2(t)(u) or
+    GF(2^k)(t), the pair is two `Poly`s over the base field.  Variable names
+    are single letters, distinct throughout the tower ('g' is reserved for
+    gf2k towers).
     """
 
     def __init__(self, base: Field, var: str):
@@ -645,6 +695,7 @@ class RationalFunctionField(Field):
         self.base = base
         self.var = var
         self.variables = base.variables + (var,)
+        self.packed = isinstance(base, GF2)
 
     def _canonical(self, num: Poly, den: Poly):
         if den.is_zero():
@@ -666,18 +717,39 @@ class RationalFunctionField(Field):
         return (num.scale(lead_inv), den.scale(lead_inv))
 
     def from_fraction(self, num: Poly, den: Poly) -> FieldElement:
+        if self.packed:
+            if den.is_zero():
+                raise DivisionByZero(f"zero denominator in {self.describe()}")
+            return FieldElement(self, _f2t_reduce(_poly_bits(num), _poly_bits(den)))
         return FieldElement(self, self._canonical(num, den))
 
     def _add(self, a, b):
+        # equal denominators (most often both 1) need no cross products
+        if self.packed:
+            if a[1] == b[1]:
+                return _f2t_reduce(a[0] ^ b[0], a[1])
+            return _f2t_reduce(_gf2x_mul(a[0], b[1]) ^ _gf2x_mul(b[0], a[1]),
+                               _gf2x_mul(a[1], b[1]))
+        if a[1] == b[1]:
+            return self._canonical(a[0] + b[0], a[1])
         return self._canonical(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
 
     def _mul(self, a, b):
+        if self.packed:
+            return _f2t_reduce(_gf2x_mul(a[0], b[0]), _gf2x_mul(a[1], b[1]))
         return self._canonical(a[0] * b[0], a[1] * b[1])
 
     def _inv(self, a):
+        if self.packed:
+            return (a[1], a[0])
         return self._canonical(a[1], a[0])
 
     def _sqrt(self, a):
+        if self.packed:
+            # a reduced fraction is a square exactly when both its terms are
+            num, num_odd = _gf2x_split(a[0])
+            den, den_odd = _gf2x_split(a[1])
+            return None if num_odd or den_odd else (num, den)
         # num/den = (num*den)/den^2, so it suffices to take the root of num*den
         root = (a[0] * a[1]).sqrt()
         if root is None:
@@ -685,18 +757,25 @@ class RationalFunctionField(Field):
         return self._canonical(root, a[1])
 
     def _is_zero(self, a):
-        return a[0].is_zero()
+        return a[0] == 0 if self.packed else a[0].is_zero()
 
     def _format(self, a):
         num, den = a
-        num_s = num.format(self.var)
-        if den == Poly.one(self.base):
-            return num_s
-        return _wrap(num_s) + "/" + _wrap(den.format(self.var))
+        if self.packed:
+            num_s, den_s = _gf2x_format(num, self.var), _gf2x_format(den, self.var)
+        else:
+            num_s, den_s = num.format(self.var), den.format(self.var)
+        return num_s if den_s == "1" else _wrap(num_s) + "/" + _wrap(den_s)
 
     def from_int(self, n):
-        return FieldElement(self, (Poly(self.base, (self.base.from_int(n),)),
-                                   Poly.one(self.base)))
+        if self.packed:
+            return FieldElement(self, (n & 1, 1))
+        return self._constant(self.base.from_int(n))
+
+    def _constant(self, c: FieldElement) -> FieldElement:
+        if self.packed:
+            return FieldElement(self, (c.payload, 1))
+        return FieldElement(self, (Poly(self.base, (c,)), Poly.one(self.base)))
 
     def describe(self):
         return f"ratfunc({self.base.describe()},{self.var})"
@@ -704,11 +783,12 @@ class RationalFunctionField(Field):
     def embed(self, a):
         if a.field == self:
             return a
-        lifted = self.base.embed(a) if a.field != self.base else a
-        return FieldElement(self, (Poly(self.base, (lifted,)), Poly.one(self.base)))
+        return self._constant(self.base.embed(a) if a.field != self.base else a)
 
     @property
     def generator(self) -> FieldElement:
+        if self.packed:
+            return FieldElement(self, (0b10, 1))
         return FieldElement(self, (Poly.x(self.base), Poly.one(self.base)))
 
     def variable_elements(self):
@@ -735,6 +815,10 @@ class RationalFunctionField(Field):
     def square_coordinates(self, a):
         a = self.coerce(a)
         num, den = a.payload
+        if self.packed:
+            # num/den = (num*den)/den^2 = (e/den)^2 + t*(o/den)^2
+            return tuple(FieldElement(self, _f2t_reduce(p, den))
+                         for p in _gf2x_split(_gf2x_mul(num, den)))
         prod = num * den
         base_monos = self.base.square_monomials()
         width = len(base_monos)

@@ -38,21 +38,6 @@ def _random_nonzero(field, rng):
             return x
 
 
-def _random_poly_element(field, rng, degree=2):
-    """A denominator-free random element (keeps nested gcds out of hot loops)."""
-    from char2forms.fields import Poly
-    coeffs = [field.base.random_element(rng, size=1)
-              for _ in range(rng.randrange(degree + 1) + 1)]
-    return field.from_fraction(Poly(field.base, coeffs), Poly.one(field.base))
-
-
-def _random_poly_nonzero(field, rng, degree=2):
-    while True:
-        x = _random_poly_element(field, rng, degree)
-        if not x.is_zero():
-            return x
-
-
 def test_criterion_01_defect3_order_gf2():
     start = time.time()
     form = BilinearForm(Matrix.identity(GF2_FIELD, 4))
@@ -116,10 +101,8 @@ def test_criterion_04_hodge_identities():
         for name, ok, detail in hodge_identities(hodge(form)):
             assert ok, (name, detail)
         checked += 1
-    for i in range(50):
-        # a few fully general (fraction) diagonals, the rest polynomial
-        sample = _random_nonzero if i < 5 else _random_poly_nonzero
-        diag = [sample(F2T, rng) for _ in range(4)]
+    for _ in range(50):
+        diag = [_random_nonzero(F2T, rng) for _ in range(4)]
         form = BilinearForm(Matrix.diagonal(F2T, diag))
         for name, ok, detail in hodge_identities(hodge(form)):
             assert ok, (name, detail, [str(d) for d in diag])
@@ -303,13 +286,9 @@ def test_criterion_09_case_suites():
     w1 = module4.from_k_coordinates([c_change[i, 0] for i in range(3)])
     w2 = module4.from_k_coordinates([c_change[i, 1] for i in range(3)])
     assert module4.g_value(w1 + w2, w1 + w2).is_zero()
-    for i in range(100):
-        if i < 10:
-            x = F2TU.random_element(rng, 1)
-            y = F2TU.random_element(rng, 1)
-        else:
-            x = _random_poly_element(F2TU, rng, 1)
-            y = _random_poly_element(F2TU, rng, 1)
+    for _ in range(100):
+        x = F2TU.random_element(rng, 1)
+        y = F2TU.random_element(rng, 1)
         ux, uy = G.defect1_isometry(F2TU, x), G.defect1_isometry(F2TU, y)
         assert G.is_isometry(form1, ux)
         assert ux * uy == G.defect1_isometry(F2TU, x + y)
@@ -327,9 +306,7 @@ def test_criterion_10_defect0_split_multipliers():
     form = BilinearForm(G.defect0_gram(F2TU, a, c, a))
     done = 0
     while done < 50:
-        sample = F2TU.random_element if done < 5 else \
-            (lambda r, _s: _random_poly_element(F2TU, r, 1))
-        xs = [sample(rng, 1) for _ in range(4)]
+        xs = [F2TU.random_element(rng, 1) for _ in range(4)]
         if all(x.is_zero() for x in xs):
             continue
         mat, mult = G.defect0_split_element(F2TU, a, c, *xs)

@@ -189,6 +189,31 @@ def test_verify_passes(tmp_path, capsys):
         assert "FAIL" not in out
 
 
+VERIFY_F2TU = """\
+field: ratfunc(ratfunc(gf2,t),u)
+gram:
+u 0 u 0
+0 t 0 0
+u 0 u+1 0
+0 0 0 1
+"""
+
+
+def _child_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def test_verify_f2tu_finishes(tmp_path):
+    # the sampled Pq(X)^2 check squares Pq of random nested fractions; run in a
+    # child so that a stall fails on the timeout instead of hanging the suite
+    path = _write(tmp_path, "f2tu.txt", VERIFY_F2TU)
+    child = subprocess.run([sys.executable, "-m", "char2forms.cli", "verify", path],
+                           capture_output=True, env=_child_env(), timeout=30)
+    assert child.returncode == 0, child.stderr.decode()
+    assert "result: all checks passed" in child.stdout.decode().splitlines()
+
+
 def test_verify_gf4_random_diagonal(tmp_path, capsys):
     doc = """\
 field: gf2k:2:7
@@ -359,10 +384,8 @@ def test_verify_checks_survive_python_O(tmp_path, capsys):
     path = _write(tmp_path, "ident.txt", IDENT_GF2)
     cases = [path] + [_write(tmp_path, f"case{i}.txt", doc)
                       for i, doc in enumerate((H1_F2T, H2_F2T, DEFECT1, DEFECT0))]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     child = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHILD, *cases],
-                           capture_output=True, env=env, timeout=120)
+                           capture_output=True, env=_child_env(), timeout=120)
     assert child.returncode == 0, child.stderr.decode()
     assert main(["verify", path]) == 0
     for case in cases:

@@ -1,7 +1,7 @@
 import pytest
 
-from char2forms.fields import (DescriptorMismatch, DivisionByZero, FieldError,
-                               GF2k, ParseError, Poly, RationalFunctionField,
+from char2forms.fields import (DescriptorMismatch, DivisionByZero, FieldElement,
+                               FieldError, GF2k, ParseError, Poly, RationalFunctionField,
                                gf2_poly_is_irreducible, parse_field,
                                square_span_dimension, square_span_kernel,
                                square_span_solve)
@@ -18,27 +18,64 @@ def test_inverse_axiom(f2t):
     assert (t / t).is_one()
 
 
+def _mask_poly(field, mask):
+    """A bit mask (bit i is the coefficient of t^i) as a Poly over `field`."""
+    return Poly(field, [(mask >> i) & 1 for i in range(mask.bit_length())])
+
+
 def test_fraction_reduces_on_construction(f2t):
     # gcd oracle over GF(2): t+1 = gcd(t+1, t^2+t), so the value is 1/t
     e = f2t.parse("(t+1)/(t^2+t)")
     assert str(e) == "1/t"
-    num, den = e.payload
-    assert num == Poly.one(f2t.base)
-    assert den == Poly.x(f2t.base)
+    # F2(t) payloads are bit masks, bit i the coefficient of t^i
+    assert e.payload == (0b1, 0b10)
+    assert e == f2t.from_fraction(Poly.one(f2t.base), Poly.x(f2t.base))
     # cross-multiplication check against the unreduced pair
     assert e * f2t.parse("t^2+t") == f2t.parse("t+1")
 
 
 def test_canonical_payloads(f2t, f2tu, rng):
-    for field in (f2t, f2tu):
-        for _ in range(60):
-            a = field.random_element(rng)
-            num, den = a.payload
-            if num.is_zero():
-                assert den == Poly.one(field.base)
-                continue
-            assert den.lead().is_one()
-            assert num.gcd(den).degree == 0
+    # F2(t): reduced bit-mask pairs, checked with the generic Poly gcd
+    for _ in range(60):
+        num, den = f2t.random_element(rng).payload
+        if num == 0:
+            assert den == 1
+            continue
+        assert den != 0
+        assert _mask_poly(f2t.base, num).gcd(_mask_poly(f2t.base, den)).degree == 0
+    # F2(t)(u): Poly pairs with a monic denominator
+    for _ in range(60):
+        num, den = f2tu.random_element(rng).payload
+        if num.is_zero():
+            assert den == Poly.one(f2tu.base)
+            continue
+        assert den.lead().is_one()
+        assert num.gcd(den).degree == 0
+
+
+def test_packed_f2t_matches_generic_path(f2t, gf4, rng):
+    # F2(t) runs on bit masks, GF(4)(t) on Polys; the embedding through 0/1
+    # coefficients must commute with every operation.  It maps payloads as they
+    # are, so a packed result that is not canonical fails the comparison too.
+    f4t = RationalFunctionField(gf4, "t")
+
+    def embed(a):
+        num, den = a.payload
+        return FieldElement(f4t, (_mask_poly(gf4, num), _mask_poly(gf4, den)))
+
+    samples = [f2t.zero(), f2t.one(), f2t.generator]
+    samples += [f2t.random_element(rng, size=3) for _ in range(80)]
+    for a, b in zip(samples, samples[1:] + samples[:1]):
+        assert embed(a + b) == embed(a) + embed(b)
+        assert embed(a * b) == embed(a) * embed(b)
+        assert str(embed(a)) == str(a)
+        assert tuple(map(embed, f2t.square_coordinates(a))) == \
+            f4t.square_coordinates(embed(a))
+        for c in (a, a * a):
+            root = c.sqrt()
+            assert (None if root is None else embed(root)) == embed(c).sqrt()
+        if not a.is_zero():
+            assert embed(a.inverse()) == embed(a).inverse()
 
 
 def test_frobenius_values(gf4, f2t):
