@@ -11,9 +11,8 @@ from .forms import (BilinearForm, QuadraticData, AlternatingForm, DegenerateForm
 from .exterior import (ExteriorSpace, HodgeData, ZeroVolume, WrongDimension,
                        alt_matrix, compound_matrix, exterior_form_gram, hodge,
                        hodge_identities, index_sets, pfaffian_gram, pq, wedge)
-from .kalgebra import (KAlgebra, KElement, KModule, KAlgebraError, NonInvertible,
-                       NotSplit, build_module, k_is_square, k_sqrt,
-                       normalize_split, wz_submodule)
+from .kalgebra import (KAlgebra, KModule, KAlgebraError, NonInvertible, NotSplit,
+                       build_module, normalize_split, wz_submodule)
 from .groups import (ClassificationReport, GroupElement, SL2Word, GroupError,
                      HypothesisViolated, NotSimilitude, NotUnimodular,
                      build_case_defect0, build_case_defect1, build_case_defect2,

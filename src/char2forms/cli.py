@@ -37,6 +37,12 @@ from .kalgebra import KAlgebra, KAlgebraError, build_module, normalize_split, wz
 from .linalg import Matrix, Vector, bilinear
 
 
+# `classify` closes the generators and enumerates the group only up to this
+# order: the identity form gives 48 over GF(2) and 3,840 over GF(4), but
+# 258,048 over GF(8), where closure and oracle would take minutes
+MAX_VERIFIED_ORDER = 10 ** 5
+
+
 class CliInputError(Char2FormsError):
     pass
 
@@ -241,14 +247,18 @@ def cmd_classify(doc: InputDocument, args, report: Report) -> int:
     if doc.field.order is not None:
         q = doc.field.order
         predicted = rep.predicted_order(q)
-        closure = generate_closure([g.matrix for g in isometries])
         report.item("predicted order", predicted)
-        report.item("generated order", len(closure))
-        result = oracle.enumerate_isometries(form, keep_elements=True)
-        report.item(f"oracle order ({result.method})", result.order)
-        report.check("oracle agrees with generated group",
-                     oracle.closure_order_matches(result, closure))
-        report.check("oracle agrees with predicted order", result.order == predicted)
+        if predicted > MAX_VERIFIED_ORDER:
+            report.item("note", f"predicted order not machine-verified: closure and "
+                                f"oracle run only up to order {MAX_VERIFIED_ORDER}")
+        else:
+            closure = generate_closure([g.matrix for g in isometries])
+            report.item("generated order", len(closure))
+            result = oracle.enumerate_isometries(form, keep_elements=True)
+            report.item(f"oracle order ({result.method})", result.order)
+            report.check("oracle agrees with generated group",
+                         oracle.closure_order_matches(result, closure))
+            report.check("oracle agrees with predicted order", result.order == predicted)
     for note in rep.notes:
         report.item("note", note)
     return 1 if report.failures else 0

@@ -14,8 +14,10 @@ denominator as int bit masks (bit i is the coefficient of t^i), the packed
 GF(2)[x] representation of Brent, Gaudry, Thome and Zimmermann ("Faster
 multiplication in GF(2)[x]", ANTS 2008), and computes with the ``_gf2x_*``
 helpers below.  Every other rational-function field (F2(t)(u), GF(2^k)(t))
-keeps `Poly` numerators and denominators over its base field, so a nested
-tower such as F2(t)(u) computes with packed coefficients.
+keeps `Poly` numerators and denominators over its base field.  A `Poly`
+stores the payloads of its coefficients, not elements, and computes with the
+base field's payload primitives, so a nested tower such as F2(t)(u) runs on
+packed coefficients without wrapping them.
 
 Every field also exposes the decomposition of F as a vector space over its
 subfield of squares, which is what degenerate/defect computations downstream
@@ -171,19 +173,6 @@ def gf2_poly_is_irreducible(mask: int) -> bool:
     return True
 
 
-def _power(base, n: int, one):
-    """base^n by square-and-multiply; a negative n inverts the base first."""
-    if n < 0:
-        base, n = base.inverse(), -n
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 
 _ATOM_RE = re.compile(r"^(?:[01]|[a-z](?:\^[0-9]+)?)$")
@@ -194,7 +183,7 @@ def _wrap(s: str) -> str:
 
 
 class FieldElement:
-    """An element of one of the tower fields; immutable, canonical."""
+    """An element of a tower field or of a K-algebra; immutable, canonical."""
 
     __slots__ = ("field", "payload")
 
@@ -249,9 +238,19 @@ class FieldElement:
         return self
 
     def __pow__(self, n: int):
+        """Square-and-multiply; a negative n inverts the base first."""
         if not isinstance(n, int):
             return NotImplemented
-        return _power(self, n, self.field.one())
+        field = self.field
+        base = (self if n >= 0 else self.inverse()).payload
+        n = abs(n)
+        result = field._from_int(1)
+        while n:
+            if n & 1:
+                result = field._mul(result, base)
+            base = field._mul(base, base)
+            n >>= 1
+        return FieldElement(field, result)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -320,6 +319,10 @@ class Field:
     def _format(self, a) -> str:
         raise NotImplementedError
 
+    def _from_int(self, n: int):
+        """The payload of the image of the integer n (its parity)."""
+        raise NotImplementedError
+
     # -- common element-level interface ------------------------------------
     def zero(self) -> FieldElement:
         return self.from_int(0)
@@ -328,7 +331,7 @@ class Field:
         return self.from_int(1)
 
     def from_int(self, n: int) -> FieldElement:
-        raise NotImplementedError
+        return FieldElement(self, self._from_int(n))
 
     def coerce(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
@@ -408,8 +411,8 @@ class GF2(Field):
     def _format(self, a):
         return str(a)
 
-    def from_int(self, n):
-        return FieldElement(self, n & 1)
+    def _from_int(self, n):
+        return n & 1
 
     def describe(self):
         return "gf2"
@@ -474,8 +477,8 @@ class GF2k(Field):
     def _format(self, a):
         return _gf2x_format(a, "g")
 
-    def from_int(self, n):
-        return FieldElement(self, n & 1)
+    def _from_int(self, n):
+        return n & 1
 
     def from_bits(self, bits: int) -> FieldElement:
         if not 0 <= bits < self.order:
@@ -521,13 +524,14 @@ class GF2k(Field):
 
 
 class Poly:
-    """Dense polynomial over a base field; coefficients low to high degree."""
+    """Dense polynomial over a base field: the payloads of its coefficients,
+    low to high degree, with no trailing zero."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        coeffs = [field.coerce(c) for c in coeffs]
-        while coeffs and coeffs[-1].is_zero():
+        coeffs = list(coeffs)
+        while coeffs and field._is_zero(coeffs[-1]):
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
@@ -538,11 +542,11 @@ class Poly:
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one(),))
+        return cls(field, (field._from_int(1),))
 
     @classmethod
     def x(cls, field):
-        return cls(field, (field.zero(), field.one()))
+        return cls(field, (field._from_int(0), field._from_int(1)))
 
     @property
     def degree(self) -> int:
@@ -554,54 +558,55 @@ class Poly:
     def lead(self) -> FieldElement:
         if self.is_zero():
             raise FieldError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+        return FieldElement(self.field, self.coeffs[-1])
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.field._add
+        return Poly(self.field, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     __sub__ = __add__
 
     def __mul__(self, other):
+        field = self.field
         if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly(field, ())
+        add, mul, is_zero = field._add, field._mul, field._is_zero
+        out = [field._from_int(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if is_zero(a):
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+                out[i + j] = add(out[i + j], mul(a, b))
+        return Poly(field, out)
 
-    def scale(self, s: FieldElement) -> "Poly":
-        return Poly(self.field, [c * s for c in self.coeffs])
+    def scale(self, s) -> "Poly":
+        """The product with the coefficient payload s."""
+        mul = self.field._mul
+        return Poly(self.field, [mul(c, s) for c in self.coeffs])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        lead_inv = other.lead().inverse()
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
+        field = self.field
+        n = len(other.coeffs)
+        dq = len(self.coeffs) - n
         if dq < 0:
-            return Poly.zero(self.field), self
-        quot = [self.field.zero()] * (dq + 1)
+            return Poly(field, ()), self
+        add, mul = field._add, field._mul
+        lead_inv = field._inv(other.coeffs[-1])
+        rem = list(self.coeffs)
+        quot = [field._from_int(0)] * (dq + 1)
         for i in range(dq, -1, -1):
-            if len(rem) < len(other.coeffs) + i:
-                continue
-            c = rem[len(other.coeffs) + i - 1] * lead_inv
-            if c.is_zero():
-                if rem:
-                    rem.pop()
-                continue
-            quot[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] + c * b
+            c = mul(rem[n + i - 1], lead_inv)
+            if not field._is_zero(c):
+                quot[i] = c
+                for j, b in enumerate(other.coeffs):
+                    rem[i + j] = add(rem[i + j], mul(c, b))
             rem.pop()
-        return Poly(self.field, quot), Poly(self.field, rem)
+        return Poly(field, quot), Poly(field, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -612,7 +617,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(self.lead().inverse())
+        return self.scale(self.field._inv(self.coeffs[-1]))
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
@@ -625,10 +630,10 @@ class Poly:
         roots = []
         for i, c in enumerate(self.coeffs):
             if i % 2:
-                if not c.is_zero():
+                if not self.field._is_zero(c):
                     return None
             else:
-                r = c.sqrt()
+                r = self.field._sqrt(c)
                 if r is None:
                     return None
                 roots.append(r)
@@ -645,7 +650,7 @@ class Poly:
             return "0"
         terms = []
         for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
+            c = FieldElement(self.field, self.coeffs[d])
             if c.is_zero():
                 continue
             if d == 0:
@@ -661,7 +666,7 @@ class Poly:
 
 def _poly_bits(p: Poly) -> int:
     """The bit mask of a polynomial over GF(2)."""
-    return sum(c.payload << i for i, c in enumerate(p.coeffs))
+    return sum(c << i for i, c in enumerate(p.coeffs))
 
 
 def _f2t_reduce(num: int, den: int) -> tuple[int, int]:
@@ -682,7 +687,8 @@ class RationalFunctionField(Field):
     monic, gcd(num, den) = 1, and zero is (0, 1).  Over GF(2), i.e. for F2(t),
     the pair is two int bit masks (bit i is the coefficient of t^i) and the
     arithmetic runs on the masks.  Over any other base, as in F2(t)(u) or
-    GF(2^k)(t), the pair is two `Poly`s over the base field.  Variable names
+    GF(2^k)(t), the pair is two `Poly`s over the base field, whose
+    coefficients are base-field payloads.  Variable names
     are single letters, distinct throughout the tower ('g' is reserved for
     gf2k towers).
     """
@@ -700,19 +706,21 @@ class RationalFunctionField(Field):
     def _canonical(self, num: Poly, den: Poly):
         if den.is_zero():
             raise DivisionByZero(f"zero denominator in {self.describe()}")
+        base = self.base
         if num.is_zero():
-            return (Poly.zero(self.base), Poly.one(self.base))
+            return (Poly.zero(base), Poly.one(base))
+        one = base._from_int(1)
         if den.degree == 0:
-            inv = den.coeffs[0].inverse()
-            if inv.is_one():
+            inv = base._inv(den.coeffs[0])
+            if inv == one:
                 return (num, den)
-            return (num.scale(inv), Poly.one(self.base))
+            return (num.scale(inv), Poly.one(base))
         if num.degree > 0:
             g = num.gcd(den)
             if g.degree > 0:
                 num, den = num // g, den // g
-        lead_inv = den.lead().inverse()
-        if lead_inv.is_one():
+        lead_inv = base._inv(den.coeffs[-1])
+        if lead_inv == one:
             return (num, den)
         return (num.scale(lead_inv), den.scale(lead_inv))
 
@@ -767,15 +775,14 @@ class RationalFunctionField(Field):
             num_s, den_s = num.format(self.var), den.format(self.var)
         return num_s if den_s == "1" else _wrap(num_s) + "/" + _wrap(den_s)
 
-    def from_int(self, n):
-        if self.packed:
-            return FieldElement(self, (n & 1, 1))
-        return self._constant(self.base.from_int(n))
+    def _from_int(self, n):
+        return self._constant(self.base._from_int(n))
 
-    def _constant(self, c: FieldElement) -> FieldElement:
+    def _constant(self, c):
+        """The payload of the constant with base-field payload c."""
         if self.packed:
-            return FieldElement(self, (c.payload, 1))
-        return FieldElement(self, (Poly(self.base, (c,)), Poly.one(self.base)))
+            return (c, 1)
+        return (Poly(self.base, (c,)), Poly.one(self.base))
 
     def describe(self):
         return f"ratfunc({self.base.describe()},{self.var})"
@@ -783,7 +790,8 @@ class RationalFunctionField(Field):
     def embed(self, a):
         if a.field == self:
             return a
-        return self._constant(self.base.embed(a) if a.field != self.base else a)
+        return FieldElement(self, self._constant(
+            (self.base.embed(a) if a.field != self.base else a).payload))
 
     @property
     def generator(self) -> FieldElement:
@@ -800,7 +808,7 @@ class RationalFunctionField(Field):
     def random_element(self, rng, size=2):
         def random_poly(max_deg, nonzero=False):
             while True:
-                p = Poly(self.base, [self.base.random_element(rng)
+                p = Poly(self.base, [self.base.random_element(rng).payload
                                      for _ in range(rng.randrange(max_deg + 1) + 1)])
                 if not (nonzero and p.is_zero()):
                     return p
@@ -826,11 +834,11 @@ class RationalFunctionField(Field):
         parts = [[[], []] for _ in range(width)]
         for i, c in enumerate(prod.coeffs):
             k, eps = divmod(i, 2)
-            for m_idx, e in enumerate(self.base.square_coordinates(c)):
+            for m_idx, e in enumerate(self.base.square_coordinates(FieldElement(self.base, c))):
                 lst = parts[m_idx][eps]
                 while len(lst) <= k:
-                    lst.append(self.base.zero())
-                lst[k] = e
+                    lst.append(self.base._from_int(0))
+                lst[k] = e.payload
         coords = []
         for eps in (0, 1):
             for m_idx in range(width):

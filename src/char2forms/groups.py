@@ -29,8 +29,7 @@ from .errors import Char2FormsError, CheckFailed, require
 from .exterior import compound_matrix, hodge
 from .fields import FieldElement, square_span_solve
 from .forms import BilinearForm, DegenerateForm, FormError, orthogonalize, quadratic_data
-from .kalgebra import (KAlgebra, KModule, NotSplit, build_module, k_is_square,
-                       wz_submodule)
+from .kalgebra import KAlgebra, KModule, NotSplit, build_module, wz_submodule
 from .linalg import DimensionMismatch, Matrix, Vector
 
 
@@ -199,8 +198,7 @@ def o3_standard_form_group(ring) -> O3Data:
     infinite ring the representatives use the parameter 1 (the families are
     additive in their parameter).
     """
-    # a K-algebra is finite when its base field is
-    if getattr(getattr(ring, "field", ring), "order", None) is not None:
+    if ring.order is not None:
         params = [x for x in ring.elements() if not x.is_zero()]
     else:
         params = [ring.one()]
@@ -472,7 +470,7 @@ def defect1_gram(field, c3, c4) -> Matrix:
     if square_span_solve(one, [c3, c4]) is not None:
         raise HypothesisViolated("defect 1 needs 1, c3, c4 independent over the squares")
     algebra = KAlgebra(field, delta)
-    if k_is_square(algebra.element(c3, 0)):
+    if algebra.coerce(c3).is_square():
         raise HypothesisViolated("defect 1 needs c3 outside the squares of K")
     return Matrix(field, [[zero, one, zero, zero],
                           [one, one, zero, zero],

@@ -1,10 +1,13 @@
 """The quadratic algebra K = F + jF with j^2 = delta, and its module.
 
-K is represented by coordinate pairs (x0, x1) standing for x0 + j*x1; the
-2x2 matrix picture [[x0, delta*x1], [x1, x0]] is kept only as a test-time
-embedding.  When delta is a non-square K is an inseparable quadratic field
-extension; when delta is a square K is split: after rescaling the volume so
-that delta = 1, z = 1 + j is nilpotent and K = F[z]/(z^2).
+K is a ring in the field protocol: its elements are `FieldElement`s whose
+payloads are pairs (x0, x1) of payloads of F, standing for x0 + j*x1, and
+`KAlgebra` computes on those pairs with F's payload primitives.  The 2x2
+matrix picture [[x0, delta*x1], [x1, x0]] is kept only as a test-time
+embedding (`KAlgebra.matrix_model`).  When delta is a non-square K is an
+inseparable quadratic field extension; when delta is a square K is split:
+after rescaling the volume so that delta = 1, z = 1 + j is nilpotent and
+K = F[z]/(z^2).
 
 The middle exterior power W = Lambda^l V becomes a free right K-module via
 w * j := J(w).  On an orthogonal basis the wedges whose index set contains 1
@@ -24,7 +27,7 @@ from typing import Optional
 
 from .errors import Char2FormsError, require
 from .exterior import HodgeData, hodge
-from .fields import FieldElement, _power, parse_expression, square_span_solve
+from .fields import Field, FieldElement, square_span_solve
 from .linalg import Matrix, SingularMatrix, Vector, bilinear
 
 
@@ -44,8 +47,12 @@ class NotMiddleDegree(KAlgebraError):
     pass
 
 
-class KAlgebra:
-    """The ring F + jF with j^2 = delta over a characteristic-2 field."""
+class KAlgebra(Field):
+    """The ring F + jF with j^2 = delta over a characteristic-2 field.
+
+    Not a field when delta is a square: `is_unit` tests the norm, and the
+    inverse of a nonzero non-unit raises `NonInvertible`.
+    """
 
     def __init__(self, field, delta):
         delta = field.coerce(delta)
@@ -53,39 +60,88 @@ class KAlgebra:
             raise KAlgebraError("delta must be nonzero")
         self.field = field
         self.delta = delta
+        self.order = None if field.order is None else field.order ** 2
 
-    def element(self, x0, x1) -> "KElement":
-        return KElement(self, self.field.coerce(x0), self.field.coerce(x1))
+    # -- payload primitives on pairs (x0, x1) ------------------------------
+    def _add(self, a, b):
+        add = self.field._add
+        return (add(a[0], b[0]), add(a[1], b[1]))
 
-    def zero(self) -> "KElement":
-        return self.element(0, 0)
+    def _mul(self, a, b):
+        add, mul = self.field._add, self.field._mul
+        return (add(mul(a[0], b[0]), mul(mul(self.delta.payload, a[1]), b[1])),
+                add(mul(a[0], b[1]), mul(a[1], b[0])))
 
-    def one(self) -> "KElement":
-        return self.element(1, 0)
+    def _norm(self, a):
+        """x0^2 + delta x1^2, which is also the square of x0 + j x1."""
+        add, mul = self.field._add, self.field._mul
+        return add(mul(a[0], a[0]), mul(mul(self.delta.payload, a[1]), a[1]))
 
-    def j(self) -> "KElement":
+    def _inv(self, a):
+        n = self._norm(a)
+        if self.field._is_zero(n):
+            raise NonInvertible(f"{self._format(a)} is not invertible in {self.describe()}")
+        inv, mul = self.field._inv(n), self.field._mul
+        return (mul(a[0], inv), mul(a[1], inv))
+
+    def _sqrt(self, a):
+        # squares in K are u^2 + delta v^2: no j-part, and x0 in F^2 + delta F^2
+        field = self.field
+        if not field._is_zero(a[1]):
+            return None
+        sol = square_span_solve(FieldElement(field, a[0]), [field.one(), self.delta])
+        return None if sol is None else (sol[0].payload, sol[1].payload)
+
+    def _is_zero(self, a):
+        return self.field._is_zero(a[0]) and self.field._is_zero(a[1])
+
+    def _format(self, a):
+        field = self.field
+        x0 = field._format(a[0])
+        if field._is_zero(a[1]):
+            return x0
+        x1 = field._format(a[1])
+        j_part = "j" if a[1] == field._from_int(1) else "j*" + _wrap_k(x1)
+        return j_part if field._is_zero(a[0]) else f"{x0}+{j_part}"
+
+    def _from_int(self, n):
+        return (self.field._from_int(n), self.field._from_int(0))
+
+    # -- elements ------------------------------------------------------------
+    def element(self, x0, x1) -> FieldElement:
+        """x0 + j*x1 for elements (or ints) x0, x1 of F."""
+        return FieldElement(self, (self.field.coerce(x0).payload,
+                                   self.field.coerce(x1).payload))
+
+    def j(self) -> FieldElement:
         return self.element(0, 1)
 
-    def z(self) -> "KElement":
+    def z(self) -> FieldElement:
         """The element 1 + j (nilpotent exactly when delta = 1)."""
         return self.element(1, 1)
 
-    def from_int(self, n: int) -> "KElement":
-        return self.element(n, 0)
+    def parts(self, a) -> tuple[FieldElement, FieldElement]:
+        """(x0, x1) with a = x0 + j*x1."""
+        x0, x1 = self.coerce(a).payload
+        return FieldElement(self.field, x0), FieldElement(self.field, x1)
 
-    def coerce(self, x) -> "KElement":
-        if isinstance(x, KElement):
-            if x.algebra != self:
-                raise KAlgebraError("element of a different K-algebra")
-            return x
-        if isinstance(x, FieldElement):
+    def norm(self, a) -> FieldElement:
+        """x0^2 + delta x1^2; the determinant of the matrix model (= a squared)."""
+        return FieldElement(self.field, self._norm(self.coerce(a).payload))
+
+    def matrix_model(self, a) -> Matrix:
+        """The 2x2 matrix [[x0, delta x1], [x1, x0]] over F."""
+        x0, x1 = self.parts(a)
+        return Matrix(self.field, [[x0, self.delta * x1], [x1, x0]])
+
+    def coerce(self, x) -> FieldElement:
+        """Elements of K as they are; elements of F and ints embedded as x0."""
+        if isinstance(x, FieldElement) and x.field is not self and x.field == self.field:
             return self.element(x, 0)
-        if isinstance(x, int):
-            return self.from_int(x)
-        raise TypeError(f"cannot interpret {x!r} as an element of {self.describe()}")
+        return super().coerce(x)
 
-    def is_unit(self, x: "KElement") -> bool:
-        return not x.norm().is_zero()
+    def is_unit(self, x: FieldElement) -> bool:
+        return not self.field._is_zero(self._norm(x.payload))
 
     def is_split(self) -> bool:
         return self.delta.is_square()
@@ -96,11 +152,11 @@ class KAlgebra:
     def describe(self) -> str:
         return f"k({self.delta}) over {self.field.describe()}"
 
-    def parse(self, text: str) -> "KElement":
+    def variable_elements(self):
         variables = {name: self.coerce(el)
                      for name, el in self.field.variable_elements().items()}
         variables["j"] = self.j()
-        return parse_expression(text, variables, self)
+        return variables
 
     def elements(self):
         for x0 in self.field.elements():
@@ -111,131 +167,12 @@ class KAlgebra:
         return (isinstance(other, KAlgebra) and self.field == other.field
                 and self.delta == other.delta)
 
-    # explicit: dropping it along with Field.__ne__ measured slower on eta runs
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(("kalgebra", self.field, self.delta))
 
 
-class KElement:
-    __slots__ = ("algebra", "x0", "x1")
-
-    def __init__(self, algebra: KAlgebra, x0: FieldElement, x1: FieldElement):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("K elements are immutable")
-
-    def _coerce(self, other) -> "KElement":
-        try:
-            return self.algebra.coerce(other)
-        except TypeError:
-            return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return KElement(self.algebra, self.x0 + other.x0, self.x1 + other.x1)
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self.algebra.delta
-        return KElement(self.algebra,
-                        self.x0 * other.x0 + d * self.x1 * other.x1,
-                        self.x0 * other.x1 + self.x1 * other.x0)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __neg__(self):
-        return self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        return _power(self, n, self.algebra.one())
-
-    def norm(self) -> FieldElement:
-        """x0^2 + delta x1^2; the determinant of the matrix model (= this element squared)."""
-        return self.x0 * self.x0 + self.algebra.delta * self.x1 * self.x1
-
-    def inverse(self) -> "KElement":
-        n = self.norm()
-        if n.is_zero():
-            raise NonInvertible(f"{self} is not invertible in {self.algebra.describe()}")
-        inv = n.inverse()
-        return KElement(self.algebra, self.x0 * inv, self.x1 * inv)
-
-    def is_zero(self) -> bool:
-        return self.x0.is_zero() and self.x1.is_zero()
-
-    def is_one(self) -> bool:
-        return self.x0.is_one() and self.x1.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def matrix_model(self) -> Matrix:
-        """The 2x2 matrix [[x0, delta x1], [x1, x0]] over F."""
-        return Matrix(self.algebra.field,
-                      [[self.x0, self.algebra.delta * self.x1], [self.x1, self.x0]])
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.x0 == other.x0 and self.x1 == other.x1
-
-    def __hash__(self):
-        return hash((self.algebra, self.x0, self.x1))
-
-    def __str__(self):
-        if self.x1.is_zero():
-            return str(self.x0)
-        j_part = "j" if self.x1.is_one() else "j*" + _wrap_k(str(self.x1))
-        if self.x0.is_zero():
-            return j_part
-        return f"{self.x0}+{j_part}"
-
-    __repr__ = __str__
-
-
 def _wrap_k(s: str) -> str:
     return s if ("+" not in s and "/" not in s) else "(" + s + ")"
-
-
-def k_is_square(a: KElement) -> bool:
-    """Squares in K are u^2 + delta v^2: no j-part, and x0 in F^2 + delta F^2."""
-    if not a.x1.is_zero():
-        return False
-    field = a.algebra.field
-    return square_span_solve(a.x0, [field.one(), a.algebra.delta]) is not None
-
-
-def k_sqrt(a: KElement) -> Optional[KElement]:
-    if not a.x1.is_zero():
-        return None
-    field = a.algebra.field
-    sol = square_span_solve(a.x0, [field.one(), a.algebra.delta])
-    if sol is None:
-        return None
-    return a.algebra.element(sol[0], sol[1])
 
 
 @dataclass(frozen=True)
@@ -253,15 +190,16 @@ class KModule:
     def field(self):
         return self.algebra.field
 
-    def z(self) -> KElement:
+    def z(self) -> FieldElement:
         return self.algebra.z()
 
     def basis_vector(self, subset) -> Vector:
         return self.hodge.space.basis_vector(self.field, subset)
 
-    def right_action(self, w: Vector, k: KElement) -> Vector:
+    def right_action(self, w: Vector, k: FieldElement) -> Vector:
         """w * (x0 + j x1) = w x0 + J(w) x1."""
-        return w.scale(k.x0) + (self.hodge.j_matrix * w).scale(k.x1)
+        x0, x1 = self.algebra.parts(k)
+        return w.scale(x0) + (self.hodge.j_matrix * w).scale(x1)
 
     def _phi_inverse(self) -> Matrix:
         # inverse of the F-matrix whose columns pair each B1 wedge with its
@@ -280,7 +218,7 @@ class KModule:
             object.__setattr__(self, "_phi_inverse_cache", cached)
         return cached
 
-    def k_coordinates(self, w: Vector) -> list[KElement]:
+    def k_coordinates(self, w: Vector) -> list[FieldElement]:
         """Coordinates of w over the K-basis B1 (solve in the F-picture)."""
         sol = self._phi_inverse() * w
         return [self.algebra.element(sol[2 * i], sol[2 * i + 1])
@@ -292,7 +230,7 @@ class KModule:
             w = w + self.right_action(self.basis_vector(s), self.algebra.coerce(k))
         return w
 
-    def g_value(self, u: Vector, v: Vector) -> KElement:
+    def g_value(self, u: Vector, v: Vector) -> FieldElement:
         """g(u, v) = Lh(u, v) + j Pf(u, v)."""
         lh = bilinear(self.hodge.lh_gram, u, v)
         pf = bilinear(self.hodge.pf_gram, u, v)

@@ -17,8 +17,9 @@ from typing import Optional
 from ._smallfield import IntField, try_int_field
 from .errors import Char2FormsError, require
 from .exterior import alt_matrix, index_sets, pq
+from .fields import FieldElement
 from .forms import BilinearForm
-from .kalgebra import KElement, KModule
+from .kalgebra import KModule
 from .linalg import Matrix, Vector, bilinear
 
 
@@ -115,9 +116,11 @@ def _backtracking(intf: IntField, gram, n):
     Non-degeneracy of the form makes every congruent matrix invertible, so no
     final rank check is needed.
     """
-    q = intf.order
     mul = intf.mul
-    candidates = list(product(range(q), repeat=n))
+    # level j needs cand^T H cand = H[j][j]: group the candidates by that norm once
+    by_norm: dict[int, list[tuple[int, ...]]] = {}
+    for cand in product(range(intf.order), repeat=n):
+        by_norm.setdefault(intf.bilinear(cand, gram, cand), []).append(cand)
     found = []
     chosen: list[tuple[int, ...]] = []
     rows_of = {}  # chosen column -> its H-pairing row, cached per level
@@ -141,9 +144,7 @@ def _backtracking(intf: IntField, gram, n):
         return acc
 
     def extend(j):
-        for cand in candidates:
-            if intf.bilinear(cand, gram, cand) != gram[j][j]:
-                continue
+        for cand in by_norm.get(gram[j][j], ()):
             ok = True
             for i in range(j):
                 if dot(rows_of[i], cand) != gram[i][j]:
@@ -189,7 +190,7 @@ def brute_pq_scalar(field):
     return s
 
 
-def direct_g(u: Vector, v: Vector, module: KModule) -> KElement:
+def direct_g(u: Vector, v: Vector, module: KModule) -> FieldElement:
     """g(u,v) evaluated from both defining formulas; CheckFailed if they differ.
 
     Left formula: Lh(u, v) + Lh(u, v*j) * j^(-1) with j^(-1) = j/delta.

@@ -1,12 +1,12 @@
 import pytest
 
 from char2forms.exterior import hodge, wedge
+from char2forms.fields import DescriptorMismatch, DivisionByZero, FieldElement
 from char2forms.forms import BilinearForm
 from char2forms.groups import h_tilde_gram, sum_squares_basis
 from char2forms.kalgebra import (KAlgebra, KAlgebraError, NonInvertible, NotSplit,
-                                 build_module, k_is_square, k_sqrt, normalize_split,
-                                 wz_submodule)
-from char2forms.linalg import Matrix, Vector
+                                 build_module, normalize_split, wz_submodule)
+from char2forms.linalg import Matrix, SingularMatrix, Vector
 from char2forms.oracle import direct_g
 
 
@@ -19,11 +19,20 @@ def _module(field, diag, scale=None):
 def test_k_multiplication_matches_matrix_model(f2t, rng):
     for delta in (f2t.one(), f2t.generator, f2t.parse("t^2+t")):
         algebra = KAlgebra(f2t, delta)
+        model = algebra.matrix_model
+        units = 0
         for _ in range(10):
             a = algebra.element(f2t.random_element(rng, 1), f2t.random_element(rng, 1))
             b = algebra.element(f2t.random_element(rng, 1), f2t.random_element(rng, 1))
-            assert (a * b).matrix_model() == a.matrix_model() * b.matrix_model()
-            assert (a + b).matrix_model() == a.matrix_model() + b.matrix_model()
+            assert model(a * b) == model(a) * model(b)
+            assert model(a + b) == model(a) + model(b)
+            if algebra.is_unit(a):
+                units += 1
+                assert model(a.inverse()) == model(a).inverse()
+            else:
+                with pytest.raises(SingularMatrix):
+                    model(a).inverse()
+        assert units > 0
 
 
 def test_k_split_nilpotent(gf2):
@@ -42,7 +51,7 @@ def test_k_inverse(f2t):
     algebra = KAlgebra(f2t, f2t.generator)
     # 1 + j has norm 1 + t != 0
     el = algebra.element(1, 1)
-    assert el.norm() == f2t.parse("1+t")
+    assert algebra.norm(el) == f2t.parse("1+t")
     assert (el * el.inverse()).is_one()
     split = KAlgebra(f2t, 1)
     with pytest.raises(NonInvertible):
@@ -53,25 +62,54 @@ def test_k_every_element_squares_into_f(f2t, rng):
     algebra = KAlgebra(f2t, f2t.generator)
     for _ in range(10):
         a = algebra.element(f2t.random_element(rng, 1), f2t.random_element(rng, 1))
-        sq = a * a
-        assert sq.x1.is_zero() and sq.x0 == a.norm()
+        x0, x1 = algebra.parts(a * a)
+        assert x1.is_zero() and x0 == algebra.norm(a)
 
 
 def test_k_is_square(f2t, f2tu):
     t = f2t.generator
     algebra = KAlgebra(f2t, t)
-    assert k_is_square(algebra.element(t, 0))  # t = 0^2 + t*1^2
-    assert not k_is_square(algebra.element(0, 1))  # j-component blocks squares
-    root = k_sqrt(algebra.element(t, 0))
+    assert algebra.element(t, 0).is_square()  # t = 0^2 + t*1^2
+    assert not algebra.element(0, 1).is_square()  # j-component blocks squares
+    assert algebra.element(0, 1).sqrt() is None
+    root = algebra.element(t, 0).sqrt()
     assert root is not None and root * root == algebra.element(t, 0)
     # with delta = t^3 + t^2 the element t *is* a square: (1 + j/t)^2 = t
     big = KAlgebra(f2t, f2t.parse("t^3+t^2"))
-    assert k_is_square(big.element(t, 0))
+    assert big.element(t, 0).is_square()
     witness = big.element(1, f2t.parse("1/t"))
     assert witness * witness == big.element(t, 0)
     # in a genuine defect-1 configuration c3 stays a non-square of K
     tu = KAlgebra(f2tu, f2tu.parse("tu"))
-    assert not k_is_square(tu.element(f2tu.parse("t"), 0))
+    assert not tu.element(f2tu.parse("t"), 0).is_square()
+
+
+def test_k_error_types(f2t):
+    t = f2t.generator
+    algebra = KAlgebra(f2t, t)
+    with pytest.raises(DivisionByZero):
+        algebra.zero().inverse()
+    with pytest.raises(DescriptorMismatch):
+        algebra.j() + KAlgebra(f2t, 1).j()
+    with pytest.raises(DescriptorMismatch):
+        algebra.coerce(KAlgebra(f2t, 1).j())
+    # coerce embeds elements of the base field and ints as the x0 part
+    assert algebra.coerce(t) == algebra.element(t, 0)
+    assert algebra.coerce(1) == algebra.one()
+    assert isinstance(algebra.j(), FieldElement)
+
+
+def test_k_print_parse_round_trip(f2t, f2tu, rng):
+    deltas = [f2t.generator, f2t.one(), f2t.parse("t^2+t"), f2t.parse("1/(t+1)"),
+              f2tu.parse("u"), f2tu.parse("tu"), f2tu.parse("t+u")]
+    for delta in deltas:
+        field = delta.field
+        algebra = KAlgebra(field, delta)
+        samples = [algebra.zero(), algebra.one(), algebra.j(), algebra.z()]
+        samples += [algebra.element(field.random_element(rng, 1), field.random_element(rng, 1))
+                    for _ in range(20)]
+        for a in samples:
+            assert algebra.parse(str(a)) == a
 
 
 def test_build_module_identity(gf2):
@@ -226,4 +264,4 @@ def test_direct_g_j_component_is_pf(f2t, rng):
         total = f2t.zero()
         for x, y in zip(u, gy):
             total = total + x * y
-        assert value.x1 == total
+        assert module.algebra.parts(value)[1] == total
