@@ -1,41 +1,38 @@
 """Int-encoded arithmetic for small finite fields of characteristic 2.
 
-Group enumeration multiplies tens of thousands of matrices; doing that on
-wrapped field elements is needlessly slow.  Elements of GF(2) and GF(2^k)
-are already ints underneath, so this module precomputes a dense q x q
-multiplication table (addition is xor) and an inverse table, and works on
-tuples of ints.
+Group enumeration multiplies thousands of matrices and pairs thousands of
+vectors; doing that on wrapped field elements is needlessly slow.  Elements
+of GF(2) and GF(2^k) are already ints underneath, so this module works on
+tuples of payloads with the field's own product and inverse tables
+(`GF2k.tables`; addition is xor), and decodes results back into matrices
+built from one interned element per payload.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .fields import GF2, GF2k, FieldElement
 from .linalg import Matrix
 
 
 class IntField:
-    """Multiplication table view of GF(2) or GF(2^k)."""
+    """Product-table view of GF(2) or GF(2^k)."""
 
     def __init__(self, field):
         if not isinstance(field, (GF2, GF2k)) or field.order is None or field.order > 256:
             raise ValueError("int encoding needs gf2/gf2k with order <= 256")
         self.field = field
         self.order = field.order
-        self.mul = [[field._mul(a, b) for b in range(self.order)]
-                    for a in range(self.order)]
-        self.inv = [0] + [field._inv(a) for a in range(1, self.order)]
-
-    def encode(self, el: FieldElement) -> int:
-        return el.payload
-
-    def decode(self, bits: int) -> FieldElement:
-        return FieldElement(self.field, bits)
+        self.mul, self.inv = field.tables()
+        self.elements = tuple(FieldElement(field, bits) for bits in range(self.order))
 
     def encode_matrix(self, m: Matrix) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(e.payload for e in row) for row in m.entries)
 
     def decode_matrix(self, rows) -> Matrix:
-        return Matrix(self.field, [[self.decode(e) for e in row] for row in rows])
+        elements = self.elements
+        return Matrix(self.field, [[elements[e] for e in row] for row in rows])
 
     def mat_mul(self, a, b):
         mul = self.mul
@@ -67,6 +64,9 @@ class IntField:
         return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+# one view per field: the closure and the oracle then decode to the same
+# element objects, and comparing their matrix sets meets identical entries
+@functools.lru_cache(maxsize=None)
 def try_int_field(field):
     try:
         return IntField(field)

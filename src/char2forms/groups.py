@@ -209,9 +209,9 @@ def o3_standard_form_group(ring) -> O3Data:
 
 
 def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> list[Matrix]:
-    """Breadth-first closure of a finite matrix group; raises beyond `cap`.
+    """Every element of a finite matrix group; raises beyond `cap` elements.
 
-    Over small finite fields the search runs on int-encoded matrices.
+    Over small finite fields the closure runs on int-encoded matrices.
     """
     if not generators:
         return []
@@ -219,27 +219,47 @@ def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> list[M
     n = generators[0].nrows
     intf = try_int_field(ring)
     if intf is None:
-        return list(_closure(Matrix.identity(ring, n), generators, Matrix.__mul__, cap))
+        return _closure(Matrix.identity(ring, n), generators, Matrix.__mul__, cap)
     gens = [intf.encode_matrix(g) for g in generators]
     closure = _closure(intf.identity(n), gens, intf.mat_mul, cap)
     return [intf.decode_matrix(m) for m in closure]
 
 
-def _closure(identity, generators, product, cap: int) -> set:
+def _closure(identity, generators, product, cap: int) -> list:
+    """Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
+    Groups*, LNCS 559, 1991, ch. 6).
+
+    The subgroup H = <g1..g(i-1)> grows to <g1..gi> by whole right cosets Hx.
+    A coset costs one product per element, and its representative x probes
+    x*g1 .. x*gi for cosets not seen yet.  The element list keeps H as its
+    prefix and each later coset as a block of |H| that starts with its
+    representative.
+    """
+    elements = [identity]
     seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in generators:
-                p = product(m, g)
-                if p not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationTooLarge(f"closure exceeds cap {cap}")
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return seen
+
+    def add_coset(rep, subgroup):
+        if len(elements) + 1 + len(subgroup) > cap:
+            raise EnumerationTooLarge(f"closure exceeds cap {cap}")
+        coset = [rep] + [product(h, rep) for h in subgroup]
+        elements.extend(coset)
+        seen.update(coset)
+
+    for i, g in enumerate(generators):
+        if g in seen:
+            continue
+        size = len(elements)
+        subgroup = elements[1:size]  # H without the identity
+        add_coset(g, subgroup)
+        rep_pos = size
+        while rep_pos < len(elements):
+            rep = elements[rep_pos]
+            for s in generators[:i + 1]:
+                x = product(rep, s)
+                if x not in seen:
+                    add_coset(x, subgroup)
+            rep_pos += size
+    return elements
 
 
 # ---------------------------------------------------------------------------

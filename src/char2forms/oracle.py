@@ -1,11 +1,18 @@
 """Brute-force reference computations over small finite fields.
 
 These are the independent second route for everything that is checkable at
-desk scale: exhaustive isometry-group enumeration (full scan of all matrices
-when the general linear group is small enough, column-by-column backtracking
-otherwise), the Klein-quadric scalar, the compound matrix recomputed by
-multilinear expansion instead of minors, and the module form g evaluated from
-both of its defining formulas.
+desk scale: exhaustive isometry-group enumeration, the Klein-quadric scalar,
+the compound matrix recomputed by multilinear expansion instead of minors,
+and the module form g evaluated from both of its defining formulas.
+
+The enumeration uses only the Gram matrix H.  When the general linear group
+is small enough, `full_gl_scan` decides every matrix: it tries every
+candidate column at every level, so a column prefix that breaks A^T H A = H
+rejects all of its completions at once, and it makes no assumption on H.
+Otherwise `backtracking` chooses image columns among those of the right
+norm, and each chosen column filters the candidates of the later columns;
+it relies on H being non-degenerate.  Both pair vectors on payloads through
+`_smallfield.IntField`.
 """
 
 from __future__ import annotations
@@ -70,17 +77,6 @@ def enumerate_isometries(form: BilinearForm, keep_elements: bool = True) -> Enum
     return EnumerationResult(order=len(found), elements=elements, method=method)
 
 
-def _congruent(intf: IntField, a, gram, n) -> bool:
-    # A^T H A == H entry by entry, with early exit
-    cols = tuple(zip(*a))
-    for i in range(n):
-        hci = tuple(intf.bilinear(cols[i], gram, cols[j]) for j in range(i, n))
-        for j in range(i, n):
-            if hci[j - i] != gram[i][j]:
-                return False
-    return True
-
-
 def _invertible(intf: IntField, a, n) -> bool:
     rows = [list(r) for r in a]
     mul, inv_table = intf.mul, intf.inv
@@ -101,68 +97,92 @@ def _invertible(intf: IntField, a, n) -> bool:
 
 
 def _full_scan(intf: IntField, gram, n):
-    q = intf.order
+    """Decide every one of the q^(n^2) matrices, column by column.
+
+    `pairs[a][b]` is a^T H b for every pair of candidate columns, so entry
+    (i, j) of A^T H A is known as soon as columns i and j are.  Each level
+    tries every candidate column; a column prefix that breaks an entry of
+    A^T H A = H rejects all of its completions at once.  H may be degenerate
+    or alternating, so each complete survivor must still pass `_invertible`.
+    """
+    vectors = list(product(range(intf.order), repeat=n))
+    pairs = [[intf.bilinear(x, gram, y) for y in vectors] for x in vectors]
     found = []
-    vectors = list(product(range(q), repeat=n))
-    for rows in product(vectors, repeat=n):
-        if _congruent(intf, rows, gram, n) and _invertible(intf, rows, n):
-            found.append(rows)
+    chosen: list[int] = []
+
+    def extend(j):
+        for c in range(len(vectors)):
+            if pairs[c][c] != gram[j][j]:
+                continue
+            if any(pairs[b][c] != gram[i][j] for i, b in enumerate(chosen)):
+                continue
+            chosen.append(c)
+            if j + 1 < n:
+                extend(j + 1)
+            else:
+                rows = tuple(zip(*(vectors[b] for b in chosen)))
+                if _invertible(intf, rows, n):
+                    found.append(rows)
+            chosen.pop()
+
+    extend(0)
     return found
 
 
 def _backtracking(intf: IntField, gram, n):
     """Choose image columns one by one under the Gram constraints.
 
-    Non-degeneracy of the form makes every congruent matrix invertible, so no
-    final rank check is needed.
+    Level j starts from the candidates with cand^T H cand = H[j][j], grouped
+    by that norm once.  Each chosen column then filters the candidate lists
+    of all later levels by its pairing, so a candidate is paired with a
+    chosen column once, not once per node below it.  Non-degeneracy of the
+    form makes every congruent matrix invertible, so no final rank check is
+    needed.
     """
     mul = intf.mul
-    # level j needs cand^T H cand = H[j][j]: group the candidates by that norm once
     by_norm: dict[int, list[tuple[int, ...]]] = {}
     for cand in product(range(intf.order), repeat=n):
         by_norm.setdefault(intf.bilinear(cand, gram, cand), []).append(cand)
     found = []
     chosen: list[tuple[int, ...]] = []
-    rows_of = {}  # chosen column -> its H-pairing row, cached per level
 
-    def pairing_row(col):
-        # (col^T H)_k as a vector, so constraints become plain dot products
-        out = []
-        for k in range(n):
-            acc = 0
-            for i, ci in enumerate(col):
-                if ci:
-                    acc ^= mul[ci][gram[i][k]]
-            out.append(acc)
-        return tuple(out)
-
-    def dot(row, vec):
-        acc = 0
-        for a, b in zip(row, vec):
-            if a and b:
-                acc ^= mul[a][b]
-        return acc
-
-    def extend(j):
-        for cand in by_norm.get(gram[j][j], ()):
-            ok = True
-            for i in range(j):
-                if dot(rows_of[i], cand) != gram[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
+    def extend(j, levels):
+        # levels[k]: the candidates for column j + k that pair correctly with
+        # every chosen column
+        for cand in levels[0]:
             chosen.append(cand)
             if j + 1 == n:
                 found.append(tuple(zip(*chosen)))  # columns back to rows
             else:
-                rows_of[j] = pairing_row(cand)
-                extend(j + 1)
-                del rows_of[j]
+                row = _pairing_row(mul, gram, cand)
+                later = [[c for c in level if _dot(row, c) == gram[j][k]]
+                         for k, level in enumerate(levels[1:], start=j + 1)]
+                if all(later):
+                    extend(j + 1, later)
             chosen.pop()
 
-    extend(0)
+    extend(0, [by_norm.get(gram[j][j], []) for j in range(n)])
     return found
+
+
+def _pairing_row(mul, gram, col):
+    """The product-table row of each entry of col^T H, so that `_dot` pairs
+    col with a vector by lookups alone."""
+    out = []
+    for k in range(len(gram)):
+        acc = 0
+        for ci, grow in zip(col, gram):
+            if ci:
+                acc ^= mul[ci][grow[k]]
+        out.append(mul[acc])
+    return out
+
+
+def _dot(row, vec):
+    acc = 0
+    for table, x in zip(row, vec):
+        acc ^= table[x]
+    return acc
 
 
 def brute_pq_scalar(field):

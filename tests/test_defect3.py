@@ -35,7 +35,9 @@ def test_every_gf2_form_is_defect3_with_order_48():
         eligible += 1
         report = G.classify(form)
         assert report.case == "defect3"
-        assert len(G.generate_closure([g.matrix for g in report.generators])) == 48
+        closure = G.generate_closure([g.matrix for g in report.generators])
+        assert len(closure) == 48
+        assert closure_order_matches(enumerate_isometries(form), closure)
     assert eligible == 420
 
 

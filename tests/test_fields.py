@@ -5,6 +5,7 @@ from char2forms.fields import (DescriptorMismatch, DivisionByZero, FieldElement,
                                gf2_poly_is_irreducible, parse_field,
                                square_span_dimension, square_span_kernel,
                                square_span_solve)
+from char2forms.fields import _gf2x_invmod, _gf2x_mulmod
 
 
 def test_characteristic_two(gf2, gf4, f2t):
@@ -207,6 +208,31 @@ def test_gf2k_construction_validates():
     big = GF2k(8, 0b100011011)
     x = big.generator
     assert (x ** (big.order - 1)).is_one() or not x.is_zero()
+
+
+@pytest.mark.parametrize("k, modulus", [(1, 0b10), (2, 0b111), (3, 0b1011), (4, 0b11001),
+                                        (8, 0b100011011)])
+def test_gf2k_tables_match_reduction(k, modulus):
+    # up to order 256 products and inverses are table lookups; x is not
+    # primitive modulo 0b100011011, so the table build must search for one
+    field = GF2k(k, modulus)
+    product, inverse = field.tables()
+    for a in range(field.order):
+        assert list(product[a]) == [_gf2x_mulmod(a, b, modulus) for b in range(field.order)]
+        if a:
+            assert inverse[a] == _gf2x_invmod(a, modulus)
+            assert field._inv(a) == inverse[a]
+    with pytest.raises(DivisionByZero):
+        field.zero().inverse()
+
+
+def test_gf2k_above_order_256_reduces():
+    field = GF2k(9, 0b1000010001)
+    with pytest.raises(FieldError):
+        field.tables()
+    a, b = field.parse("g^5+g"), field.parse("g^8+1")
+    assert (a * b).payload == _gf2x_mulmod(a.payload, b.payload, field.modulus)
+    assert (a * a.inverse()).is_one()
 
 
 def test_ratfunc_variable_rules(gf2, f2t):

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -582,6 +583,46 @@ def test_hypothesis_validation(f2t):
         G.h1_gram(f2t, f2t.parse("t^2"))
     with pytest.raises(G.HypothesisViolated):
         G.defect0_gram(f2t, f2t.parse("t"), f2t.parse("t"), f2t.one())
+
+
+def _bfs_closure(generators):
+    """Reference closure: breadth-first, one product per element and generator."""
+    identity = Matrix.identity(generators[0].ring, generators[0].nrows)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in generators:
+                p = m * g
+                if p not in seen:
+                    seen.add(p)
+                    new.append(p)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("ring_name", ["gf2", "gf4", "split_k"])
+def test_closure_matches_breadth_first_reference(ring_name, gf2, gf4):
+    # GF(2) and GF(4) close on int-encoded matrices; the split K-algebra
+    # F2[z]/(z^2) closes with the generic Matrix.__mul__
+    if ring_name == "split_k":
+        ring = KAlgebra(gf2, 1)
+        pool = [G.hat_l(ring, x) for x in ring.elements() if not x.is_zero()] + \
+            [G.hat_u(ring, x) for x in ring.elements() if not x.is_zero()]
+    else:
+        ring = gf2 if ring_name == "gf2" else gf4
+        pool = G.defect3_generators(ring)
+    rng = random.Random(0)
+    for _ in range(6):
+        gens = rng.sample(pool, rng.randint(2, 4))
+        closure = G.generate_closure(gens)
+        assert len(closure) == len(set(closure))
+        assert set(closure) == _bfs_closure(gens)
+    # the cap admits a group of exactly its size and no larger
+    assert len(G.generate_closure(gens, cap=len(closure))) == len(closure)
+    with pytest.raises(G.EnumerationTooLarge):
+        G.generate_closure(gens, cap=len(closure) - 1)
 
 
 def test_generate_closure_cap(gf2):

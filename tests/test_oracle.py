@@ -39,6 +39,38 @@ def test_enumerate_matches_closure_on_nonstandard_gram(gf2):
     assert closure_order_matches(result, closure)
 
 
+def _literal_isometries(h):
+    """Every invertible 3x3 A over GF(2) with A^T H A = H, as row tuples,
+    filtered over all 512 matrices with plain int arithmetic."""
+    found = set()
+    for a in product(product((0, 1), repeat=3), repeat=3):
+        congruent = all(
+            sum(a[k][i] & h[k][m] & a[m][j] for k in range(3) for m in range(3)) % 2 == h[i][j]
+            for i in range(3) for j in range(3))
+        det = (a[0][0] & (a[1][1] & a[2][2] ^ a[1][2] & a[2][1])
+               ^ a[0][1] & (a[1][0] & a[2][2] ^ a[1][2] & a[2][0])
+               ^ a[0][2] & (a[1][0] & a[2][1] ^ a[1][1] & a[2][0]))
+        if congruent and det:
+            found.add(a)
+    return found
+
+
+def test_full_scan_matches_literal_filter_on_every_3x3_gf2_gram(gf2):
+    # all 64 symmetric Grams, degenerate and alternating ones included: the
+    # pruned scan must decide every matrix without assuming non-degeneracy
+    cells = [(i, j) for i in range(3) for j in range(i, 3)]
+    for values in product((0, 1), repeat=len(cells)):
+        h = [[0] * 3 for _ in range(3)]
+        for (i, j), v in zip(cells, values):
+            h[i][j] = h[j][i] = v
+        result = enumerate_isometries(BilinearForm(Matrix(gf2, h)))
+        assert result.method == "full_gl_scan"
+        rows = {tuple(tuple(e.payload for e in row) for row in m.entries)
+                for m in result.elements}
+        assert len(rows) == result.order
+        assert rows == _literal_isometries(h)
+
+
 def test_enumerate_small_gf4(gf4):
     result = enumerate_isometries(BilinearForm(Matrix.identity(gf4, 2)))
     form = BilinearForm(Matrix.identity(gf4, 2))

@@ -3,14 +3,19 @@
 A scrambled form is S^T N S with S = P U, P a permutation and U unipotent
 upper triangular, so it lands in the case of N.  The entries of U stay small
 over F2(t)(u): with t among them, a single `classify` there took seconds.
+Over GF(4), S is any invertible matrix, and the CLI's generated group is
+checked against the exhaustive oracle.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from char2forms import groups as G
-from char2forms.fields import GF2, RationalFunctionField
+from char2forms.cli import main
+from char2forms.fields import GF2, GF2k, RationalFunctionField
 from char2forms.forms import BilinearForm
 from char2forms.linalg import Matrix
 
@@ -52,3 +57,25 @@ def test_scrambled_normal_form_classifies(case, perm, picks):
             assert G.is_isometry(form, g.matrix)
         else:
             assert G.similitude_multiplier(form, g.matrix) == g.multiplier
+
+
+def test_gf4_scrambles_match_the_oracle(tmp_path, capsys):
+    gf4 = GF2k(2, 0b111)
+    normals = [Matrix.identity(gf4, 4), Matrix.diagonal(gf4, [gf4.generator, 1, 1, 1])]
+    rng = random.Random(6)
+    checked = 0
+    while checked < 3:
+        s = Matrix(gf4, [[gf4.random_element(rng) for _ in range(4)] for _ in range(4)])
+        if s.det().is_zero():
+            continue
+        gram = s.transpose() * normals[checked % 2] * s
+        checked += 1
+        path = tmp_path / f"scramble{checked}.txt"
+        path.write_text("field: gf2k:2:7\ngram:\n" + "".join(
+            " ".join(str(e) for e in row) + "\n" for row in gram.entries))
+        assert main(["classify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "generated order: 3840" in lines
+        assert "oracle order (backtracking): 3840" in lines
+        assert "check oracle agrees with generated group: PASS" in lines
+        assert "check oracle agrees with predicted order: PASS" in lines
