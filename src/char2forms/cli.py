@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import oracle
 from .errors import Char2FormsError, CheckFailed
-from .exterior import alt_matrix, hodge, hodge_identities, pq
+from .exterior import hodge, hodge_identities, klein_scalar, pq
 from .fields import Field, FieldError, ParseError, parse_field
 from .forms import (BilinearForm, FormError, orthogonalize, quadratic_data,
                     discriminant_class)
@@ -256,7 +256,7 @@ def cmd_classify(doc: InputDocument, args, report: Report) -> int:
         else:
             closure = generate_closure([g.matrix for g in isometries])
             report.item("generated order", len(closure))
-            result = oracle.enumerate_isometries(form, keep_elements=True)
+            result = oracle.enumerate_isometries(form)
             report.item(f"oracle order ({result.method})", result.order)
             report.check("oracle agrees with generated group",
                          oracle.closure_order_matches(result, closure))
@@ -337,23 +337,12 @@ def _verify_pq(doc: InputDocument, data, rng, report: Report) -> None:
         pq(x + y) + pq(x) + pq(y) == _pf_scale1(data, x, y)
         for x in basis for y in basis)
     report.check("Pq polar form = Pf (scale 1)", polar_ok)
-    if field.order is not None and field.order <= 16:
+    if field.order is not None and field.order <= oracle.KLEIN_EXHAUSTIVE_ORDER:
         s = oracle.brute_pq_scalar(field)
         report.check(f"Pq(X)^2 = s*det(altX), exhaustive, s = {s}", True)
     else:
-        s = None
-        ok = True
-        for _ in range(50):
-            x = Vector(field, [field.random_element(rng) for _ in range(6)])
-            lhs = pq(x) ** 2
-            rhs = alt_matrix(x).det()
-            if rhs.is_zero():
-                ok = ok and lhs.is_zero()
-                continue
-            ratio = lhs * rhs.inverse()
-            if s is None:
-                s = ratio
-            ok = ok and (ratio == s)
+        s, ok = klein_scalar(Vector(field, [field.random_element(rng) for _ in range(6)])
+                             for _ in range(50))
         report.check(f"Pq(X)^2 = s*det(altX), sampled, s = {s}", ok)
 
 
@@ -403,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--machine", action="store_true",
                         help="emit flat key=value output")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks over infinite fields")
+                        help="seed for sampled checks over fields above GF(8)")
     parser.add_argument("--corrupt-j", action="store_true",
                         help="self-test hook: corrupt J before verifying")
     return parser

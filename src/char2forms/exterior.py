@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 from .errors import Char2FormsError
 from .fields import FieldElement
@@ -213,6 +214,28 @@ def alt_matrix(x: Vector) -> Matrix:
         rows[i - 1][j - 1] = value
         rows[j - 1][i - 1] = value
     return Matrix(field, rows)
+
+
+def klein_scalar(vectors) -> tuple[Optional[FieldElement], bool]:
+    """The scalar s with Pq(X)^2 = s det(alt X), measured on 2-vectors X.
+
+    Returns s, the ratio at the first X with det(alt X) != 0 (None if there
+    is none), and whether every X agrees with it: Pq(X)^2 = 0 where the
+    determinant vanishes, the same ratio everywhere else.
+    """
+    s = None
+    agree = True
+    for x in vectors:
+        lhs = pq(x) ** 2
+        rhs = alt_matrix(x).det()
+        if rhs.is_zero():
+            agree = agree and lhs.is_zero()
+            continue
+        ratio = lhs * rhs.inverse()
+        if s is None:
+            s = ratio
+        agree = agree and ratio == s
+    return s, agree
 
 
 def wedge(field, vectors) -> Vector:

@@ -187,7 +187,7 @@ def gf2_poly_is_irreducible(mask: int) -> bool:
     if mask & 1 == 0:  # divisible by x
         return k == 1
     # x^(2^k) == x mod mask, and gcd(x^(2^(k/p)) + x, mask) == 1 for primes p|k
-    x = 0b10
+    x = _gf2x_mod(0b10, mask)
     frob = [x]
     cur = x
     for _ in range(k):

@@ -16,7 +16,7 @@ the matching normal form by constructive basis changes and transports the
 generators back to the input coordinates.
 
 All group elements are plain matrices with a multiplier; finite groups are
-materialized by breadth-first closure of the generator set.
+materialized by Dimino's coset closure of the generator set.
 """
 
 from __future__ import annotations

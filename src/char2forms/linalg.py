@@ -208,13 +208,17 @@ class Matrix:
             raise LinalgError("determinant needs a square matrix")
         n = self.nrows
         if n <= 3:
-            return _cofactor_det(self)
+            return _cofactor_det(self.entries)
         rows = [list(r) for r in self.entries]
         det = self.ring.one()
         for c in range(n):
             pivot = next((r for r in range(c, n) if self.ring.is_unit(rows[r][c])), None)
             if pivot is None:
-                return self.ring.zero()
+                if all(rows[r][c].is_zero() for r in range(c, n)):
+                    return self.ring.zero()
+                # over a local ring such as k(1) a column can hold only
+                # non-units; expand what is left by cofactors
+                return det * _cofactor_det([row[c:] for row in rows[c:]])
             if pivot != c:
                 rows[c], rows[pivot] = rows[pivot], rows[c]  # char 2: no sign flip
             det = det * rows[c][c]
@@ -310,16 +314,23 @@ def _dot(row, col):
     return total
 
 
-def _cofactor_det(m: Matrix):
-    e = m.entries
-    n = m.nrows
+def _cofactor_det(e):
+    """Determinant of the square rows `e` by cofactor expansion (no signs in
+    characteristic 2)."""
+    n = len(e)
     if n == 1:
         return e[0][0]
     if n == 2:
         return e[0][0] * e[1][1] + e[0][1] * e[1][0]
-    return (e[0][0] * (e[1][1] * e[2][2] + e[1][2] * e[2][1])
-            + e[0][1] * (e[1][0] * e[2][2] + e[1][2] * e[2][0])
-            + e[0][2] * (e[1][0] * e[2][1] + e[1][1] * e[2][0]))
+    if n == 3:
+        return (e[0][0] * (e[1][1] * e[2][2] + e[1][2] * e[2][1])
+                + e[0][1] * (e[1][0] * e[2][2] + e[1][2] * e[2][0])
+                + e[0][2] * (e[1][0] * e[2][1] + e[1][1] * e[2][0]))
+    total = e[0][0] * _cofactor_det([row[1:] for row in e[1:]])
+    for j in range(1, n):
+        if not e[0][j].is_zero():
+            total = total + e[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in e[1:]])
+    return total
 
 
 def _echelon(rows, ring, ncols: Optional[int] = None):

@@ -5,25 +5,26 @@ desk scale: exhaustive isometry-group enumeration, the Klein-quadric scalar,
 the compound matrix recomputed by multilinear expansion instead of minors,
 and the module form g evaluated from both of its defining formulas.
 
-The enumeration uses only the Gram matrix H.  When the general linear group
-is small enough, `full_gl_scan` decides every matrix: it tries every
-candidate column at every level, so a column prefix that breaks A^T H A = H
-rejects all of its completions at once, and it makes no assumption on H.
-Otherwise `backtracking` chooses image columns among those of the right
-norm, and each chosen column filters the candidates of the later columns;
-it relies on H being non-degenerate.  Both pair vectors on payloads through
-`_smallfield.IntField`.
+The enumeration uses only the Gram matrix H.  One column search serves it:
+image columns are chosen among the candidates of the right norm, and each
+chosen column filters the candidates of the later columns, so a column
+prefix that breaks A^T H A = H rejects all of its completions at once and
+every one of the q^(n^2) matrices is decided.  When the general linear
+group is small enough the result is labelled `full_gl_scan`, and every
+survivor is rank-checked, so nothing is assumed about H; otherwise it is
+labelled `backtracking`, and survivors are rank-checked when H is
+degenerate (a non-degenerate H makes every congruent matrix invertible).
+The search pairs vectors on payloads through `_smallfield.IntField`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from ._smallfield import IntField, try_int_field
 from .errors import Char2FormsError, require
-from .exterior import alt_matrix, index_sets, pq
+from .exterior import index_sets, klein_scalar
 from .fields import FieldElement
 from .forms import BilinearForm
 from .kalgebra import KModule
@@ -43,6 +44,9 @@ class NoConsistentScalar(OracleError):
 
 
 FULL_SCAN_GL_BOUND = 5 * 10 ** 7
+# the exhaustive Klein-quadric check walks q^6 vectors: 8^6 takes seconds,
+# 16^6 would take half an hour
+KLEIN_EXHAUSTIVE_ORDER = 8
 
 
 def _gl_order(q: int, n: int) -> int:
@@ -59,7 +63,7 @@ class EnumerationResult:
     method: str
 
 
-def enumerate_isometries(form: BilinearForm, keep_elements: bool = True) -> EnumerationResult:
+def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
     """All invertible A with A^T H A = H, over a small finite field."""
     intf = try_int_field(form.field)
     if intf is None:
@@ -67,14 +71,14 @@ def enumerate_isometries(form: BilinearForm, keep_elements: bool = True) -> Enum
     n = form.dim
     q = intf.order
     gram = intf.encode_matrix(form.gram)
-    if _gl_order(q, n) <= FULL_SCAN_GL_BOUND and q ** (n * n) <= 2 ** 22:
-        found = _full_scan(intf, gram, n)
-        method = "full_gl_scan"
-    else:
-        found = _backtracking(intf, gram, n)
-        method = "backtracking"
-    elements = tuple(intf.decode_matrix(m) for m in found) if keep_elements else ()
-    return EnumerationResult(order=len(found), elements=elements, method=method)
+    full_scan = _gl_order(q, n) <= FULL_SCAN_GL_BOUND and q ** (n * n) <= 2 ** 22
+    # a non-degenerate H makes every congruent A invertible; the full scan
+    # checks every survivor anyway, so that it assumes nothing about H
+    check_rank = full_scan or not _invertible(intf, gram, n)
+    found = _column_search(intf, gram, n, check_rank)
+    return EnumerationResult(order=len(found),
+                             elements=tuple(intf.decode_matrix(m) for m in found),
+                             method="full_gl_scan" if full_scan else "backtracking")
 
 
 def _invertible(intf: IntField, a, n) -> bool:
@@ -96,48 +100,17 @@ def _invertible(intf: IntField, a, n) -> bool:
     return rank == n
 
 
-def _full_scan(intf: IntField, gram, n):
-    """Decide every one of the q^(n^2) matrices, column by column.
-
-    `pairs[a][b]` is a^T H b for every pair of candidate columns, so entry
-    (i, j) of A^T H A is known as soon as columns i and j are.  Each level
-    tries every candidate column; a column prefix that breaks an entry of
-    A^T H A = H rejects all of its completions at once.  H may be degenerate
-    or alternating, so each complete survivor must still pass `_invertible`.
-    """
-    vectors = list(product(range(intf.order), repeat=n))
-    pairs = [[intf.bilinear(x, gram, y) for y in vectors] for x in vectors]
-    found = []
-    chosen: list[int] = []
-
-    def extend(j):
-        for c in range(len(vectors)):
-            if pairs[c][c] != gram[j][j]:
-                continue
-            if any(pairs[b][c] != gram[i][j] for i, b in enumerate(chosen)):
-                continue
-            chosen.append(c)
-            if j + 1 < n:
-                extend(j + 1)
-            else:
-                rows = tuple(zip(*(vectors[b] for b in chosen)))
-                if _invertible(intf, rows, n):
-                    found.append(rows)
-            chosen.pop()
-
-    extend(0)
-    return found
-
-
-def _backtracking(intf: IntField, gram, n):
+def _column_search(intf: IntField, gram, n, check_rank: bool):
     """Choose image columns one by one under the Gram constraints.
 
     Level j starts from the candidates with cand^T H cand = H[j][j], grouped
     by that norm once.  Each chosen column then filters the candidate lists
     of all later levels by its pairing, so a candidate is paired with a
-    chosen column once, not once per node below it.  Non-degeneracy of the
-    form makes every congruent matrix invertible, so no final rank check is
-    needed.
+    chosen column once, not once per node below it.  The filters are exact:
+    a candidate leaves a list only when every completion through it breaks
+    an entry of A^T H A = H, so the search decides each of the q^(n^2)
+    matrices.  With `check_rank`, a complete survivor must also pass
+    `_invertible`.
     """
     mul = intf.mul
     by_norm: dict[int, list[tuple[int, ...]]] = {}
@@ -152,7 +125,9 @@ def _backtracking(intf: IntField, gram, n):
         for cand in levels[0]:
             chosen.append(cand)
             if j + 1 == n:
-                found.append(tuple(zip(*chosen)))  # columns back to rows
+                rows = tuple(zip(*chosen))  # columns back to rows
+                if not check_rank or _invertible(intf, rows, n):
+                    found.append(rows)
             else:
                 row = _pairing_row(mul, gram, cand)
                 later = [[c for c in level if _dot(row, c) == gram[j][k]]
@@ -187,24 +162,14 @@ def _dot(row, vec):
 
 def brute_pq_scalar(field):
     """The scalar s with Pq(X)^2 = s det(alt(X)) for every 2-vector, measured
-    exhaustively over a small finite field."""
-    if getattr(field, "order", None) is None or field.order > 16:
-        raise TooLarge("the exhaustive Klein-quadric check needs a small finite field")
+    exhaustively over a finite field of order at most KLEIN_EXHAUSTIVE_ORDER."""
+    if getattr(field, "order", None) is None or field.order > KLEIN_EXHAUSTIVE_ORDER:
+        raise TooLarge(f"the exhaustive Klein-quadric check needs a finite field of "
+                       f"order <= {KLEIN_EXHAUSTIVE_ORDER}")
     elements = list(field.elements())
-    s: Optional[object] = None
-    for coords in product(elements, repeat=6):
-        x = Vector(field, coords)
-        lhs = pq(x) ** 2
-        rhs = alt_matrix(x).det()
-        if rhs.is_zero():
-            if not lhs.is_zero():
-                raise NoConsistentScalar("Pq^2 nonzero where det vanishes")
-            continue
-        ratio = lhs * rhs.inverse()
-        if s is None:
-            s = ratio
-        elif s != ratio:
-            raise NoConsistentScalar(f"ratio {ratio} conflicts with {s}")
+    s, agree = klein_scalar(Vector(field, coords) for coords in product(elements, repeat=6))
+    if not agree:
+        raise NoConsistentScalar("Pq(X)^2 is not one multiple of det(alt X)")
     if s is None:
         raise NoConsistentScalar("no invertible alternating matrix found")
     return s
@@ -264,8 +229,4 @@ def compound_by_expansion(a: Matrix, ell: int) -> Matrix:
 
 def closure_order_matches(result: EnumerationResult, closure: list[Matrix]) -> bool:
     """Set equality between an enumeration and a generated closure."""
-    if result.order != len(closure):
-        return False
-    if not result.elements:
-        return True
-    return set(result.elements) == set(closure)
+    return result.order == len(closure) and set(result.elements) == set(closure)

@@ -214,6 +214,19 @@ def test_verify_f2tu_finishes(tmp_path):
     assert "result: all checks passed" in child.stdout.decode().splitlines()
 
 
+def test_verify_gf16_finishes(tmp_path):
+    # GF(16) is above the exhaustive Klein-quadric bound (16^6 vectors), so
+    # verify takes the seeded sampled check
+    path = _write(tmp_path, "ident.txt", IDENT_GF2.replace("field: gf2", "field: gf2k:4:19"))
+    child = subprocess.run([sys.executable, "-m", "char2forms.cli", "verify", path],
+                           capture_output=True, env=_child_env(), timeout=30)
+    assert child.returncode == 0, child.stderr.decode()
+    lines = child.stdout.decode().splitlines()
+    assert any(line.startswith("check Pq(X)^2 = s*det(altX), sampled, s = 1: PASS")
+               for line in lines), lines
+    assert "result: all checks passed" in lines
+
+
 @pytest.mark.parametrize("field, predicted", [("gf2k:3:11", 258048),
                                               ("gf2k:4:19", 16711680)])
 def test_classify_large_finite_field_gives_verdict(tmp_path, field, predicted):

@@ -210,8 +210,28 @@ def test_gf2k_construction_validates():
     assert (x ** (big.order - 1)).is_one() or not x.is_zero()
 
 
-@pytest.mark.parametrize("k, modulus", [(1, 0b10), (2, 0b111), (3, 0b1011), (4, 0b11001),
-                                        (8, 0b100011011)])
+def _irreducible_by_trial_division(mask):
+    # no factor of degree 1..deg/2, tried by long division on bit masks
+    degree = mask.bit_length() - 1
+    if degree < 1:
+        return False
+    for factor in range(2, 1 << (degree // 2 + 1)):
+        rem = mask
+        while rem.bit_length() >= factor.bit_length():
+            rem ^= factor << (rem.bit_length() - factor.bit_length())
+        if rem == 0:
+            return False
+    return True
+
+
+def test_irreducibility_matches_trial_division():
+    # every mask of degree <= 8, including x + 1 (0b11)
+    for mask in range(1, 1 << 9):
+        assert gf2_poly_is_irreducible(mask) == _irreducible_by_trial_division(mask), bin(mask)
+
+
+@pytest.mark.parametrize("k, modulus", [(1, 0b10), (1, 0b11), (2, 0b111), (3, 0b1011),
+                                        (4, 0b11001), (8, 0b100011011)])
 def test_gf2k_tables_match_reduction(k, modulus):
     # up to order 256 products and inverses are table lookups; x is not
     # primitive modulo 0b100011011, so the table build must search for one

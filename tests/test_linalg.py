@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from char2forms.groups import t_hat
@@ -144,3 +146,18 @@ def test_inverse_over_split_local_ring(gf2):
     assert a_inv * a == Matrix.identity(k, 2)
     with pytest.raises(SingularMatrix):
         Matrix.diagonal(k, [z, one]).inverse()
+
+
+def test_det_over_split_local_ring_matches_expansion(gf2):
+    # F2[z]/(z^2) = k(1): a column can hold nonzero entries none of which is
+    # a unit, where elimination finds no pivot; det then expands by cofactors
+    from char2forms.oracle import compound_by_expansion
+    ring = KAlgebra(gf2, 1)
+    z = ring.z()
+    one = ring.one()
+    assert Matrix.diagonal(ring, [z, one, one, one]).det() == z
+    elements = list(ring.elements())
+    rng = random.Random(4)
+    for _ in range(200):
+        a = Matrix(ring, [[rng.choice(elements) for _ in range(4)] for _ in range(4)])
+        assert a.det() == compound_by_expansion(a, 4)[0, 0]

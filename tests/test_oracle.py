@@ -79,6 +79,16 @@ def test_enumerate_small_gf4(gf4):
     assert result.method == "full_gl_scan"
 
 
+def test_backtracking_on_degenerate_gram_keeps_only_invertible(gf4):
+    # diag(1,1,1,0) over GF(4) is above the full-scan bound; its radical lets
+    # singular matrices satisfy A^T H A = H, and they must not be counted
+    h = Matrix.diagonal(gf4, [gf4.one()] * 3 + [gf4.zero()])
+    result = enumerate_isometries(BilinearForm(h))
+    assert result.method == "backtracking"
+    assert result.order == len(result.elements) == 11520
+    assert all(not m.det().is_zero() for m in result.elements)
+
+
 def test_enumerate_rejects_infinite(f2t):
     with pytest.raises(TooLarge):
         enumerate_isometries(BilinearForm(Matrix.identity(f2t, 2)))
@@ -87,6 +97,13 @@ def test_enumerate_rejects_infinite(f2t):
 def test_pq_scalar(gf2, gf4):
     assert brute_pq_scalar(gf2).is_one()
     assert brute_pq_scalar(gf4).is_one()
+
+
+def test_pq_scalar_exhaustive_only_up_to_gf8():
+    # 16^6 vectors would take about half an hour
+    from char2forms.fields import GF2k
+    with pytest.raises(TooLarge):
+        brute_pq_scalar(GF2k(4, 0b10011))
 
 
 def test_pq_scalar_homogeneous(gf4):
