@@ -28,7 +28,7 @@ class IntField:
         self.elements = tuple(FieldElement(field, bits) for bits in range(self.order))
 
     def encode_matrix(self, m: Matrix) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(e.payload for e in row) for row in m.entries)
+        return tuple([tuple([e.payload for e in row]) for row in m.entries])
 
     def decode_matrix(self, rows) -> Matrix:
         elements = self.elements
@@ -64,8 +64,8 @@ class IntField:
         return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-# one view per field: the closure and the oracle then decode to the same
-# element objects, and comparing their matrix sets meets identical entries
+# one view per field: its tables and interned elements are built once, and
+# the closure and the oracle decode to the same element objects
 @functools.lru_cache(maxsize=None)
 def try_int_field(field):
     try:

@@ -187,33 +187,35 @@ def hodge_identities(data: HodgeData) -> list[tuple[str, bool, str]]:
 
 # -- n = 4 specifics ---------------------------------------------------------
 
-_PQ_PAIRS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+# the lex wedge basis of Lambda^2 F^4 (12 13 14 23 24 34) and the positions of
+# the three products p12 p34, p13 p24, p14 p23 in it
+_LEX2 = index_sets(4, 2)
+_PQ_PAIRS = tuple((_LEX2.index(s), _LEX2.index(t))
+                  for s, t in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))))
 
 
 def pq(x: Vector) -> FieldElement:
     """The quadratic form of the Klein quadric: p12 p34 + p13 p24 + p14 p23."""
     if len(x) != 6:
         raise WrongDimension("the Klein quadric quadratic form lives on Lambda^2 F^4")
-    space = ExteriorSpace(4, 2)
-    total = x.ring.zero()
+    field = x.ring
+    add, mul = field._add, field._mul
+    p = [e.payload for e in x.entries]
+    total = field._from_int(0)
     for s, t in _PQ_PAIRS:
-        total = total + x[space.position(s)] * x[space.position(t)]
-    return total
+        total = add(total, mul(p[s], p[t]))
+    return FieldElement(field, total)
 
 
 def alt_matrix(x: Vector) -> Matrix:
     """A 2-vector as an alternating 4x4 matrix (standard placement)."""
     if len(x) != 6:
         raise WrongDimension("need a vector of Lambda^2 F^4")
-    field = x.ring
-    space = ExteriorSpace(4, 2)
-    zero = field.zero()
+    zero = x.ring.zero()
     rows = [[zero] * 4 for _ in range(4)]
-    for (i, j) in space.sets:
-        value = x[space.position((i, j))]
-        rows[i - 1][j - 1] = value
-        rows[j - 1][i - 1] = value
-    return Matrix(field, rows)
+    for value, (i, j) in zip(x.entries, _LEX2):
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
+    return Matrix(x.ring, rows)
 
 
 def klein_scalar(vectors) -> tuple[Optional[FieldElement], bool]:

@@ -344,6 +344,10 @@ class Field:
     def _is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    def _is_unit(self, a) -> bool:
+        # in a field every nonzero element is a unit; rings override this
+        return not self._is_zero(a)
+
     def _format(self, a) -> str:
         raise NotImplementedError
 
@@ -372,7 +376,7 @@ class Field:
         raise TypeError(f"cannot interpret {x!r} as an element of {self.describe()}")
 
     def is_unit(self, x: FieldElement) -> bool:
-        return not x.is_zero()
+        return self._is_unit(x.payload)
 
     def describe(self) -> str:
         raise NotImplementedError

@@ -50,7 +50,7 @@ class NotMiddleDegree(KAlgebraError):
 class KAlgebra(Field):
     """The ring F + jF with j^2 = delta over a characteristic-2 field.
 
-    Not a field when delta is a square: `is_unit` tests the norm, and the
+    Not a field when delta is a square: `_is_unit` tests the norm, and the
     inverse of a nonzero non-unit raises `NonInvertible`.
     """
 
@@ -94,6 +94,9 @@ class KAlgebra(Field):
 
     def _is_zero(self, a):
         return self.field._is_zero(a[0]) and self.field._is_zero(a[1])
+
+    def _is_unit(self, a):
+        return not self.field._is_zero(self._norm(a))
 
     def _format(self, a):
         field = self.field
@@ -139,9 +142,6 @@ class KAlgebra(Field):
         if isinstance(x, FieldElement) and x.field is not self and x.field == self.field:
             return self.element(x, 0)
         return super().coerce(x)
-
-    def is_unit(self, x: FieldElement) -> bool:
-        return not self.field._is_zero(self._norm(x.payload))
 
     def is_split(self) -> bool:
         return self.delta.is_square()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from char2forms.fields import GF2, GF2k, RationalFunctionField
 from char2forms.groups import t_hat
 from char2forms.kalgebra import KAlgebra
 from char2forms.linalg import (BadIndexSet, DimensionMismatch, Matrix, SingularMatrix,
@@ -148,16 +149,48 @@ def test_inverse_over_split_local_ring(gf2):
         Matrix.diagonal(k, [z, one]).inverse()
 
 
-def test_det_over_split_local_ring_matches_expansion(gf2):
-    # F2[z]/(z^2) = k(1): a column can hold nonzero entries none of which is
+def _det_rings():
+    gf2 = GF2()
+    f2t = RationalFunctionField(gf2, "t")
+    return {
+        "k1": KAlgebra(gf2, 1),  # F2[z]/(z^2), z = 1 + j
+        "gf4": GF2k(2, 0b111),  # product tables
+        "gf8": GF2k(3, 0b1011),
+        "gf512": GF2k(9, 0b1000010001),  # above order 256: _gf2x_mulmod
+        "f2t": f2t,
+        "kt_nonsplit": KAlgebra(f2t, f2t.generator),  # t is not a square
+    }
+
+
+def _entry_sampler(ring, rng):
+    if ring.order is not None and ring.order <= 16:
+        elements = list(ring.elements())
+        return lambda: rng.choice(elements)
+
+    def draw():
+        # a quarter zeros, so that pivots move and columns can vanish
+        if rng.random() < 0.25:
+            return ring.zero()
+        if isinstance(ring, KAlgebra):
+            return ring.element(ring.field.random_element(rng, size=1),
+                                ring.field.random_element(rng, size=1))
+        return ring.random_element(rng, size=1)
+    return draw
+
+
+@pytest.mark.parametrize("name", list(_det_rings()))
+def test_det_over_split_local_ring_matches_expansion(name):
+    # det eliminates on payloads with the ring's primitives; over
+    # F2[z]/(z^2) = k(1) a column can hold nonzero entries none of which is
     # a unit, where elimination finds no pivot; det then expands by cofactors
     from char2forms.oracle import compound_by_expansion
-    ring = KAlgebra(gf2, 1)
-    z = ring.z()
-    one = ring.one()
-    assert Matrix.diagonal(ring, [z, one, one, one]).det() == z
-    elements = list(ring.elements())
-    rng = random.Random(4)
-    for _ in range(200):
-        a = Matrix(ring, [[rng.choice(elements) for _ in range(4)] for _ in range(4)])
-        assert a.det() == compound_by_expansion(a, 4)[0, 0]
+    ring = _det_rings()[name]
+    if name == "k1":
+        z = ring.z()
+        one = ring.one()
+        assert Matrix.diagonal(ring, [z, one, one, one]).det() == z
+    draw = _entry_sampler(ring, random.Random(4))
+    for n, count in ((4, 200 if name == "k1" else 40), (6, 10)):
+        for _ in range(count):
+            a = Matrix(ring, [[draw() for _ in range(n)] for _ in range(n)])
+            assert a.det() == compound_by_expansion(a, n)[0, 0]
