@@ -4,13 +4,15 @@ Group enumeration multiplies thousands of matrices and pairs thousands of
 vectors; doing that on wrapped field elements is needlessly slow.  Elements
 of GF(2) and GF(2^k) are already ints underneath, so this module works on
 tuples of payloads with the field's own product and inverse tables
-(`GF2k.tables`; addition is xor), and decodes results back into matrices
-built from one interned element per payload.
+(`GF2k.tables`; addition is xor).  Results stay payload rows
+(`EncodedMatrices`) and are decoded into matrices, built from one interned
+element per payload, only where they are read.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 
 from .fields import GF2, GF2k, FieldElement
 from .linalg import Matrix
@@ -62,6 +64,32 @@ class IntField:
 
     def identity(self, n):
         return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+class EncodedMatrices(Sequence):
+    """A read-only sequence of matrices kept as payload rows over `field`.
+
+    Reading an element (by index, slice or iteration) decodes it; `len`
+    and the `rows` themselves need no decoding.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field, rows):
+        self.field = field
+        self.rows = tuple(rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        decode = try_int_field(self.field).decode_matrix
+        if isinstance(index, slice):
+            return [decode(m) for m in self.rows[index]]
+        return decode(self.rows[index])
+
+    def __iter__(self):
+        return map(try_int_field(self.field).decode_matrix, self.rows)
 
 
 # one view per field: its tables and interned elements are built once, and

@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import Char2FormsError
 from .fields import FieldElement
 from .forms import BilinearForm, DegenerateForm
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, det_rows
 
 
 class ExteriorError(Char2FormsError):
@@ -187,57 +187,66 @@ def hodge_identities(data: HodgeData) -> list[tuple[str, bool, str]]:
 
 # -- n = 4 specifics ---------------------------------------------------------
 
-# the lex wedge basis of Lambda^2 F^4 (12 13 14 23 24 34) and the positions of
-# the three products p12 p34, p13 p24, p14 p23 in it
-_LEX2 = index_sets(4, 2)
-_PQ_PAIRS = tuple((_LEX2.index(s), _LEX2.index(t))
-                  for s, t in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))))
+# a 2-vector of Lambda^2 F^4 is given by its coordinates on the lex wedge
+# basis, in the order p12 p13 p14 p23 p24 p34
 
 
 def pq(x: Vector) -> FieldElement:
     """The quadratic form of the Klein quadric: p12 p34 + p13 p24 + p14 p23."""
     if len(x) != 6:
         raise WrongDimension("the Klein quadric quadratic form lives on Lambda^2 F^4")
-    field = x.ring
+    return FieldElement(x.ring, _pq_payload(x.ring, [e.payload for e in x.entries]))
+
+
+def _pq_payload(field, p):
+    """Pq on the six payloads of a 2-vector, as a payload."""
     add, mul = field._add, field._mul
-    p = [e.payload for e in x.entries]
-    total = field._from_int(0)
-    for s, t in _PQ_PAIRS:
-        total = add(total, mul(p[s], p[t]))
-    return FieldElement(field, total)
+    p12, p13, p14, p23, p24, p34 = p
+    return add(add(mul(p12, p34), mul(p13, p24)), mul(p14, p23))
 
 
 def alt_matrix(x: Vector) -> Matrix:
     """A 2-vector as an alternating 4x4 matrix (standard placement)."""
     if len(x) != 6:
         raise WrongDimension("need a vector of Lambda^2 F^4")
-    zero = x.ring.zero()
-    rows = [[zero] * 4 for _ in range(4)]
-    for value, (i, j) in zip(x.entries, _LEX2):
-        rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
-    return Matrix(x.ring, rows)
+    return Matrix(x.ring, _alt_rows(x.ring.zero(), x.entries))
 
 
-def klein_scalar(vectors) -> tuple[Optional[FieldElement], bool]:
+def _alt_rows(zero, p):
+    """The rows of the alternating 4x4 matrix of the 2-vector with
+    coordinates p (elements or payloads), zero on the diagonal."""
+    p12, p13, p14, p23, p24, p34 = p
+    return [[zero, p12, p13, p14],
+            [p12, zero, p23, p24],
+            [p13, p23, zero, p34],
+            [p14, p24, p34, zero]]
+
+
+def klein_scalar(field, vectors) -> tuple[Optional[FieldElement], bool]:
     """The scalar s with Pq(X)^2 = s det(alt X), measured on 2-vectors X.
 
+    `vectors` gives each X as the six payloads of its lex coordinates.
     Returns s, the ratio at the first X with det(alt X) != 0 (None if there
     is none), and whether every X agrees with it: Pq(X)^2 = 0 where the
-    determinant vanishes, the same ratio everywhere else.
+    determinant vanishes, the same ratio everywhere else.  Everything runs
+    on payloads, with det(alt X) by `det_rows`; only s is wrapped.
     """
+    mul, inv, is_zero = field._mul, field._inv, field._is_zero
+    zero = field._from_int(0)
     s = None
     agree = True
-    for x in vectors:
-        lhs = pq(x) ** 2
-        rhs = alt_matrix(x).det()
-        if rhs.is_zero():
-            agree = agree and lhs.is_zero()
+    for p in vectors:
+        q = _pq_payload(field, p)
+        lhs = mul(q, q)
+        rhs = det_rows(field, _alt_rows(zero, p))
+        if is_zero(rhs):
+            agree = agree and is_zero(lhs)
             continue
-        ratio = lhs * rhs.inverse()
+        ratio = mul(lhs, inv(rhs))
         if s is None:
             s = ratio
         agree = agree and ratio == s
-    return s, agree
+    return (None if s is None else FieldElement(field, s)), agree
 
 
 def wedge(field, vectors) -> Vector:

@@ -266,19 +266,26 @@ class FieldElement:
         return self
 
     def __pow__(self, n: int):
-        """Square-and-multiply; a negative n inverts the base first."""
+        """Square-and-multiply; a negative n inverts the base first.
+
+        The first factor is taken as it is and the base is not squared past
+        the top bit, so x**n makes as few products as the bits of n need.
+        """
         if not isinstance(n, int):
             return NotImplemented
         field = self.field
-        base = (self if n >= 0 else self.inverse()).payload
+        if n == 0:
+            return field.one()
+        base = (self if n > 0 else self.inverse()).payload
         n = abs(n)
-        result = field._from_int(1)
-        while n:
+        result = None
+        while True:
             if n & 1:
-                result = field._mul(result, base)
-            base = field._mul(base, base)
+                result = base if result is None else field._mul(result, base)
             n >>= 1
-        return FieldElement(field, result)
+            if not n:
+                return FieldElement(field, result)
+            base = field._mul(base, base)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -440,6 +447,9 @@ class GF2(Field):
     def _is_zero(self, a):
         return a == 0
 
+    def _is_unit(self, a):
+        return a != 0
+
     def _format(self, a):
         return str(a)
 
@@ -518,6 +528,9 @@ class GF2k(Field):
 
     def _is_zero(self, a):
         return a == 0
+
+    def _is_unit(self, a):
+        return a != 0
 
     def _format(self, a):
         return _gf2x_format(a, "g")

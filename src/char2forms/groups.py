@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._smallfield import try_int_field
+from ._smallfield import EncodedMatrices, try_int_field
 from .errors import Char2FormsError, CheckFailed, require
 from .exterior import compound_matrix, hodge
 from .fields import FieldElement, square_span_solve
@@ -208,10 +208,12 @@ def o3_standard_form_group(ring) -> O3Data:
                   t_matrix=t_hat(ring))
 
 
-def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> list[Matrix]:
+def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> Sequence[Matrix]:
     """Every element of a finite matrix group; raises beyond `cap` elements.
 
-    Over small finite fields the closure runs on int-encoded matrices.
+    Over small finite fields the closure runs on int-encoded matrices and is
+    returned as those payload rows (`EncodedMatrices`), decoded only where
+    an element is read; over other rings it is a list of matrices.
     """
     if not generators:
         return []
@@ -221,8 +223,7 @@ def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> list[M
     if intf is None:
         return _closure(Matrix.identity(ring, n), generators, Matrix.__mul__, cap)
     gens = [intf.encode_matrix(g) for g in generators]
-    closure = _closure(intf.identity(n), gens, intf.mat_mul, cap)
-    return [intf.decode_matrix(m) for m in closure]
+    return EncodedMatrices(ring, _closure(intf.identity(n), gens, intf.mat_mul, cap))
 
 
 def _closure(identity, generators, product, cap: int) -> list:

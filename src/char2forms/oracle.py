@@ -17,17 +17,23 @@ degenerate (a non-degenerate H makes every congruent matrix invertible).
 The search pairs vectors on payloads through `_smallfield.IntField` and
 keeps what it finds as payload rows.  `closure_order_matches` compares a
 generated closure with them as sets of payload rows, after checking that the
-closure lies over the same field and has the same order: over GF(4) the
-3,840 elements of the identity form compare in about 20 ms, where decoding
-the rows into matrices and hashing those took about 90 ms.
+closure lies over the same field and has the same order.  Over a small field
+`generate_closure` hands over its own payload rows, so neither side is
+decoded into matrices: over GF(8) the 258,048 elements of the identity form
+compare in about 0.3 s.
+
+`brute_pq_scalar` walks all q^6 2-vectors as payload 6-tuples through
+`exterior.klein_scalar`, building no element, vector or matrix per 2-vector:
+about 30 ms over GF(4) and 3 s over GF(8) (Python 3.11, one core).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
-from ._smallfield import IntField, try_int_field
+from ._smallfield import EncodedMatrices, IntField, try_int_field
 from .errors import Char2FormsError, require
 from .exterior import index_sets, klein_scalar
 from .fields import Field, FieldElement
@@ -49,8 +55,9 @@ class NoConsistentScalar(OracleError):
 
 
 FULL_SCAN_GL_BOUND = 5 * 10 ** 7
-# the exhaustive Klein-quadric check walks q^6 vectors: 8^6 take about 12 s,
-# 16^6 would take about 13 minutes (Python 3.11, one core)
+# the exhaustive Klein-quadric check walks q^6 vectors on payloads: 4^6 take
+# about 30 ms, 8^6 about 3 s; 16^6 would take about 2.5 minutes (Python
+# 3.11, one core)
 KLEIN_EXHAUSTIVE_ORDER = 8
 
 
@@ -65,8 +72,8 @@ def _gl_order(q: int, n: int) -> int:
 class EnumerationResult:
     """The isometries found, kept as payload rows over the form's field.
 
-    `elements` decodes them into matrices each time it is read; the oracle
-    comparison works on the rows.
+    `elements` reads them as matrices, decoding each one where it is read;
+    the oracle comparison works on the rows.
     """
     field: Field
     rows: tuple[tuple[tuple[int, ...], ...], ...]
@@ -77,9 +84,8 @@ class EnumerationResult:
         return len(self.rows)
 
     @property
-    def elements(self) -> tuple[Matrix, ...]:
-        decode = try_int_field(self.field).decode_matrix
-        return tuple(decode(m) for m in self.rows)
+    def elements(self) -> EncodedMatrices:
+        return EncodedMatrices(self.field, self.rows)
 
 
 def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
@@ -184,8 +190,8 @@ def brute_pq_scalar(field):
     if getattr(field, "order", None) is None or field.order > KLEIN_EXHAUSTIVE_ORDER:
         raise TooLarge(f"the exhaustive Klein-quadric check needs a finite field of "
                        f"order <= {KLEIN_EXHAUSTIVE_ORDER}")
-    elements = list(field.elements())
-    s, agree = klein_scalar(Vector(field, coords) for coords in product(elements, repeat=6))
+    payloads = [e.payload for e in field.elements()]
+    s, agree = klein_scalar(field, product(payloads, repeat=6))
     if not agree:
         raise NoConsistentScalar("Pq(X)^2 is not one multiple of det(alt X)")
     if s is None:
@@ -245,15 +251,20 @@ def compound_by_expansion(a: Matrix, ell: int) -> Matrix:
     return Matrix.from_columns(field, columns)
 
 
-def closure_order_matches(result: EnumerationResult, closure: list[Matrix]) -> bool:
+def closure_order_matches(result: EnumerationResult, closure: Sequence[Matrix]) -> bool:
     """Set equality between an enumeration and a generated closure.
 
     The closure must lie over the enumerated form's field and have the
-    enumerated order.  Its matrices are then encoded through the same int
-    view and compared with the enumeration as sets of payload rows.
+    enumerated order; the two are then compared as sets of payload rows.  A
+    closure that keeps its payload rows (`generate_closure` over a small
+    field) is compared as it stands; a list of matrices is encoded through
+    the same int view first.
     """
     field = result.field
-    if len(closure) != result.order or any(m.ring != field for m in closure):
+    if len(closure) != result.order:
         return False
-    encode = try_int_field(field).encode_matrix
-    return set(result.rows) == {encode(m) for m in closure}
+    if not isinstance(closure, EncodedMatrices):
+        if any(m.ring != field for m in closure):
+            return False
+        closure = EncodedMatrices(field, map(try_int_field(field).encode_matrix, closure))
+    return closure.field == field and set(result.rows) == set(closure.rows)

@@ -227,6 +227,22 @@ def test_verify_gf16_finishes(tmp_path):
     assert "result: all checks passed" in lines
 
 
+def test_classify_gf4_decodes_no_closure_element(tmp_path, capsys, monkeypatch):
+    # classify compares the closure with the oracle on payload rows; decoding
+    # an element into a Matrix is not needed for any printed line
+    from char2forms._smallfield import IntField
+    path = _write(tmp_path, "ident.txt", IDENT_GF2.replace("field: gf2", "field: gf2k:2:7"))
+    assert main(["classify", path]) == 0
+    expected = capsys.readouterr().out
+    assert "generated order: 3840" in expected.splitlines()
+
+    def no_decode(intf, rows):
+        raise AssertionError("decoded a matrix")
+    monkeypatch.setattr(IntField, "decode_matrix", no_decode)
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("field, predicted", [("gf2k:3:11", 258048),
                                               ("gf2k:4:19", 16711680)])
 def test_classify_large_finite_field_gives_verdict(tmp_path, field, predicted):

@@ -1,10 +1,12 @@
+import random
 from itertools import product
 
 import pytest
 
+from char2forms.cli import main
 from char2forms.exterior import (ExteriorSpace, WrongDimension, ZeroVolume, alt_matrix,
                                  compound_matrix, exterior_form_gram, hodge,
-                                 hodge_identities, pfaffian_gram, pq,
+                                 hodge_identities, klein_scalar, pfaffian_gram, pq,
                                  wedge, wedge_coefficient)
 from char2forms.forms import BilinearForm
 from char2forms.linalg import Matrix, Vector
@@ -185,3 +187,47 @@ def test_wedge_coordinates(gf2):
     space = ExteriorSpace(4, 2)
     expected = space.basis_vector(gf2, (1, 4)) + space.basis_vector(gf2, (2, 4))
     assert wedge(gf2, [v, w]) == expected
+
+
+def _klein_reference(vectors):
+    """(s, agree) for Pq(X)^2 = s det(alt X), on elements: Pq(X)^2 as
+    pq(x) * pq(x) and det(alt X) as a Matrix determinant."""
+    s, agree = None, True
+    for x in vectors:
+        lhs = pq(x) * pq(x)
+        rhs = alt_matrix(x).det()
+        if rhs.is_zero():
+            agree = agree and lhs.is_zero()
+            continue
+        ratio = lhs * rhs.inverse()
+        s = ratio if s is None else s
+        agree = agree and ratio == s
+    return s, agree
+
+
+def _payloads(vectors):
+    return [tuple(e.payload for e in x) for x in vectors]
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf4"])
+def test_klein_scalar_matches_element_reference_exhaustively(name, gf2, gf4):
+    field = {"gf2": gf2, "gf4": gf4}[name]
+    vectors = [Vector(field, coords) for coords in product(list(field.elements()), repeat=6)]
+    assert len(vectors) == field.order ** 6
+    s, agree = klein_scalar(field, _payloads(vectors))
+    assert (s, agree) == _klein_reference(vectors)
+    assert s.is_one() and agree
+
+
+def test_klein_scalar_matches_element_reference_on_sampled_f2t(f2t, tmp_path, capsys):
+    # the 50 draws of verify's sampled branch at --seed 0, in the same order
+    rng = random.Random(0)
+    vectors = [Vector(f2t, [f2t.random_element(rng) for _ in range(6)]) for _ in range(50)]
+    s, agree = klein_scalar(f2t, _payloads(vectors))
+    assert (s, agree) == _klein_reference(vectors)
+    assert agree
+    path = tmp_path / "h1.txt"
+    path.write_text("field: ratfunc(gf2,t)\ngram:\nt 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    assert main(["verify", str(path), "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"check Pq(X)^2 = s*det(altX), sampled, s = {s}: PASS" in lines

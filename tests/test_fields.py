@@ -6,6 +6,7 @@ from char2forms.fields import (DescriptorMismatch, DivisionByZero, FieldElement,
                                square_span_dimension, square_span_kernel,
                                square_span_solve)
 from char2forms.fields import _gf2x_invmod, _gf2x_mulmod
+from char2forms.kalgebra import KAlgebra
 
 
 def test_characteristic_two(gf2, gf4, f2t):
@@ -190,6 +191,30 @@ def test_descriptor_mismatch(gf2, f2t):
         gf2.one() + f2t.one()
     with pytest.raises(DescriptorMismatch):
         square_span_dimension([gf2.one(), f2t.one()])
+
+
+@pytest.mark.parametrize("name", ["gf4", "f2t", "k"])
+def test_pow_matches_repeated_multiplication(name, gf4, f2t, monkeypatch):
+    if name == "gf4":
+        ring, x = gf4, gf4.generator
+    elif name == "f2t":
+        ring, x = f2t, f2t.parse("(t+1)/t^2")
+    else:
+        # k(t) over F2(t): t is not a square, so x = (t+1) + j is a unit
+        ring = KAlgebra(f2t, f2t.generator)
+        x = ring.element(f2t.parse("t+1"), 1)
+    for n in range(-5, 21):
+        factor = x if n >= 0 else x.inverse()
+        expected = ring.one()
+        for _ in range(abs(n)):
+            expected = expected * factor
+        assert x ** n == expected, n
+    square = x * x
+    products = []
+    mul = ring._mul
+    monkeypatch.setattr(ring, "_mul", lambda a, b: products.append(1) or mul(a, b))
+    assert x ** 2 == square
+    assert len(products) == 1
 
 
 def test_division_by_zero(f2t):

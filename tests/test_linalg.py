@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from char2forms.fields import GF2, GF2k, RationalFunctionField
+from char2forms.fields import GF2, GF2k, DescriptorMismatch, RationalFunctionField
 from char2forms.groups import t_hat
 from char2forms.kalgebra import KAlgebra
 from char2forms.linalg import (BadIndexSet, DimensionMismatch, Matrix, SingularMatrix,
@@ -126,6 +126,16 @@ def test_block_and_solve(gf2, f2t):
     assert sol is not None and a * sol == rhs
     unsolvable = Matrix(f2t, [[one, one], [one, one]]).solve(Vector(f2t, [one, zero]))
     assert unsolvable is None
+
+
+def test_matrix_keeps_ring_elements_and_coerces_the_rest(gf2, gf4):
+    g = gf4.generator
+    a = Matrix(gf4, [[g, 1], [0, g]])
+    assert a[0, 0] is g
+    assert a[0, 1] == gf4.one() and a[1, 0] == gf4.zero()
+    assert all(e.field is gf4 for row in a.entries for e in row)
+    with pytest.raises(DescriptorMismatch):
+        Matrix(gf4, [[g, gf2.one()], [0, g]])
 
 
 def test_shape_errors(gf2):

@@ -8,8 +8,8 @@ from char2forms.exterior import compound_matrix, hodge
 from char2forms.forms import BilinearForm
 from char2forms.kalgebra import build_module
 from char2forms.linalg import Matrix, Vector
-from char2forms.oracle import (TooLarge, brute_pq_scalar, closure_order_matches,
-                               compound_by_expansion, direct_g,
+from char2forms.oracle import (NoConsistentScalar, TooLarge, brute_pq_scalar,
+                               closure_order_matches, compound_by_expansion, direct_g,
                                enumerate_isometries)
 
 
@@ -117,10 +117,29 @@ def test_pq_scalar(gf2, gf4):
 
 
 def test_pq_scalar_exhaustive_only_up_to_gf8():
-    # 8^6 vectors take about 12 s; 16^6 would take about 13 minutes
+    # 8^6 vectors take about 3 s; 16^6 would take about 2.5 minutes
     from char2forms.fields import GF2k
     with pytest.raises(TooLarge):
         brute_pq_scalar(GF2k(4, 0b10011))
+
+
+def test_pq_scalar_detects_one_wrong_determinant(gf2, gf4, monkeypatch):
+    # a determinant that is wrong on the single 2-vector e12 + e34 (Pq = 1,
+    # det = 1) must break the exhaustive check
+    from char2forms import exterior
+    det_rows = exterior.det_rows
+    for field in (gf2, gf4):
+        one = field._from_int(1)
+        target = exterior._alt_rows(field._from_int(0), (one, 0, 0, 0, 0, one))
+
+        def wrong_once(ring, rows, target=target):
+            value = det_rows(ring, [list(r) for r in rows])
+            return ring._add(value, one) if rows == target else value
+        monkeypatch.setattr(exterior, "det_rows", wrong_once)
+        with pytest.raises(NoConsistentScalar):
+            brute_pq_scalar(field)
+        monkeypatch.setattr(exterior, "det_rows", det_rows)
+        assert brute_pq_scalar(field).is_one()
 
 
 def test_pq_scalar_homogeneous(gf4):
