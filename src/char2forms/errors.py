@@ -5,6 +5,14 @@ class Char2FormsError(Exception):
     """Base of every error the library raises on purpose."""
 
 
+class FieldError(Char2FormsError):
+    pass
+
+
+class DescriptorMismatch(FieldError):
+    """Operands belong to different fields."""
+
+
 class CheckFailed(Char2FormsError):
     """An internal verification of a computed claim did not hold."""
 

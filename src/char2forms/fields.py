@@ -30,16 +30,8 @@ import functools
 import re
 from typing import Iterator, Optional
 
-from .errors import Char2FormsError
+from .errors import DescriptorMismatch, FieldError
 from .linalg import Matrix, Vector
-
-
-class FieldError(Char2FormsError):
-    pass
-
-
-class DescriptorMismatch(FieldError):
-    """Operands belong to different fields."""
 
 
 class DivisionByZero(FieldError, ZeroDivisionError):
@@ -752,7 +744,10 @@ class RationalFunctionField(Field):
     the pair is two int bit masks (bit i is the coefficient of t^i) and the
     arithmetic runs on the masks.  Over any other base, as in F2(t)(u) or
     GF(2^k)(t), the pair is two `Poly`s over the base field, whose
-    coefficients are base-field payloads.  Variable names
+    coefficients are base-field payloads.  There a denominator of degree 0
+    is 1, because it is monic: when both denominators are 1, `_mul` and
+    `_add` multiply or add the numerators and skip `_canonical`, and `_mul`
+    returns a zero operand as it is.  Variable names
     are single letters, distinct throughout the tower ('g' is reserved for
     gf2k towers).
     """
@@ -802,14 +797,25 @@ class RationalFunctionField(Field):
                 return _f2t_reduce(a[0] ^ b[0], a[1])
             return _f2t_reduce(_gf2x_mul(a[0], b[1]) ^ _gf2x_mul(b[0], a[1]),
                                _gf2x_mul(a[1], b[1]))
-        if a[1] == b[1]:
-            return self._canonical(a[0] + b[0], a[1])
-        return self._canonical(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+        a_den, b_den = a[1], b[1]
+        # a canonical denominator is monic, so one of degree 0 is 1
+        if len(a_den.coeffs) == 1 and len(b_den.coeffs) == 1:
+            return (a[0] + b[0], a_den)
+        if a_den == b_den:
+            return self._canonical(a[0] + b[0], a_den)
+        return self._canonical(a[0] * b_den + b[0] * a_den, a_den * b_den)
 
     def _mul(self, a, b):
         if self.packed:
             return _f2t_reduce(_gf2x_mul(a[0], b[0]), _gf2x_mul(a[1], b[1]))
-        return self._canonical(a[0] * b[0], a[1] * b[1])
+        if not a[0].coeffs:
+            return a
+        if not b[0].coeffs:
+            return b
+        a_den, b_den = a[1], b[1]
+        if len(a_den.coeffs) == 1 and len(b_den.coeffs) == 1:
+            return (a[0] * b[0], a_den)
+        return self._canonical(a[0] * b[0], a_den * b_den)
 
     def _inv(self, a):
         if self.packed:

@@ -68,9 +68,16 @@ class KAlgebra(Field):
         return (add(a[0], b[0]), add(a[1], b[1]))
 
     def _mul(self, a, b):
-        add, mul = self.field._add, self.field._mul
-        return (add(mul(a[0], b[0]), mul(mul(self.delta.payload, a[1]), b[1])),
-                add(mul(a[0], b[1]), mul(a[1], b[0])))
+        field = self.field
+        add, mul = field._add, field._mul
+        (a0, a1), (b0, b1) = a, b
+        # a factor in F (no j-part) needs two products instead of five
+        if field._is_zero(a1):
+            return (mul(a0, b0), mul(a0, b1))
+        if field._is_zero(b1):
+            return (mul(a0, b0), mul(a1, b0))
+        return (add(mul(a0, b0), mul(mul(self.delta.payload, a1), b1)),
+                add(mul(a0, b1), mul(a1, b0)))
 
     def _norm(self, a):
         """x0^2 + delta x1^2, which is also the square of x0 + j x1."""

@@ -308,3 +308,78 @@ def test_gf4_element_formatting(gf4):
     assert str(g + 1) == "g+1"
     assert str(g * g) == "g+1"
     assert gf4.parse("g^2") == g + 1
+
+
+def _canonical_pairs(field, rng):
+    """Seeded operand pairs over a Poly-backed F(t): both denominators 1, one
+    of them 1, neither, and zero against each kind."""
+    base = field.base
+
+    def poly(min_degree):
+        while True:
+            p = Poly(base, [base.random_element(rng, size=1).payload for _ in range(3)])
+            if p.degree >= min_degree:
+                return p
+
+    def draw(unit_den):
+        return field.from_fraction(poly(0), Poly.one(base) if unit_den else poly(1))
+
+    pairs = []
+    for _ in range(15):
+        pairs += [(draw(True), draw(True)), (draw(True), draw(False)),
+                  (draw(False), draw(True)), (draw(False), draw(False))]
+    for x in (draw(True), draw(False)):
+        pairs += [(field.zero(), x), (x, field.zero())]
+    pairs.append((field.zero(), field.zero()))
+    return pairs
+
+
+def _assert_canonical(field, payload):
+    num, den = payload
+    if num.is_zero():
+        assert payload == (Poly.zero(field.base), Poly.one(field.base))
+        return
+    assert den.lead().is_one()
+    assert num.gcd(den).degree == 0
+
+
+@pytest.mark.parametrize("name", ["f2tu", "gf4t"])
+def test_unit_denominator_paths_stay_canonical(name, f2tu, gf4, rng):
+    # _mul and _add skip _canonical when both denominators are 1 (a monic
+    # degree-0 denominator) or an operand is zero; the results must be the
+    # ones the full path gives
+    field = f2tu if name == "f2tu" else RationalFunctionField(gf4, "t")
+    pairs = _canonical_pairs(field, rng)
+    unit_dens = [(len(a.payload[1].coeffs) == 1, len(b.payload[1].coeffs) == 1)
+                 for a, b in pairs]
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(unit_dens)
+    for a, b in pairs:
+        (an, ad), (bn, bd) = a.payload, b.payload
+        product = field._mul(a.payload, b.payload)
+        total = field._add(a.payload, b.payload)
+        assert product == field._canonical(an * bn, ad * bd)
+        assert total == field._canonical(an * bd + bn * ad, ad * bd)
+        _assert_canonical(field, product)
+        _assert_canonical(field, total)
+
+
+def test_constructed_payloads_have_monic_denominators(f2tu, gf4, rng):
+    # the unit-denominator paths read a degree-0 denominator as 1, which
+    # holds only because every payload is built with a monic denominator
+    gf4t = RationalFunctionField(gf4, "t")
+    for field in (f2tu, gf4t):
+        base = field.base
+        for _ in range(40):
+            num = Poly(base, [base.random_element(rng).payload for _ in range(3)])
+            den = Poly(base, [base.random_element(rng).payload
+                              for _ in range(rng.randrange(1, 4))])
+            if not den.is_zero():
+                _assert_canonical(field, field.from_fraction(num, den).payload)
+        for c in base.elements() if base.order else \
+                [base.zero(), base.one(), base.generator, base.parse("1/(t+1)")]:
+            _assert_canonical(field, field._constant(c.payload))
+    texts = {f2tu: ["0", "1", "t", "u/t", "(u+t)/(t*u^2+1)", "1/(t+1)", "u^2/(t*u)"],
+             gf4t: ["0", "g", "t/g", "(g*t+1)/(g*t^2+t)", "(t+g)/(t+g)"]}
+    for field, items in texts.items():
+        for text in items:
+            _assert_canonical(field, field.parse(text).payload)

@@ -6,7 +6,7 @@ from char2forms.fields import GF2, GF2k, DescriptorMismatch, RationalFunctionFie
 from char2forms.groups import t_hat
 from char2forms.kalgebra import KAlgebra
 from char2forms.linalg import (BadIndexSet, DimensionMismatch, Matrix, SingularMatrix,
-                               Vector)
+                               Vector, bilinear)
 
 
 def _random_matrix(field, n, rng):
@@ -204,3 +204,187 @@ def test_det_over_split_local_ring_matches_expansion(name):
         for _ in range(count):
             a = Matrix(ring, [[draw() for _ in range(n)] for _ in range(n)])
             assert a.det() == compound_by_expansion(a, n)[0, 0]
+
+
+def test_bilinear_rejects_vectors_of_the_wrong_length(gf2):
+    # x^T G y needs len(x) = rows of G and len(y) = columns of G; a short
+    # vector used to be cut off by the pairing instead of raising
+    gram = Matrix.identity(gf2, 3)
+    short, full = Vector(gf2, [1, 1]), Vector(gf2, [1, 1, 1])
+    assert bilinear(gram, full, full) == gf2.one()
+    with pytest.raises(DimensionMismatch):
+        bilinear(gram, short, full)
+    with pytest.raises(DimensionMismatch):
+        bilinear(gram, full, short)
+
+
+# -- products, pairings and echelon on payloads against element references --
+
+def _product_rings():
+    rings = _det_rings()
+    rings.update(gf2=GF2(), f2tu=RationalFunctionField(rings["f2t"], "u"),
+                 gf4t=RationalFunctionField(rings["gf4"], "t"))
+    return rings
+
+
+def _ref_dot(xs, ys):
+    total = xs[0] * ys[0]
+    for a, b in zip(xs[1:], ys[1:]):
+        total = total + a * b
+    return total
+
+
+def _ref_mul(a, b):
+    cols = [b.column(j).entries for j in range(b.ncols)]
+    return [[_ref_dot(row, col) for col in cols] for row in a.entries]
+
+
+def _ref_echelon(rows, ring, width):
+    # the row echelon on elements: first unit pivot per column, reduced
+    pivots, r = [], 0
+    for c in range(width):
+        pivot = next((i for i in range(r, len(rows)) if ring.is_unit(rows[i][c])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a + f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _ref_kernel(m):
+    rows, pivots = _ref_echelon([list(r) for r in m.entries], m.ring, m.ncols)
+    basis = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        vec = [m.ring.zero()] * m.ncols
+        vec[f] = m.ring.one()
+        for r, c in enumerate(pivots):
+            vec[c] = rows[r][f]
+        basis.append(vec)
+    return basis
+
+
+def _ref_solve(m, rhs):
+    rows, pivots = _ref_echelon([list(r) + [b] for r, b in zip(m.entries, rhs)],
+                                m.ring, m.ncols)
+    if any(not rows[r][-1].is_zero() for r in range(len(pivots), m.nrows)):
+        return None
+    x = [m.ring.zero()] * m.ncols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][-1]
+    return x
+
+
+# entries of degree <= 1 keep 6x6 echelons over the towers fast
+_SMALL_ENTRIES = {
+    "f2t": ("t", "t+1", "1/t", "t/(t+1)"),
+    "f2tu": ("t", "u", "1/u"),
+    "gf4t": ("g", "t", "g*t+1", "1/t", "g/(t+1)"),
+}
+
+
+def _small_sampler(name, ring, rng):
+    if name == "kt_nonsplit":
+        small = [ring.field.parse(s) for s in _SMALL_ENTRIES["f2t"]]
+        elements = [ring.element(a, b) for a in small for b in small]
+    elif name in _SMALL_ENTRIES:
+        elements = [ring.parse(s) for s in _SMALL_ENTRIES[name]]
+    else:
+        return _entry_sampler(ring, rng)
+    # a third zeros, so that pivots move and rows fill slowly
+    elements += [ring.one()] + [ring.zero()] * (len(elements) // 2 + 1)
+    return lambda: rng.choice(elements)
+
+
+def _test_matrices(draw, ring, n, count, rng):
+    """Seeded n x n matrices: random ones, singular ones (row n-1 is the sum
+    of rows 0 and 1) and, over k(1), ones whose column 0 holds non-units."""
+    for i in range(count):
+        rows = [[draw() for _ in range(n)] for _ in range(n)]
+        if i % 3 == 1:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        if i % 3 == 2 and isinstance(ring, KAlgebra) and ring.is_split():
+            z = ring.z()
+            for row in rows:
+                row[0] = z if rng.randrange(2) else ring.zero()
+        yield Matrix(ring, rows)
+
+
+@pytest.mark.parametrize("name", list(_product_rings()))
+def test_payload_products_and_echelon_match_element_reference(name):
+    ring = _product_rings()[name]
+    rng = random.Random(10)
+    draw = _small_sampler(name, ring, rng)
+    # fewer 6x6 ones over the infinite rings, where fractions grow
+    for n, count in ((4, 12), (6, 4 if ring.order else 2)):
+        mats = list(_test_matrices(draw, ring, n, count, rng))
+        for a, b in zip(mats, mats[1:] + mats[:1]):
+            x = Vector(ring, [draw() for _ in range(n)])
+            y = Vector(ring, [draw() for _ in range(n)])
+            product = a * b
+            assert [list(r) for r in product.entries] == _ref_mul(a, b)
+            assert all(e.field is ring for r in product.entries for e in r)
+            assert list(a * y) == [_ref_dot(row, y.entries) for row in a.entries]
+            assert bilinear(a, x, y) == _ref_dot(
+                x.entries, [_ref_dot(row, y.entries) for row in a.entries])
+            pivots = _ref_echelon([list(r) for r in a.entries], ring, n)[1]
+            assert a.rank() == len(pivots)
+            assert [list(v) for v in a.kernel_basis()] == _ref_kernel(a)
+            # over k(1) a column of non-units gets no pivot, so there the
+            # echelon's free-variable vectors need not lie in the kernel
+            if name != "k1":
+                assert all(not any(_ref_dot(row, v.entries) for row in a.entries)
+                           for v in a.kernel_basis())
+            for rhs in (y, Vector(ring, [draw() for _ in range(n)])):
+                expected = _ref_solve(a, rhs.entries)
+                solution = a.solve(rhs)
+                assert (None if solution is None else list(solution)) == expected
+            if len(pivots) < n:
+                with pytest.raises(SingularMatrix):
+                    a.inverse()
+            else:
+                identity = [list(r) for r in Matrix.identity(ring, n).entries]
+                inv = a.inverse()
+                assert [list(r) for r in inv.entries] == [
+                    row[n:] for row in _ref_echelon(
+                        [list(r) + i for r, i in zip(a.entries, identity)], ring, n)[0]]
+                if n == 4:
+                    assert _ref_mul(a, inv) == identity and _ref_mul(inv, a) == identity
+
+
+def test_mixed_ring_products_raise(gf2, gf4):
+    a2, a4 = Matrix.identity(gf2, 2), Matrix.identity(gf4, 2)
+    v2, v4 = Vector(gf2, [1, 0]), Vector(gf4, [1, 0])
+    for left, right in ((a2, a4), (a4, a2), (a2, v4), (a4, v2)):
+        with pytest.raises(DescriptorMismatch):
+            left * right
+    for gram, x, y in ((a2, v4, v2), (a2, v2, v4), (a4, v2, v2)):
+        with pytest.raises(DescriptorMismatch):
+            bilinear(gram, x, y)
+    with pytest.raises(DescriptorMismatch):
+        a2.solve(v4)
+
+
+def test_equal_rings_built_apart_multiply():
+    ring_a, ring_b = GF2k(2, 0b111), GF2k(2, 0b111)
+    f2t_a, f2t_b = (RationalFunctionField(GF2(), "t") for _ in range(2))
+    g = ring_a.generator
+    a = Matrix(ring_a, [[g, 1], [0, g]])
+    b = Matrix(ring_b, [[1, ring_b.generator], [ring_b.generator, 0]])
+    product = a * b
+    assert product.ring is ring_a
+    assert product == Matrix(ring_a, [[0, g * g], [g * g, 0]])
+    assert a * Vector(ring_b, [1, 1]) == Vector(ring_a, [g + 1, g])
+    assert bilinear(a, Vector(ring_b, [1, 0]), Vector(ring_b, [0, 1])).is_one()
+    t = f2t_a.generator
+    m = Matrix(f2t_a, [[t, 1], [1, 0]])
+    assert (m * Matrix.identity(f2t_b, 2)) == m
+    assert m.solve(Vector(f2t_b, [1, 0])) == Vector(f2t_a, [0, 1])
