@@ -211,9 +211,9 @@ def o3_standard_form_group(ring) -> O3Data:
 def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> Sequence[Matrix]:
     """Every element of a finite matrix group; raises beyond `cap` elements.
 
-    Over small finite fields the closure runs on int-encoded matrices and is
-    returned as those payload rows (`EncodedMatrices`), decoded only where
-    an element is read; over other rings it is a list of matrices.
+    Over small finite fields the closure runs on packed rows and is returned
+    as those rows (`EncodedMatrices`), decoded only where an element is
+    read; over other rings it is a list of matrices.
     """
     if not generators:
         return []
@@ -221,12 +221,14 @@ def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> Sequen
     n = generators[0].nrows
     intf = try_int_field(ring)
     if intf is None:
-        return _closure(Matrix.identity(ring, n), generators, Matrix.__mul__, cap)
+        return _closure(Matrix.identity(ring, n), generators, Matrix.__mul__,
+                        lambda b: b, cap)
     gens = [intf.encode_matrix(g) for g in generators]
-    return EncodedMatrices(ring, _closure(intf.identity(n), gens, intf.mat_mul, cap))
+    return EncodedMatrices(ring, _closure(intf.identity(n), gens, intf.mat_mul,
+                                          intf.row_tables, cap))
 
 
-def _closure(identity, generators, product, cap: int) -> list:
+def _closure(identity, generators, product, right_factor, cap: int) -> list:
     """Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
     Groups*, LNCS 559, 1991, ch. 6).
 
@@ -234,15 +236,19 @@ def _closure(identity, generators, product, cap: int) -> list:
     A coset costs one product per element, and its representative x probes
     x*g1 .. x*gi for cosets not seen yet.  The element list keeps H as its
     prefix and each later coset as a block of |H| that starts with its
-    representative.
+    representative.  The right factor of every product is a generator or a
+    representative, so `product(a, right_factor(b))` gets b prepared once
+    (over a small field, as the tables of its rows).
     """
     elements = [identity]
     seen = {identity}
+    prepared = [right_factor(g) for g in generators]
 
     def add_coset(rep, subgroup):
         if len(elements) + 1 + len(subgroup) > cap:
             raise EnumerationTooLarge(f"closure exceeds cap {cap}")
-        coset = [rep] + [product(h, rep) for h in subgroup]
+        right = right_factor(rep)
+        coset = [rep] + [product(h, right) for h in subgroup]
         elements.extend(coset)
         seen.update(coset)
 
@@ -255,7 +261,7 @@ def _closure(identity, generators, product, cap: int) -> list:
         rep_pos = size
         while rep_pos < len(elements):
             rep = elements[rep_pos]
-            for s in generators[:i + 1]:
+            for s in prepared[:i + 1]:
                 x = product(rep, s)
                 if x not in seen:
                     add_coset(x, subgroup)

@@ -57,6 +57,11 @@ class BadIndexSet(LinalgError):
     pass
 
 
+class NonUnitColumn(LinalgError):
+    """A column holds nonzero non-units but no unit to pivot on (over a local
+    ring such as k(1)), so the echelon does not decide the linear system."""
+
+
 class Vector:
     __slots__ = ("ring", "entries")
 
@@ -265,10 +270,15 @@ class Matrix:
         return len(_echelon(self.ring, _payload_rows(self)))
 
     def kernel_basis(self) -> list[Vector]:
-        """Basis of the right null space (free variables set in index order)."""
+        """Basis of the right null space (free variables set in index order).
+
+        Raises `NonUnitColumn` where the echelon leaves a nonzero non-unit in
+        a column without a pivot.
+        """
         ring = self.ring
         rows = _payload_rows(self)
         pivots = _echelon(ring, rows)
+        _require_decided(ring, rows, len(pivots), self.ncols)
         zero, one = ring._from_int(0), ring._from_int(1)
         basis = []
         for f in range(self.ncols):
@@ -282,13 +292,18 @@ class Matrix:
         return basis
 
     def solve(self, rhs: Vector) -> Optional[Vector]:
-        """One solution of self * x = rhs, or None (free variables zero)."""
+        """One solution of self * x = rhs, or None (free variables zero).
+
+        Raises `NonUnitColumn` where the echelon leaves a nonzero non-unit in
+        a column without a pivot.
+        """
         if len(rhs) != self.nrows:
             raise DimensionMismatch("right-hand side has wrong length")
         ring = self.ring
         _same_ring(ring, rhs.ring)
         rows = [row + [b.payload] for row, b in zip(_payload_rows(self), rhs.entries)]
         pivots = _echelon(ring, rows, self.ncols)
+        _require_decided(ring, rows, len(pivots), self.ncols)
         if any(not ring._is_zero(rows[r][-1]) for r in range(len(pivots), self.nrows)):
             return None
         x = [ring._from_int(0)] * self.ncols
@@ -440,6 +455,16 @@ def _cofactor_det(ring, e):
             total = add(total, mul(e[0][j],
                                    _cofactor_det(ring, [row[:j] + row[j + 1:] for row in e[1:]])))
     return total
+
+
+def _require_decided(ring, rows, rank: int, ncols: int) -> None:
+    """Raise `NonUnitColumn` unless the rows below the pivot rows are zero in
+    the first `ncols` columns.  Over a field they always are; over a local
+    ring a column of non-units gets no pivot, and what is left of it below
+    the pivot rows is still a constraint."""
+    is_zero = ring._is_zero
+    if any(not is_zero(x) for row in rows[rank:] for x in row[:ncols]):
+        raise NonUnitColumn("a column holds nonzero non-units but no unit pivot")
 
 
 def _echelon(ring, rows, ncols: Optional[int] = None) -> list[int]:

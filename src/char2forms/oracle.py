@@ -14,13 +14,15 @@ group is small enough the result is labelled `full_gl_scan`, and every
 survivor is rank-checked, so nothing is assumed about H; otherwise it is
 labelled `backtracking`, and survivors are rank-checked when H is
 degenerate (a non-degenerate H makes every congruent matrix invertible).
-The search pairs vectors on payloads through `_smallfield.IntField` and
-keeps what it finds as payload rows.  `closure_order_matches` compares a
-generated closure with them as sets of payload rows, after checking that the
-closure lies over the same field and has the same order.  Over a small field
-`generate_closure` hands over its own payload rows, so neither side is
-decoded into matrices: over GF(8) the 258,048 elements of the identity form
-compare in about 0.3 s.
+The search runs on the packed vectors and rows of `_smallfield.IntField`:
+each chosen column's pairing is a table lookup per candidate, and what it
+finds stays packed rows.  `closure_order_matches` compares a generated
+closure with them as sets of packed payload rows, after checking that the
+closure lies over the same field and has the same order.  Over a small
+field `generate_closure` hands over its own packed rows, so neither side is
+decoded into matrices.  On the identity form (Python 3.11, 2 shared cores)
+the enumeration takes 15-26 ms over GF(4) and 1.4-2.3 s over GF(8), and
+the 258,048 elements of GF(8) compare in 0.2-0.26 s.
 
 `brute_pq_scalar` walks all q^6 2-vectors as payload 6-tuples through
 `exterior.klein_scalar`, building no element, vector or matrix per 2-vector:
@@ -70,13 +72,13 @@ def _gl_order(q: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """The isometries found, kept as payload rows over the form's field.
+    """The isometries found, kept as packed rows over the form's field.
 
     `elements` reads them as matrices, decoding each one where it is read;
     the oracle comparison works on the rows.
     """
     field: Field
-    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     method: str
 
     @property
@@ -99,89 +101,63 @@ def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
     full_scan = _gl_order(q, n) <= FULL_SCAN_GL_BOUND and q ** (n * n) <= 2 ** 22
     # a non-degenerate H makes every congruent A invertible; the full scan
     # checks every survivor anyway, so that it assumes nothing about H
-    check_rank = full_scan or not _invertible(intf, gram, n)
+    check_rank = full_scan or not intf.independent(gram)
     found = _column_search(intf, gram, n, check_rank)
     return EnumerationResult(field=form.field, rows=tuple(found),
                              method="full_gl_scan" if full_scan else "backtracking")
 
 
-def _invertible(intf: IntField, a, n) -> bool:
-    rows = [list(r) for r in a]
-    mul, inv_table = intf.mul, intf.inv
-    rank = 0
-    for c in range(n):
-        piv = next((r for r in range(rank, n) if rows[r][c]), None)
-        if piv is None:
-            return False
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = inv_table[rows[rank][c]]
-        rows[rank] = [mul[x][inv] for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x ^ mul[f][y] for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == n
-
-
 def _column_search(intf: IntField, gram, n, check_rank: bool):
     """Choose image columns one by one under the Gram constraints.
 
-    Level j starts from the candidates with cand^T H cand = H[j][j], grouped
-    by that norm once.  Each chosen column then filters the candidate lists
-    of all later levels by its pairing, so a candidate is paired with a
-    chosen column once, not once per node below it.  The filters are exact:
-    a candidate leaves a list only when every completion through it breaks
-    an entry of A^T H A = H, so the search decides each of the q^(n^2)
-    matrices.  With `check_rank`, a complete survivor must also pass
-    `_invertible`.
+    Candidates are the packed vectors 0 .. q^n - 1.  Level j starts from the
+    candidates with cand^T H cand = H[j][j], grouped by that norm once.  A
+    chosen column c filters the candidate lists of all later levels by its
+    pairing v -> c^T H v, tabulated once per candidate (not once per node),
+    so filtering a level costs one table lookup per candidate and chunk.
+    The filters are exact: a candidate leaves a list only when every
+    completion through it breaks an entry of A^T H A = H, so the search
+    decides each of the q^(n^2) matrices.  The chosen columns are spread
+    into one int holding the matrix row after row, which the last level
+    cuts into packed rows.  With `check_rank`, a complete survivor must also
+    have independent rows.
     """
-    mul = intf.mul
-    by_norm: dict[int, list[tuple[int, ...]]] = {}
-    for cand in product(range(intf.order), repeat=n):
+    by_norm: dict[int, list[int]] = {}
+    for cand in range(intf.order ** n):
         by_norm.setdefault(intf.bilinear(cand, gram, cand), []).append(cand)
+    entries = [intf.unpack(row, n) for row in gram]
+    gram_tables = intf.row_tables(gram)  # c -> c^T H
+    pairings: dict[int, list[list[int]]] = {}
+    spread = intf.column_tables(n)
+    apply, select, split_rows = intf.apply, intf.select, intf.split_rows
     found = []
-    chosen: list[tuple[int, ...]] = []
 
-    def extend(j, levels):
-        # levels[k]: the candidates for column j + k that pair correctly with
-        # every chosen column
-        for cand in levels[0]:
-            chosen.append(cand)
-            if j + 1 == n:
-                rows = tuple(zip(*chosen))  # columns back to rows
-                if not check_rank or _invertible(intf, rows, n):
+    def extend(j, matrix, levels):
+        # levels[i]: the candidates for column j + i that pair correctly
+        # with every chosen column
+        if j + 1 == n:
+            for cand in levels[0]:
+                rows = split_rows(matrix ^ apply(spread[j], cand), n)
+                if not check_rank or intf.independent(rows):
                     found.append(rows)
+            return
+        targets = entries[j]
+        for cand in levels[0]:
+            pairing = pairings.get(cand)
+            if pairing is None:
+                pairing = intf.row_tables(intf.unpack(apply(gram_tables, cand), n))
+                pairings[cand] = pairing
+            later = []
+            for i, level in enumerate(levels[1:], start=j + 1):
+                kept = select(pairing, level, targets[i])
+                if not kept:
+                    break
+                later.append(kept)
             else:
-                row = _pairing_row(mul, gram, cand)
-                later = [[c for c in level if _dot(row, c) == gram[j][k]]
-                         for k, level in enumerate(levels[1:], start=j + 1)]
-                if all(later):
-                    extend(j + 1, later)
-            chosen.pop()
+                extend(j + 1, matrix ^ apply(spread[j], cand), later)
 
-    extend(0, [by_norm.get(gram[j][j], []) for j in range(n)])
+    extend(0, 0, [by_norm.get(entries[j][j], []) for j in range(n)])
     return found
-
-
-def _pairing_row(mul, gram, col):
-    """The product-table row of each entry of col^T H, so that `_dot` pairs
-    col with a vector by lookups alone."""
-    out = []
-    for k in range(len(gram)):
-        acc = 0
-        for ci, grow in zip(col, gram):
-            if ci:
-                acc ^= mul[ci][grow[k]]
-        out.append(mul[acc])
-    return out
-
-
-def _dot(row, vec):
-    acc = 0
-    for table, x in zip(row, vec):
-        acc ^= table[x]
-    return acc
 
 
 def brute_pq_scalar(field):
@@ -255,10 +231,10 @@ def closure_order_matches(result: EnumerationResult, closure: Sequence[Matrix]) 
     """Set equality between an enumeration and a generated closure.
 
     The closure must lie over the enumerated form's field and have the
-    enumerated order; the two are then compared as sets of payload rows.  A
-    closure that keeps its payload rows (`generate_closure` over a small
-    field) is compared as it stands; a list of matrices is encoded through
-    the same int view first.
+    enumerated order; the two are then compared as sets of packed payload
+    rows.  A closure that keeps its packed rows (`generate_closure` over a
+    small field) is compared as it stands; a list of matrices is encoded
+    through the same int view first.
     """
     field = result.field
     if len(closure) != result.order:

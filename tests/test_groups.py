@@ -5,6 +5,7 @@ import pytest
 
 from char2forms import groups as G
 from char2forms.exterior import compound_matrix, hodge
+from char2forms.fields import GF2k
 from char2forms.forms import BilinearForm, quadratic_data
 from char2forms.kalgebra import KAlgebra, build_module, normalize_split, wz_submodule
 from char2forms.linalg import Matrix, Vector
@@ -602,14 +603,21 @@ def _bfs_closure(generators):
     return seen
 
 
-@pytest.mark.parametrize("ring_name", ["gf2", "gf4", "split_k"])
+@pytest.mark.parametrize("ring_name", ["gf2", "gf4", "gf8", "split_k"])
 def test_closure_matches_breadth_first_reference(ring_name, gf2, gf4):
-    # GF(2) and GF(4) close on int-encoded matrices; the split K-algebra
+    # GF(2), GF(4) and GF(8) close on packed rows; the split K-algebra
     # F2[z]/(z^2) closes with the generic Matrix.__mul__
     if ring_name == "split_k":
         ring = KAlgebra(gf2, 1)
         pool = [G.hat_l(ring, x) for x in ring.elements() if not x.is_zero()] + \
             [G.hat_u(ring, x) for x in ring.elements() if not x.is_zero()]
+    elif ring_name == "gf8":
+        # diag(1, hat L/U) over GF(8): 12-bit packed rows, so every product
+        # takes two table chunks; the groups stay within SL2(8) (order 504)
+        ring = GF2k(3, 0b1011)
+        one, zeros = Matrix.identity(ring, 1), Matrix.zeros(ring, 1, 3)
+        pool = [Matrix.block([[one, zeros], [zeros.transpose(), hat(ring, x)]])
+                for hat in (G.hat_l, G.hat_u) for x in ring.elements() if not x.is_zero()]
     else:
         ring = gf2 if ring_name == "gf2" else gf4
         pool = G.defect3_generators(ring)

@@ -5,8 +5,8 @@ import pytest
 from char2forms.fields import GF2, GF2k, DescriptorMismatch, RationalFunctionField
 from char2forms.groups import t_hat
 from char2forms.kalgebra import KAlgebra
-from char2forms.linalg import (BadIndexSet, DimensionMismatch, Matrix, SingularMatrix,
-                               Vector, bilinear)
+from char2forms.linalg import (BadIndexSet, DimensionMismatch, Matrix, NonUnitColumn,
+                               SingularMatrix, Vector, bilinear)
 
 
 def _random_matrix(field, n, rng):
@@ -283,6 +283,31 @@ def _ref_solve(m, rhs):
     return x
 
 
+def _check_kernel_and_solve(a, rhss) -> bool:
+    """kernel_basis and solve against the reference echelon; returns whether
+    it leaves a nonzero entry below its pivot rows (a column of non-units
+    with no pivot), in which case both must raise NonUnitColumn."""
+    rows, pivots = _ref_echelon([list(r) for r in a.entries], a.ring, a.ncols)
+    undecided = any(not x.is_zero() for row in rows[len(pivots):] for x in row)
+    if undecided:
+        with pytest.raises(NonUnitColumn):
+            a.kernel_basis()
+        for rhs in rhss:
+            with pytest.raises(NonUnitColumn):
+                a.solve(rhs)
+        return True
+    kernel = a.kernel_basis()
+    assert [list(v) for v in kernel] == _ref_kernel(a)
+    assert all(not any(_ref_dot(row, v.entries) for row in a.entries) for v in kernel)
+    for rhs in rhss:
+        expected = _ref_solve(a, rhs.entries)
+        solution = a.solve(rhs)
+        assert (None if solution is None else list(solution)) == expected
+        if solution is not None:
+            assert [_ref_dot(row, solution.entries) for row in a.entries] == list(rhs)
+    return False
+
+
 # entries of degree <= 1 keep 6x6 echelons over the towers fast
 _SMALL_ENTRIES = {
     "f2t": ("t", "t+1", "1/t", "t/(t+1)"),
@@ -323,6 +348,14 @@ def test_payload_products_and_echelon_match_element_reference(name):
     ring = _product_rings()[name]
     rng = random.Random(10)
     draw = _small_sampler(name, ring, rng)
+    undecided = 0
+    if name == "k1":
+        # diag(1+j, 1): column 0 holds the non-unit z = 1+j and no pivot, so
+        # the echelon does not decide b*x = 0 nor b*x = (z, 0), though
+        # x = (1, 0) solves the second
+        z = ring.z()
+        b = Matrix.diagonal(ring, [z, ring.one()])
+        assert _check_kernel_and_solve(b, [Vector(ring, [z, ring.zero()])])
     # fewer 6x6 ones over the infinite rings, where fractions grow
     for n, count in ((4, 12), (6, 4 if ring.order else 2)):
         mats = list(_test_matrices(draw, ring, n, count, rng))
@@ -337,16 +370,8 @@ def test_payload_products_and_echelon_match_element_reference(name):
                 x.entries, [_ref_dot(row, y.entries) for row in a.entries])
             pivots = _ref_echelon([list(r) for r in a.entries], ring, n)[1]
             assert a.rank() == len(pivots)
-            assert [list(v) for v in a.kernel_basis()] == _ref_kernel(a)
-            # over k(1) a column of non-units gets no pivot, so there the
-            # echelon's free-variable vectors need not lie in the kernel
-            if name != "k1":
-                assert all(not any(_ref_dot(row, v.entries) for row in a.entries)
-                           for v in a.kernel_basis())
-            for rhs in (y, Vector(ring, [draw() for _ in range(n)])):
-                expected = _ref_solve(a, rhs.entries)
-                solution = a.solve(rhs)
-                assert (None if solution is None else list(solution)) == expected
+            undecided += _check_kernel_and_solve(
+                a, [y, Vector(ring, [draw() for _ in range(n)])])
             if len(pivots) < n:
                 with pytest.raises(SingularMatrix):
                     a.inverse()
@@ -358,6 +383,9 @@ def test_payload_products_and_echelon_match_element_reference(name):
                         [list(r) + i for r, i in zip(a.entries, identity)], ring, n)[0]]
                 if n == 4:
                     assert _ref_mul(a, inv) == identity and _ref_mul(inv, a) == identity
+    # only a local ring with non-units can leave a column undecided; the
+    # seeded k(1) matrices with a column of non-units include such ones
+    assert (undecided > 0) == (name == "k1")
 
 
 def test_mixed_ring_products_raise(gf2, gf4):

@@ -5,6 +5,7 @@ import pytest
 
 from char2forms import groups as G
 from char2forms.exterior import compound_matrix, hodge
+from char2forms.fields import GF2k
 from char2forms.forms import BilinearForm
 from char2forms.kalgebra import build_module
 from char2forms.linalg import Matrix, Vector
@@ -56,36 +57,83 @@ def test_closure_order_matches_compares_sets_not_counts(gf2, gf4):
     assert not closure_order_matches(replace(result, field=gf4), closure)
 
 
-def _literal_isometries(h):
-    """Every invertible 3x3 A over GF(2) with A^T H A = H, as row tuples,
-    filtered over all 512 matrices with plain int arithmetic."""
+def _gf4_mul(a, b):
+    # carry-less product modulo x^2 + x + 1, independent of the field's tables
+    p = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+    return p ^ 0b111 if p & 0b100 else p
+
+
+def _literal_isometries(h, q, mul):
+    """Every invertible n x n A over GF(q) with A^T H A = H, as row tuples,
+    filtered over all q^(n^2) matrices with plain int arithmetic (n <= 3)."""
+    n = len(h)
+
+    def dot(xs, ys):
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc ^= mul(x, y)
+        return acc
+
+    def det(a):
+        if n == 2:
+            return mul(a[0][0], a[1][1]) ^ mul(a[0][1], a[1][0])
+        return (mul(a[0][0], mul(a[1][1], a[2][2]) ^ mul(a[1][2], a[2][1]))
+                ^ mul(a[0][1], mul(a[1][0], a[2][2]) ^ mul(a[1][2], a[2][0]))
+                ^ mul(a[0][2], mul(a[1][0], a[2][1]) ^ mul(a[1][1], a[2][0])))
+
     found = set()
-    for a in product(product((0, 1), repeat=3), repeat=3):
-        congruent = all(
-            sum(a[k][i] & h[k][m] & a[m][j] for k in range(3) for m in range(3)) % 2 == h[i][j]
-            for i in range(3) for j in range(3))
-        det = (a[0][0] & (a[1][1] & a[2][2] ^ a[1][2] & a[2][1])
-               ^ a[0][1] & (a[1][0] & a[2][2] ^ a[1][2] & a[2][0])
-               ^ a[0][2] & (a[1][0] & a[2][1] ^ a[1][1] & a[2][0]))
-        if congruent and det:
+    for a in product(product(range(q), repeat=n), repeat=n):
+        cols = list(zip(*a))
+        h_cols = [[dot(h_row, col) for h_row in h] for col in cols]  # H a_j
+        congruent = all(dot(cols[i], h_cols[j]) == h[i][j]
+                        for i in range(n) for j in range(n))
+        if congruent and det(a):
             found.add(a)
     return found
 
 
-def test_full_scan_matches_literal_filter_on_every_3x3_gf2_gram(gf2):
-    # all 64 symmetric Grams, degenerate and alternating ones included: the
-    # pruned scan must decide every matrix without assuming non-degeneracy
-    cells = [(i, j) for i in range(3) for j in range(i, 3)]
-    for values in product((0, 1), repeat=len(cells)):
-        h = [[0] * 3 for _ in range(3)]
+def _every_symmetric_gram(q, n):
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for values in product(range(q), repeat=len(cells)):
+        h = [[0] * n for _ in range(n)]
         for (i, j), v in zip(cells, values):
             h[i][j] = h[j][i] = v
-        result = enumerate_isometries(BilinearForm(Matrix(gf2, h)))
-        assert result.method == "full_gl_scan"
-        rows = {tuple(tuple(e.payload for e in row) for row in m.entries)
-                for m in result.elements}
-        assert len(rows) == result.order
-        assert rows == _literal_isometries(h)
+        yield h
+
+
+def _payload_rows(result):
+    rows = {tuple(tuple(e.payload for e in row) for row in m.entries) for m in result.elements}
+    assert len(rows) == result.order
+    return rows
+
+
+def test_full_scan_matches_literal_filter_on_every_3x3_gf2_gram(gf2, gf4):
+    # all 64 symmetric 3x3 Grams over GF(2) and all 64 symmetric 2x2 Grams
+    # over GF(4), degenerate and alternating ones included: the pruned scan
+    # must decide every matrix without assuming non-degeneracy
+    for field, q, n, mul in ((gf2, 2, 3, lambda a, b: a & b), (gf4, 4, 2, _gf4_mul)):
+        for h in _every_symmetric_gram(q, n):
+            gram = Matrix(field, [[field.from_int(x) if q == 2 else field.from_bits(x)
+                                   for x in row] for row in h])
+            result = enumerate_isometries(BilinearForm(gram))
+            assert result.method == "full_gl_scan"
+            assert _payload_rows(result) == _literal_isometries(h, q, mul)
+
+
+def test_oracle_matches_closure_on_3x3_gf8_form():
+    # 3x3 over GF(8) packs 9 bits per vector, so the pairing filters and the
+    # column spreads take two table chunks; |GL3(8)| is above the full-scan
+    # bound, so the label is backtracking
+    gf8 = GF2k(3, 0b1011)
+    form = BilinearForm(Matrix.identity(gf8, 3))
+    result = enumerate_isometries(form)
+    assert result.method == "backtracking"
+    assert result.order == 504  # SL2(8)
+    closure = G.generate_closure(list(G.o3_standard_form_group(gf8).generators))
+    assert len(closure) == 504
+    assert closure_order_matches(result, closure)
+    assert all(G.is_isometry(form, m) for m in result.elements)
+    assert all(not m.det().is_zero() for m in result.elements)
 
 
 def test_enumerate_small_gf4(gf4):
