@@ -15,8 +15,8 @@ from one interned element per payload, only where they are read.
 On the identity form over GF(4) (3,840 isometries) the closure of the
 `classify` generators takes 3-6 ms and the oracle 15-26 ms, against 33-53
 ms and 48-75 ms on tuples of payloads with a table lookup per scalar
-product; over GF(8) (258,048 isometries) 0.3-0.55 s and 1.4-2.3 s, against
-3.4-4.2 s and 6.3-8.1 s (Python 3.11, 2 shared x86-64 cores).
+product; over GF(8) (258,048 isometries) 0.7-0.85 s and 2.9-4.4 s, against
+2.6-4.4 s and 6.0-8.5 s (Python 3.11, 2 shared x86-64 cores).
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ class IntField:
         if len(tables) == 1:
             table, = tables
             return [v for v in values if table[v] == target]
-        if len(tables) == 2:
-            low, high = tables
-            return [v for v in values if low[v & CHUNK_MASK] ^ high[v >> CHUNK] == target]
         apply = self.apply
         return [v for v in values if apply(tables, v) == target]
 
@@ -155,9 +152,6 @@ class IntField:
         if len(right) == 1:
             table, = right
             return tuple([table[row] for row in a])
-        if len(right) == 2:
-            low, high = right
-            return tuple([low[row & CHUNK_MASK] ^ high[row >> CHUNK] for row in a])
         apply = self.apply
         return tuple([apply(right, row) for row in a])
 

@@ -39,8 +39,8 @@ from .linalg import Matrix, Vector, bilinear
 
 # `classify` closes the generators and enumerates the group only up to this
 # order: the identity form gives 48 over GF(2) and 3,840 over GF(4), but
-# 258,048 over GF(8), where the closure takes 0.3-0.55 s, the oracle
-# 1.4-2.3 s and the packed-row comparison 0.2-0.26 s (Python 3.11, 2 shared
+# 258,048 over GF(8), where the closure takes 0.7-0.85 s, the oracle
+# 2.9-4.4 s and the packed-row comparison 0.2-0.26 s (Python 3.11, 2 shared
 # cores, 145 MB peak)
 MAX_VERIFIED_ORDER = 10 ** 5
 

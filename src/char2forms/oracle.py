@@ -21,7 +21,7 @@ closure with them as sets of packed payload rows, after checking that the
 closure lies over the same field and has the same order.  Over a small
 field `generate_closure` hands over its own packed rows, so neither side is
 decoded into matrices.  On the identity form (Python 3.11, 2 shared cores)
-the enumeration takes 15-26 ms over GF(4) and 1.4-2.3 s over GF(8), and
+the enumeration takes 15-26 ms over GF(4) and 2.9-4.4 s over GF(8), and
 the 258,048 elements of GF(8) compare in 0.2-0.26 s.
 
 `brute_pq_scalar` walks all q^6 2-vectors as payload 6-tuples through
