@@ -34,7 +34,7 @@ from .forms import (BilinearForm, FormError, orthogonalize, quadratic_data,
                     discriminant_class)
 from .groups import NotUnimodular, classify, generate_closure, sl2_decompose
 from .kalgebra import KAlgebra, KAlgebraError, build_module, normalize_split, wz_submodule
-from .linalg import Matrix, Vector, bilinear
+from .linalg import Matrix, Vector
 
 
 # `classify` closes the generators and enumerates the group only up to this
@@ -333,9 +333,11 @@ def _verify_pq(doc: InputDocument, data, rng, report: Report) -> None:
     field = doc.field
     dim = data.space.dim
     basis = [Vector.unit(field, dim, i) for i in range(dim)]
+    # the polar-form comparison is stated at volume scale 1
+    pf = data.pf_gram * data.volume_scale.inverse()
     polar_ok = all(
-        pq(x + y) + pq(x) + pq(y) == _pf_scale1(data, x, y)
-        for x in basis for y in basis)
+        pq(x + y) + pq(x) + pq(y) == pf[i, j]
+        for i, x in enumerate(basis) for j, y in enumerate(basis))
     report.check("Pq polar form = Pf (scale 1)", polar_ok)
     if field.order is not None and field.order <= oracle.KLEIN_EXHAUSTIVE_ORDER:
         s = oracle.brute_pq_scalar(field)
@@ -345,11 +347,6 @@ def _verify_pq(doc: InputDocument, data, rng, report: Report) -> None:
                  for _ in range(50))
         s, ok = klein_scalar(field, draws)
         report.check(f"Pq(X)^2 = s*det(altX), sampled, s = {s}", ok)
-
-
-def _pf_scale1(data, x, y):
-    # the polar-form comparison is stated at volume scale 1
-    return bilinear(data.pf_gram, x, y) * data.volume_scale.inverse()
 
 
 def cmd_decompose(doc: InputDocument, args, report: Report) -> int:

@@ -7,6 +7,10 @@ h(v,v) != 0, and the construction is an induction with a repair step that
 absorbs a hyperbolic plane whenever the remaining complement is alternating
 on itself.
 
+The pairings of two vector families X and Y (as columns) are computed as
+one Gram product X^T G Y, and a combination of a family S with coefficients
+c as one product S c, not pair by pair and term by term.
+
 On an orthogonal basis with diagonal values c_i the quadratic form
 q(x) = h(x,x) = sum x_i^2 c_i is semilinear over the subfield of squares, so
 its kernel and the dimension of its range reduce to the square-span machinery
@@ -61,12 +65,9 @@ class BilinearForm:
     def dim(self) -> int:
         return self.gram.nrows
 
-    def evaluate(self, x: Vector, y: Vector) -> FieldElement:
-        return bilinear(self.gram, x, y)
-
     def q(self, x: Vector) -> FieldElement:
         """The quadratic form q(x) = h(x, x)."""
-        return self.evaluate(x, x)
+        return bilinear(self.gram, x, x)
 
     def is_alternating(self) -> bool:
         # q(sum x_i v_i) = sum x_i^2 q(v_i) in char 2, so the diagonal decides
@@ -142,24 +143,17 @@ def orthogonalize(form: BilinearForm) -> tuple[list[Vector], list[FieldElement]]
         x, y = _hyperbolic_pair(form, space)
         w_k = orthos[-1]
         a = form.q(w_k)
-        w_rep = w_k + x
-        w_plus1 = w_k + y.scale(a)
-        w_plus2 = w_k + x + y.scale(a)
-        require(all(form.q(v) == a for v in (w_rep, w_plus1, w_plus2))
-                and form.evaluate(w_rep, w_plus1).is_zero()
-                and form.evaluate(w_rep, w_plus2).is_zero()
-                and form.evaluate(w_plus1, w_plus2).is_zero(),
+        triple = [w_k + x, w_k + y.scale(a), w_k + x + y.scale(a)]
+        require(form.congruent(Matrix.from_columns(field, triple)).gram
+                == Matrix.identity(field, 3) * a,
                 "internal: the hyperbolic repair step is not orthogonal")
-        orthos[-1] = w_rep
-        orthos.append(w_plus1)
-        orthos.append(w_plus2)
+        orthos[-1:] = triple
         space = _orthogonal_within(form, space, [x, y])
 
     basis = orthos + radical
-    diag = [form.q(v) for v in orthos] + [field.zero()] * len(radical)
     gram = form.congruent(Matrix.from_columns(field, basis)).gram
     require(gram.is_diagonal(), "internal: the orthogonal basis does not diagonalize")
-    return basis, diag
+    return basis, [gram[i, i] for i in range(n)]
 
 
 def _extend_to_complement(field, radical: list[Vector], n: int) -> list[Vector]:
@@ -181,22 +175,16 @@ def _extend_to_complement(field, radical: list[Vector], n: int) -> list[Vector]:
 def _orthogonal_within(form: BilinearForm, space: list[Vector],
                        constraints: list[Vector]) -> list[Vector]:
     """Basis of {v in span(space) : h(v, w) = 0 for all constraint w}."""
-    field = form.field
-    rows = [[form.evaluate(v, w) for v in space] for w in constraints]
-    coeff_vectors = Matrix(field, rows).kernel_basis()
-    out = []
-    for coeffs in coeff_vectors:
-        v = Vector.zero(field, form.dim)
-        for c, b in zip(coeffs, space):
-            v = v + b.scale(c)
-        out.append(v)
-    return out
+    s = Matrix.from_columns(form.field, space)
+    pairings = Matrix(form.field, [w.entries for w in constraints]) * form.gram * s
+    return [s * c for c in pairings.kernel_basis()]
 
 
 def _hyperbolic_pair(form: BilinearForm, space: list[Vector]) -> tuple[Vector, Vector]:
+    pairs = form.congruent(Matrix.from_columns(form.field, space)).gram
     for i in range(len(space)):
         for j in range(i + 1, len(space)):
-            value = form.evaluate(space[i], space[j])
+            value = pairs[i, j]
             if not value.is_zero():
                 return space[i], space[j].scale(value.inverse())
     raise FormError("internal: no hyperbolic pair in a non-degenerate space")
@@ -222,13 +210,10 @@ def quadratic_data(form: BilinearForm) -> QuadraticData:
         raise AlternatingForm("q vanishes identically on an alternating form")
     basis, diag = orthogonalize(form)
     range_dimension = square_span_dimension(diag)
-    kernel = []
-    for coeffs in square_span_kernel(diag):
-        v = Vector.zero(form.field, form.dim)
-        for c, b in zip(coeffs, basis):
-            v = v + b.scale(c)
+    s = Matrix.from_columns(form.field, basis)
+    kernel = [s * Vector(form.field, coeffs) for coeffs in square_span_kernel(diag)]
+    for v in kernel:
         require(form.q(v).is_zero(), "internal: a kernel vector of q has q(v) != 0")
-        kernel.append(v)
     return QuadraticData(values=tuple(diag), basis=tuple(basis),
                          kernel=tuple(kernel), defect=form.dim - range_dimension,
                          range_dimension=range_dimension)

@@ -432,20 +432,19 @@ def h1_b_basis(field) -> Matrix:
     return _one_plus_block(field, t_hat(field))
 
 
-def _norm_block_similitude(field, m, a, b) -> Matrix:
-    """diag(A, A) with A = [[a, b], [b m, a]]: multiplier a^2 + b^2 m."""
+def _norm_block_similitude(field, basis, m, a, b) -> tuple[Matrix, FieldElement]:
+    """diag(A, A) with A = [[a, b], [b m, a]] in the given basis, moved to
+    standard coordinates, and its multiplier a^2 + b^2 m."""
     a, b, m = field.coerce(a), field.coerce(b), field.coerce(m)
     blk = Matrix(field, [[a, b], [b * m, a]])
     z = Matrix.zeros(field, 2, 2)
-    return Matrix.block([[blk, z], [z, blk]])
+    mat = basis * Matrix.block([[blk, z], [z, blk]]) * basis.inverse()
+    return mat, a * a + b * b * m
 
 
 def h1_similitude(field, m, a, b) -> tuple[Matrix, FieldElement]:
     """A similitude of H1 with multiplier a^2 + b^2 m, in standard coordinates."""
-    a, b, m = field.coerce(a), field.coerce(b), field.coerce(m)
-    basis = h1_b_basis(field)
-    mat = basis * _norm_block_similitude(field, m, a, b) * basis.inverse()
-    return mat, a * a + b * b * m
+    return _norm_block_similitude(field, h1_b_basis(field), m, a, b)
 
 
 def h2_isometry(field, m, a, b, c) -> Matrix:
@@ -467,10 +466,8 @@ def h2_d_basis(field) -> Matrix:
 
 
 def h2_similitude(field, m, a, b) -> tuple[Matrix, FieldElement]:
-    a, b, m = field.coerce(a), field.coerce(b), field.coerce(m)
-    basis = h2_d_basis(field)
-    mat = basis * _norm_block_similitude(field, m, a, b) * basis.inverse()
-    return mat, a * a + b * b * m
+    """A similitude of H2 with multiplier a^2 + b^2 m, in standard coordinates."""
+    return _norm_block_similitude(field, h2_d_basis(field), m, a, b)
 
 
 def h2_eta_o_matrix(field, m, a, b, c) -> Matrix:
@@ -738,10 +735,10 @@ def classify(form: BilinearForm) -> ClassificationReport:
     """Normalize a 4-dimensional form to its defect case and build the report."""
     if form.dim != 4:
         raise FormError("the classification covers dimension 4")
-    if form.is_degenerate():
+    disc = form.gram.det()
+    if disc.is_zero():
         raise DegenerateForm("classification needs a non-degenerate form")
     qd = quadratic_data(form)
-    disc = form.gram.det()
     k_split = disc.is_square()
     defect = qd.defect
 
@@ -918,24 +915,22 @@ def _classify_defect2(form, qd, k_split) -> ClassificationReport:
 def _classify_defect1(form, qd, k_split) -> ClassificationReport:
     field = form.field
     u1 = qd.kernel[0]
-    anchor = next(i for i in range(4)
-                  if not form.evaluate(u1, Vector.unit(field, 4, i)).is_zero())
-    e = Vector.unit(field, 4, anchor)
-    u2_vec = e.scale(form.evaluate(u1, e).inverse())
+    # h(u1, e_i) is entry i of G u1.  u2 is the first e_i with h(u1, e_i) != 0,
+    # scaled so that h(u1, u2) = 1; h(u2, -) is then a multiple of row i of G,
+    # which cuts out the same complement
+    g_u1 = form.gram * u1
+    anchor = next(i for i, x in enumerate(g_u1) if not x.is_zero())
+    u2_vec = Vector.unit(field, 4, anchor).scale(g_u1[anchor].inverse())
     s_val = form.q(u2_vec)
     require(not s_val.is_zero(), "internal: defect 1 forces h(u2,u2) != 0")
     u1s = u1.scale(s_val)
 
-    rows = [[form.evaluate(u1, Vector.unit(field, 4, j)) for j in range(4)],
-            [form.evaluate(u2_vec, Vector.unit(field, 4, j)) for j in range(4)]]
-    complement = Matrix(field, rows).kernel_basis()
+    complement = Matrix(field, [g_u1.entries, form.gram.entries[anchor]]).kernel_basis()
     require(len(complement) == 2, "internal: the hyperbolic plane has no 2-dim complement")
-    sub_gram = Matrix(field, [[form.evaluate(x, y) * s_val.inverse() for y in complement]
-                              for x in complement])
-    sub_basis, sub_diag = orthogonalize(BilinearForm(sub_gram))
-    u3 = complement[0].scale(sub_basis[0][0]) + complement[1].scale(sub_basis[0][1])
-    u4 = complement[0].scale(sub_basis[1][0]) + complement[1].scale(sub_basis[1][1])
-    c3, c4 = sub_diag
+    c = Matrix.from_columns(field, complement)
+    sub_gram = form.congruent(c).gram * s_val.inverse()
+    sub_basis, (c3, c4) = orthogonalize(BilinearForm(sub_gram))
+    u3, u4 = (c * v for v in sub_basis)
 
     s = Matrix.from_columns(field, [u1s, u2_vec, u3, u4])
     return _case_report(

@@ -23,6 +23,7 @@ g-isotropic K-submodule with W/Wz isomorphic to Wz via w + Wz -> wz.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import Char2FormsError, require
@@ -208,26 +209,23 @@ class KModule:
         x0, x1 = self.algebra.parts(k)
         return w.scale(x0) + (self.hodge.j_matrix * w).scale(x1)
 
+    @cached_property
     def _phi_inverse(self) -> Matrix:
         # inverse of the F-matrix whose columns pair each B1 wedge with its
         # J-image; cached, since eta solves against it repeatedly
-        cached = getattr(self, "_phi_inverse_cache", None)
-        if cached is None:
-            cols = []
-            for s in self.basis_sets:
-                e = self.basis_vector(s)
-                cols.append(e)
-                cols.append(self.hodge.j_matrix * e)
-            try:
-                cached = Matrix.from_columns(self.field, cols).inverse()
-            except SingularMatrix:
-                raise KAlgebraError("internal: B1 failed to span the module") from None
-            object.__setattr__(self, "_phi_inverse_cache", cached)
-        return cached
+        cols = []
+        for s in self.basis_sets:
+            e = self.basis_vector(s)
+            cols.append(e)
+            cols.append(self.hodge.j_matrix * e)
+        try:
+            return Matrix.from_columns(self.field, cols).inverse()
+        except SingularMatrix:
+            raise KAlgebraError("internal: B1 failed to span the module") from None
 
     def k_coordinates(self, w: Vector) -> list[FieldElement]:
         """Coordinates of w over the K-basis B1 (solve in the F-picture)."""
-        sol = self._phi_inverse() * w
+        sol = self._phi_inverse * w
         return [self.algebra.element(sol[2 * i], sol[2 * i + 1])
                 for i in range(len(self.basis_sets))]
 
@@ -266,12 +264,10 @@ def build_module(data: HodgeData) -> KModule:
         if not support <= other:
             raise KAlgebraError(f"J does not map wedge {s} into the complementary span")
 
-    def g_entry(s, t):
-        u = data.space.basis_vector(field, s)
-        v = data.space.basis_vector(field, t)
-        return algebra.element(bilinear(data.lh_gram, u, v), bilinear(data.pf_gram, u, v))
-
-    gram = Matrix(algebra, [[g_entry(s, t) for t in basis_sets] for s in basis_sets])
+    # g on two wedge basis vectors reads the entries of Lh and Pf
+    b1 = [data.space.position(s) for s in basis_sets]
+    gram = Matrix(algebra, [[algebra.element(data.lh_gram[i, k], data.pf_gram[i, k])
+                             for k in b1] for i in b1])
     return KModule(hodge=data, algebra=algebra, basis_sets=basis_sets,
                    g_gram=gram, split=algebra.is_split())
 
@@ -311,12 +307,13 @@ def wz_submodule(module: KModule) -> tuple[list[Vector], Matrix]:
     require(combined.rank() == 2 * m, "Wz does not complement the span of B1")
     for u in basis:
         require(module.hodge.j_matrix * u == u, "j must fix Wz pointwise")
-        for v in basis:
-            require(module.g_value(u, v).is_zero(), "g must vanish on Wz")
+    wz_mat = Matrix.from_columns(field, basis)
+    wz_rows = wz_mat.transpose()
+    require((wz_rows * module.hodge.lh_gram * wz_mat).is_zero()
+            and (wz_rows * module.hodge.pf_gram * wz_mat).is_zero(), "g must vanish on Wz")
     # rho_z sends the class of the i-th B1 wedge to the i-th basis vector of Wz;
     # solve honestly to confirm it is the identity matrix.
     # each image lies in the span by construction, so solve never returns None
-    wz_mat = Matrix.from_columns(field, basis)
     rho = Matrix.from_columns(field, [wz_mat.solve(w) for w in basis])
     require(rho == Matrix.identity(field, m), "rho_z is not the identity on the B1 classes")
     return basis, rho

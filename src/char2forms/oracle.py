@@ -9,9 +9,9 @@ The enumeration uses only the Gram matrix H.  One column search serves it:
 image columns are chosen among the candidates of the right norm, and each
 chosen column filters the candidates of the later columns, so a column
 prefix that breaks A^T H A = H rejects all of its completions at once and
-every one of the q^(n^2) matrices is decided.  When the general linear
-group is small enough the result is labelled `full_gl_scan`, and every
-survivor is rank-checked, so nothing is assumed about H; otherwise it is
+every one of the q^(n^2) matrices is decided.  When q^(n^2) <= 2^22 (so
+|GL_n(q)| < q^(n^2) is small too) the result is labelled `full_gl_scan`, and
+every survivor is rank-checked, so nothing is assumed about H; otherwise it is
 labelled `backtracking`, and survivors are rank-checked when H is
 degenerate (a non-degenerate H makes every congruent matrix invertible).
 The search runs on the packed vectors and rows of `_smallfield.IntField`:
@@ -56,18 +56,10 @@ class NoConsistentScalar(OracleError):
     pass
 
 
-FULL_SCAN_GL_BOUND = 5 * 10 ** 7
 # the exhaustive Klein-quadric check walks q^6 vectors on payloads: 4^6 take
 # about 30 ms, 8^6 about 3 s; 16^6 would take about 2.5 minutes (Python
 # 3.11, one core)
 KLEIN_EXHAUSTIVE_ORDER = 8
-
-
-def _gl_order(q: int, n: int) -> int:
-    order = 1
-    for i in range(n):
-        order *= q ** n - q ** i
-    return order
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
     n = form.dim
     q = intf.order
     gram = intf.encode_matrix(form.gram)
-    full_scan = _gl_order(q, n) <= FULL_SCAN_GL_BOUND and q ** (n * n) <= 2 ** 22
+    full_scan = q ** (n * n) <= 2 ** 22
     # a non-degenerate H makes every congruent A invertible; the full scan
     # checks every survivor anyway, so that it assumes nothing about H
     check_rank = full_scan or not intf.independent(gram)
