@@ -195,11 +195,12 @@ def cmd_analyze(doc: InputDocument, args, report: Report) -> int:
     report.item("field", doc.field.describe())
     report.item("dimension", form.dim)
     report.item("alternating", _yesno(form.is_alternating()))
-    report.item("degenerate", _yesno(form.is_degenerate()))
+    degenerate = form.is_degenerate()
+    report.item("degenerate", _yesno(degenerate))
     basis, diag = orthogonalize(form)
     report.block("orthogonal basis columns", Matrix.from_columns(doc.field, basis))
     report.item("diagonal", " ".join(str(d) for d in diag))
-    if form.is_degenerate():
+    if degenerate:
         report.item("note", "degenerate form: defect analysis skipped")
         return 0
     qd = quadratic_data(form)

@@ -5,7 +5,7 @@ import pytest
 
 from char2forms import groups as G
 from char2forms.exterior import compound_matrix, hodge
-from char2forms.fields import GF2k
+from char2forms.fields import FieldElement, GF2k
 from char2forms.forms import BilinearForm
 from char2forms.kalgebra import build_module
 from char2forms.linalg import Matrix, Vector
@@ -164,30 +164,86 @@ def test_pq_scalar(gf2, gf4):
     assert brute_pq_scalar(gf4).is_one()
 
 
-def test_pq_scalar_exhaustive_only_up_to_gf8():
-    # 8^6 vectors take about 3 s; 16^6 would take about 2.5 minutes
-    from char2forms.fields import GF2k
+def test_pq_scalar_exhaustive_only_up_to_gf8(gf2):
+    # the bit-sliced pass takes about 0.25 ms over GF(4) and 2.7 ms over
+    # GF(8); GF(16) stays sampled.  The kernel works on GF(2^k) payload
+    # bits, so the ring k(1) of order 4 is refused too.
+    from char2forms.kalgebra import KAlgebra
     with pytest.raises(TooLarge):
         brute_pq_scalar(GF2k(4, 0b10011))
+    with pytest.raises(TooLarge):
+        brute_pq_scalar(KAlgebra(gf2, gf2.one()))
+
+
+def _flip_at_e12_e34(planes, field, bit):
+    # bit `bit` of the value at the 2-vector e12 + e34 (Pq = 1, det = 1),
+    # point q^5 + 1 in itertools.product order
+    planes = list(planes)
+    planes[bit] ^= 1 << (field.order ** 5 + 1)
+    return planes
 
 
 def test_pq_scalar_detects_one_wrong_determinant(gf2, gf4, monkeypatch):
-    # a determinant that is wrong on the single 2-vector e12 + e34 (Pq = 1,
-    # det = 1) must break the exhaustive check
-    from char2forms import exterior
-    det_rows = exterior.det_rows
-    for field in (gf2, gf4):
-        one = field._from_int(1)
-        target = exterior._alt_rows(field._from_int(0), (one, 0, 0, 0, 0, one))
-
-        def wrong_once(ring, rows, target=target):
-            value = det_rows(ring, [list(r) for r in rows])
-            return ring._add(value, one) if rows == target else value
-        monkeypatch.setattr(exterior, "det_rows", wrong_once)
-        with pytest.raises(NoConsistentScalar):
-            brute_pq_scalar(field)
-        monkeypatch.setattr(exterior, "det_rows", det_rows)
+    # a determinant that is wrong on the single 2-vector e12 + e34, whether
+    # zero there or another nonzero value, must break the exhaustive check
+    from char2forms import oracle
+    klein_planes = oracle._klein_planes
+    for field in (gf2, gf4, GF2k(3, 0b1011)):
+        for bit in range(field.order.bit_length() - 1):
+            def wrong_once(intf, bit=bit, field=field):
+                lhs, det = klein_planes(intf)
+                return lhs, _flip_at_e12_e34(det, field, bit)
+            monkeypatch.setattr(oracle, "_klein_planes", wrong_once)
+            with pytest.raises(NoConsistentScalar):
+                brute_pq_scalar(field)
+        monkeypatch.setattr(oracle, "_klein_planes", klein_planes)
         assert brute_pq_scalar(field).is_one()
+
+
+def test_pq_scalar_detects_one_wrong_pq(gf2, gf4, monkeypatch):
+    from char2forms import oracle
+    pq_payload = oracle._pq_payload
+    for field in (gf2, gf4, GF2k(3, 0b1011)):
+        for bit in range(field.order.bit_length() - 1):
+            def wrong_once(sliced, coords, bit=bit, field=field):
+                return _flip_at_e12_e34(pq_payload(sliced, coords), field, bit)
+            monkeypatch.setattr(oracle, "_pq_payload", wrong_once)
+            with pytest.raises(NoConsistentScalar):
+                brute_pq_scalar(field)
+        monkeypatch.setattr(oracle, "_pq_payload", pq_payload)
+        assert brute_pq_scalar(field).is_one()
+
+
+def _decode(planes, size):
+    values = [0] * size
+    for b, plane in enumerate(planes):
+        for i, bit in enumerate(reversed(format(plane, f"0{size}b"))):
+            if bit == "1":
+                values[i] |= 1 << b
+    return values
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf4", "gf8"])
+def test_klein_planes_match_element_reference(name, gf2, gf4):
+    # every point over GF(2) and GF(4), 2,000 seeded points over GF(8)
+    import random
+    from char2forms.exterior import alt_matrix, klein_scalar, pq
+    from char2forms.oracle import _klein_planes
+    from char2forms._smallfield import IntField
+    field = {"gf2": gf2, "gf4": gf4, "gf8": GF2k(3, 0b1011)}[name]
+    size = field.order ** 6
+    lhs, det = (_decode(planes, size) for planes in _klein_planes(IntField(field)))
+    points = list(product(range(field.order), repeat=6))
+    if name == "gf8":
+        points = random.Random(13).sample(points, 2000)
+    for coords in points:
+        i = sum(c * field.order ** (5 - m) for m, c in enumerate(coords))
+        x = Vector(field, [FieldElement(field, c) for c in coords])
+        assert lhs[i] == (pq(x) * pq(x)).payload
+        assert det[i] == alt_matrix(x).det().payload
+    if name == "gf8":
+        s, agree = klein_scalar(field, points)
+        assert s.is_one() and agree
 
 
 def test_pq_scalar_homogeneous(gf4):
