@@ -876,6 +876,9 @@ class RationalFunctionField(Field):
         return mapping
 
     def random_element(self, rng, size=2):
+        if self.packed:
+            return self._random_packed(rng, size)
+
         def random_poly(max_deg, nonzero=False):
             while True:
                 p = Poly(self.base, [self.base.random_element(rng).payload
@@ -885,6 +888,23 @@ class RationalFunctionField(Field):
         num = random_poly(size)
         den = random_poly(size, nonzero=True) if rng.randrange(2) else Poly.one(self.base)
         return self.from_fraction(num, den)
+
+    def _random_packed(self, rng, size):
+        """`random_element` over F2(t), building the bit masks directly: the
+        same `rng` calls in the same order as the `Poly` path, one
+        randrange(2) per coefficient, so the same element."""
+        randrange = rng.randrange
+
+        def random_bits(nonzero=False):
+            while True:
+                bits = 0
+                for i in range(randrange(size + 1) + 1):
+                    bits |= randrange(2) << i
+                if bits or not nonzero:
+                    return bits
+        num = random_bits()
+        den = random_bits(nonzero=True) if randrange(2) else 1
+        return FieldElement(self, _f2t_reduce(num, den))
 
     def square_monomials(self):
         base_monos = self.base.square_monomials()

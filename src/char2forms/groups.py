@@ -738,7 +738,7 @@ def classify(form: BilinearForm) -> ClassificationReport:
     disc = form.gram.det()
     if disc.is_zero():
         raise DegenerateForm("classification needs a non-degenerate form")
-    qd = quadratic_data(form)
+    qd = quadratic_data(form, det=disc)
     k_split = disc.is_square()
     defect = qd.defect
 

@@ -275,21 +275,8 @@ class Matrix:
         Raises `NonUnitColumn` where the echelon leaves a nonzero non-unit in
         a column without a pivot.
         """
-        ring = self.ring
-        rows = _payload_rows(self)
-        pivots = _echelon(ring, rows)
-        _require_decided(ring, rows, len(pivots), self.ncols)
-        zero, one = ring._from_int(0), ring._from_int(1)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivots:
-                continue
-            vec = [zero] * self.ncols
-            vec[f] = one
-            for r, c in enumerate(pivots):
-                vec[c] = rows[r][f]
-            basis.append(Vector(ring, _elements(self, vec)))
-        return basis
+        return [Vector(self.ring, _elements(self, vec))
+                for vec in kernel_rows(self.ring, _payload_rows(self))]
 
     def solve(self, rhs: Vector) -> Optional[Vector]:
         """One solution of self * x = rhs, or None (free variables zero).
@@ -455,6 +442,25 @@ def _cofactor_det(ring, e):
             total = add(total, mul(e[0][j],
                                    _cofactor_det(ring, [row[:j] + row[j + 1:] for row in e[1:]])))
     return total
+
+
+def kernel_rows(ring, rows) -> list[list]:
+    """The payloads of the `Matrix.kernel_basis` vectors of the payload rows
+    (changed in place): one per free column, in index order."""
+    ncols = len(rows[0])
+    pivots = _echelon(ring, rows)
+    _require_decided(ring, rows, len(pivots), ncols)
+    zero, one = ring._from_int(0), ring._from_int(1)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for r, c in enumerate(pivots):
+            vec[c] = rows[r][f]
+        basis.append(vec)
+    return basis
 
 
 def _require_decided(ring, rows, rank: int, ncols: int) -> None:

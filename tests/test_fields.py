@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from char2forms.fields import (DescriptorMismatch, DivisionByZero, FieldElement,
@@ -383,3 +385,29 @@ def test_constructed_payloads_have_monic_denominators(f2tu, gf4, rng):
     for field, items in texts.items():
         for text in items:
             _assert_canonical(field, field.parse(text).payload)
+
+
+def _poly_path_draw(field, rng, size):
+    """`random_element` as it was over every base: coefficients drawn one by
+    one into `Poly` numerators and denominators."""
+    def random_poly(max_deg, nonzero=False):
+        while True:
+            p = Poly(field.base, [field.base.random_element(rng).payload
+                                  for _ in range(rng.randrange(max_deg + 1) + 1)])
+            if not (nonzero and p.is_zero()):
+                return p
+    num = random_poly(size)
+    den = random_poly(size, nonzero=True) if rng.randrange(2) else Poly.one(field.base)
+    return field.from_fraction(num, den)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_packed_random_element_matches_poly_path(f2t, size):
+    # the bit-mask draws over F2(t) give the payloads of the Poly path and
+    # leave the generator in the same state
+    for seed in range(200):
+        packed, reference = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert (f2t.random_element(packed, size).payload
+                    == _poly_path_draw(f2t, reference, size).payload)
+        assert packed.getstate() == reference.getstate()

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from char2forms import forms
 from char2forms.fields import square_span_dimension
 from char2forms.forms import (AlternatingForm, BilinearForm, DegenerateForm, FormError,
                               ZeroForm, discriminant_class, orthogonalize,
@@ -155,3 +158,99 @@ def test_discriminant_examples(gf2, f2t):
     assert rep == f2t.parse("t^2") and sq
     with pytest.raises(DegenerateForm):
         discriminant_class(BilinearForm(Matrix.diagonal(gf2, [1, 0])))
+
+
+def _reference_orthogonalize(form):
+    """The orthogonalization as a loop over vectors, each pairing going
+    through H (q(v) per candidate, W^T H S per step): the construction that
+    `orthogonalize` now runs on the congruent Gram of the remaining space."""
+    field, n = form.field, form.dim
+    radical = form.radical()
+    rows = [list(v.entries) for v in radical]
+    complement = []
+    for i in range(n):
+        if len(rows) + len(complement) == n:
+            break
+        candidate = Vector.unit(field, n, i)
+        trial = rows + [list(v.entries) for v in complement + [candidate]]
+        if Matrix(field, trial).rank() == len(trial):
+            complement.append(candidate)
+
+    def within(space, constraints):
+        s = Matrix.from_columns(field, space)
+        pairings = Matrix(field, [w.entries for w in constraints]) * form.gram * s
+        return [s * c for c in pairings.kernel_basis()]
+
+    orthos, space = [], complement
+    while space:
+        idx = next((i for i, v in enumerate(space) if not form.q(v).is_zero()), None)
+        if idx is not None:
+            orthos.append(space[idx])
+            space = within(space, [space[idx]])
+            continue
+        pairs = form.congruent(Matrix.from_columns(field, space)).gram
+        i, j = next((i, j) for i in range(len(space)) for j in range(i + 1, len(space))
+                    if not pairs[i, j].is_zero())
+        x, y = space[i], space[j].scale(pairs[i, j].inverse())
+        w_k = orthos[-1]
+        a = form.q(w_k)
+        orthos[-1:] = [w_k + x, w_k + y.scale(a), w_k + x + y.scale(a)]
+        space = within(space, [x, y])
+    basis = orthos + radical
+    gram = form.congruent(Matrix.from_columns(field, basis)).gram
+    return basis, [gram[i, i] for i in range(n)]
+
+
+def _reference_cases(field, params, rng):
+    """Normal forms (anisotropic, with hyperbolic planes, degenerate) and
+    seeded congruence scrambles S^T N S with S of small entries."""
+    a, b, c = (field.parse(p) for p in params)
+    one, zero = field.one(), field.zero()
+    hyperbolic = Matrix(field, [[a, zero, zero, zero], [zero, zero, one, zero],
+                                [zero, one, zero, zero], [zero, zero, zero, b]])
+    normals = [Matrix.diagonal(field, [a, b, c, one]), Matrix.identity(field, 4), hyperbolic,
+               Matrix(field, [[a, zero, zero], [zero, zero, one], [zero, one, zero]]),
+               Matrix.diagonal(field, [a, b, one, zero]),
+               Matrix.diagonal(field, [zero, a, zero, c]),
+               Matrix(field, [[zero, one, zero, zero], [one, zero, zero, zero],
+                              [zero, zero, a, zero], [zero, zero, zero, zero]])]
+    small = [zero, zero, one, a, c]
+    for normal in normals:
+        yield normal
+        n = normal.nrows
+        scrambles = 0
+        while scrambles < 3:
+            s = Matrix(field, [[rng.choice(small) for _ in range(n)] for _ in range(n)])
+            if not s.det().is_zero():
+                scrambles += 1
+                yield s.transpose() * normal * s
+
+
+@pytest.mark.parametrize("name, params", [("gf4", ("g", "g+1", "1")),
+                                          ("f2t", ("t", "t+1", "t^2+t+1")),
+                                          ("f2tu", ("u", "t", "u+1"))])
+def test_orthogonalize_matches_vector_pairing_reference(name, params, request, monkeypatch):
+    # the orthogonalization on the congruent Gram returns the basis and the
+    # diagonal of the loop that paired vectors through H, on degenerate forms
+    # and on forms that take the repair step too, with or without det(H)
+    field = request.getfixturevalue(name)
+    rng = random.Random(f"orthogonalize-{name}")
+    repairs = []
+    real = forms._hyperbolic_pair
+
+    def counting(field, gram):
+        repairs.append(len(gram))
+        return real(field, gram)
+
+    monkeypatch.setattr(forms, "_hyperbolic_pair", counting)
+    cases = degenerate = repaired = 0
+    for gram in _reference_cases(field, params, rng):
+        form = BilinearForm(gram)
+        before = len(repairs)
+        expected = _reference_orthogonalize(form)
+        assert orthogonalize(form) == expected
+        assert orthogonalize(form, form.gram.det()) == expected
+        cases += 1
+        degenerate += form.is_degenerate()
+        repaired += len(repairs) > before
+    assert cases == 28 and degenerate >= 12 and repaired >= 3

@@ -1,27 +1,33 @@
-"""Golden `analyze` and `classify --machine` output on congruence scrambles.
+"""Golden `analyze`, `classify --machine` and `verify` output on congruence
+scrambles.
 
 Each `tests/golden/<name>.txt` is S^T N S for a normal form N over F2(t) or
 F2(t)(u) and S a product of two seeded permuted shears (the construction of
 `bench/workloads.py`).  The documents cover defects 0-3, a degenerate form
 (its radical vector comes last in the orthogonal basis) and a non-degenerate
 form whose orthogonalization takes the hyperbolic repair step.  The expected
-stdout is pinned byte for byte in `<name>.analyze` and
-`<name>.classify-machine`.
+stdout is pinned byte for byte in `<name>.analyze`,
+`<name>.classify-machine` and `<name>.verify`.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from char2forms import forms
+from char2forms import cli, forms
 from char2forms.cli import main
+from char2forms.linalg import Matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.stem for p in GOLDEN.glob("*.txt"))
-JOBS = {"analyze": ["analyze"], "classify-machine": ["classify", "--machine"]}
-# the only job that does not exit 0, with its stderr
+JOBS = {"analyze": ["analyze"], "classify-machine": ["classify", "--machine"],
+        "verify": ["verify"]}
+# the jobs that do not exit 0, with their stderr ({path} is the document)
 FAILS = {("degenerate_f2t", "classify-machine"):
-         (2, "error: classification needs a non-degenerate form\n")}
+         (2, "error: classification needs a non-degenerate form\n"),
+         ("degenerate_f2t", "verify"):
+         (2, "error: {path}: verify needs a non-degenerate form\n")}
 
 
 def test_golden_documents_cover_the_cases():
@@ -33,10 +39,11 @@ def test_golden_documents_cover_the_cases():
 @pytest.mark.parametrize("job", sorted(JOBS))
 @pytest.mark.parametrize("name", NAMES)
 def test_golden_output(name, job, capsys):
-    code = main(JOBS[job] + [str(GOLDEN / f"{name}.txt")])
+    path = str(GOLDEN / f"{name}.txt")
+    code = main(JOBS[job] + [path])
     captured = capsys.readouterr()
     expected_code, expected_err = FAILS.get((name, job), (0, ""))
-    assert (code, captured.err) == (expected_code, expected_err)
+    assert (code, captured.err) == (expected_code, expected_err.format(path=path))
     expected = GOLDEN / f"{name}.{job}"
     assert captured.out == (expected.read_text() if expected_code == 0 else "")
 
@@ -53,3 +60,22 @@ def test_repair_document_takes_the_repair_step(monkeypatch, capsys):
     assert main(["analyze", str(GOLDEN / "repair_f2tu.txt")]) == 0
     capsys.readouterr()
     assert calls
+
+
+def test_verify_fails_on_a_corrupted_module_j(monkeypatch, capsys):
+    # `--corrupt-j` corrupts the Hodge data of the input form; here J of the
+    # module built over the orthogonal basis is corrupted instead, which
+    # only the comparison of the two formulas for g reads
+    def corrupted(data):
+        module = real(data)
+        j = data.j_matrix + Matrix.identity(data.field, data.space.dim)
+        return dataclasses.replace(module, hodge=dataclasses.replace(data, j_matrix=j))
+
+    real = cli.build_module
+    monkeypatch.setattr(cli, "build_module", corrupted)
+    assert main(["verify", str(GOLDEN / "defect2_nonsplit_f2t.txt")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "check g two-formula agreement: FAIL" in lines
+    assert [line for line in lines if "FAIL" in line] == [
+        "check g two-formula agreement: FAIL"]
+    assert lines[-1] == "result: 1 check(s) failed"

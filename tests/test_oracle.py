@@ -175,6 +175,35 @@ def test_pq_scalar_exhaustive_only_up_to_gf8(gf2):
         brute_pq_scalar(KAlgebra(gf2, gf2.one()))
 
 
+def test_pq_scalar_is_bit_sliced_over_gf8(monkeypatch):
+    # pins the bit-sliced kernel by operation count, not wall clock: no
+    # per-point determinant and under 1,000 field products, where a walk
+    # over the 8^6 2-vectors makes at least one product per point (the
+    # sampled walk below shows the counter sees those products)
+    from char2forms import exterior
+    from char2forms.exterior import klein_scalar
+    field = GF2k(3, 0b1011)
+    det_calls, mul_calls = [], []
+    det_rows, mul = exterior.det_rows, GF2k._mul
+
+    def counting_det(ring, rows):
+        det_calls.append(len(rows))
+        return det_rows(ring, rows)
+
+    def counting_mul(self, a, b):
+        mul_calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(exterior, "det_rows", counting_det)
+    monkeypatch.setattr(GF2k, "_mul", counting_mul)
+    assert brute_pq_scalar(field).is_one()
+    assert det_calls == [] and len(mul_calls) < 1000
+    points = list(product(range(8), repeat=6))[::262]
+    mul_calls.clear()
+    assert klein_scalar(field, points)[1]
+    assert len(det_calls) == len(points) and len(mul_calls) >= len(points)
+
+
 def _flip_at_e12_e34(planes, field, bit):
     # bit `bit` of the value at the 2-vector e12 + e34 (Pq = 1, det = 1),
     # point q^5 + 1 in itertools.product order
