@@ -30,8 +30,7 @@ from . import oracle
 from .errors import Char2FormsError, CheckFailed
 from .exterior import hodge, hodge_identities, klein_scalar, pq
 from .fields import Field, FieldError, ParseError, parse_field
-from .forms import (BilinearForm, FormError, orthogonalize, quadratic_data,
-                    discriminant_class)
+from .forms import BilinearForm, FormError, quadratic_data, discriminant_class
 from .groups import NotUnimodular, classify, generate_closure, sl2_decompose
 from .kalgebra import KAlgebra, KAlgebraError, build_module, normalize_split, wz_submodule
 from .linalg import Matrix, Vector
@@ -195,18 +194,15 @@ def cmd_analyze(doc: InputDocument, args, report: Report) -> int:
     report.item("field", doc.field.describe())
     report.item("dimension", form.dim)
     report.item("alternating", _yesno(form.is_alternating()))
-    # det(H) and the orthogonal basis are computed once and read by the
-    # degenerate flag, the quadratic analysis and the discriminant line
-    det = form.gram.det()
-    degenerate = det.is_zero()
+    degenerate = form.is_degenerate()
     report.item("degenerate", _yesno(degenerate))
-    basis, diag = orthogonalize(form, det)
+    basis, diag = form.orthogonal()
     report.block("orthogonal basis columns", Matrix.from_columns(doc.field, basis))
     report.item("diagonal", " ".join(str(d) for d in diag))
     if degenerate:
         report.item("note", "degenerate form: defect analysis skipped")
         return 0
-    qd = quadratic_data(form, (basis, diag), det)
+    qd = quadratic_data(form)
     report.item("range dimension", qd.range_dimension)
     report.item("defect", qd.defect)
     if qd.kernel:
@@ -214,7 +210,7 @@ def cmd_analyze(doc: InputDocument, args, report: Report) -> int:
                      Matrix(doc.field, [list(v.entries) for v in qd.kernel]))
     else:
         report.item("kernel of q", "trivial")
-    rep, is_sq = discriminant_class(form, det)
+    rep, is_sq = discriminant_class(form)
     report.item("discriminant", f"{rep} ({'square' if is_sq else 'non-square'})")
     if form.dim % 2 == 0:
         scale = _volume(doc, args.volume_scale)
@@ -276,8 +272,7 @@ def cmd_verify(doc: InputDocument, args, report: Report) -> int:
     report.item("field", doc.field.describe())
     if form.dim % 2:
         raise CliInputError(f"{doc.path}: verify needs an even-dimensional form")
-    det = form.gram.det()
-    if det.is_zero():
+    if form.is_degenerate():
         raise CliInputError(f"{doc.path}: verify needs a non-degenerate form")
     scale = _volume(doc, args.volume_scale)
     rng = random.Random(args.seed)
@@ -300,7 +295,7 @@ def cmd_verify(doc: InputDocument, args, report: Report) -> int:
         _verify_pq(doc, data, rng, report)
 
     # module checks run over an orthogonal basis
-    basis, diag = orthogonalize(form, det)
+    _, diag = form.orthogonal()
     diag_form = BilinearForm(Matrix.diagonal(doc.field, diag))
     module = build_module(hodge(diag_form, scale))
     report.check("g two-formula agreement", _g_formulas_agree(module))

@@ -139,7 +139,7 @@ def hodge(form: BilinearForm, volume_scale=None) -> HodgeData:
     scale = field.one() if volume_scale is None else field.coerce(volume_scale)
     if scale.is_zero():
         raise ZeroVolume("the volume identification must be nonzero")
-    det = form.gram.det()
+    det = form.det()
     if det.is_zero():
         raise DegenerateForm("the Hodge operator needs a non-degenerate form")
     pf = pfaffian_gram(field, n, ell, scale)

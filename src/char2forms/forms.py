@@ -10,8 +10,8 @@ on itself.
 `orthogonalize` keeps the space still to be split as payload columns S with
 its congruent Gram M = S^T H S, so that every h-value and pairing it needs
 is an entry of M, and each step only updates S and M: it never pairs vectors
-through H again until its final check. Per call, with det(H) passed in as
-the CLI does (Python 3.11, 2 shared cores, best of 9 runs of 5 calls on the
+through H again until its final check. Per call, on a form whose det(H)
+is known (Python 3.11, 2 shared cores, best of 9 runs of 5 calls on the
 `tests/golden` forms): defect-3 F2(t) form 1.2-1.4 -> 0.5-0.6 ms, defect-0
 F2(t)(u) form 17-20 -> 8-11 ms, repair-step F2(t)(u) form 1.5-2.5 -> 0.9-1.4
 ms, against the vector-pairing loop it replaced. Other families are paired
@@ -52,7 +52,7 @@ class DegenerateForm(FormError):
 class BilinearForm:
     """A symmetric bilinear form given by its Gram matrix."""
 
-    __slots__ = ("gram",)
+    __slots__ = ("gram", "_det", "_orthogonal")
 
     def __init__(self, gram: Matrix):
         if not gram.is_square():
@@ -60,6 +60,8 @@ class BilinearForm:
         if not gram.is_symmetric():
             raise FormError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_det", None)
+        object.__setattr__(self, "_orthogonal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("forms are immutable")
@@ -86,8 +88,20 @@ class BilinearForm:
     def radical(self) -> list[Vector]:
         return self.gram.kernel_basis()
 
+    def det(self) -> FieldElement:
+        """det(H), computed on first use and kept."""
+        if self._det is None:
+            object.__setattr__(self, "_det", self.gram.det())
+        return self._det
+
+    def orthogonal(self) -> tuple[tuple[Vector, ...], tuple[FieldElement, ...]]:
+        """`orthogonalize(self)` as tuples, computed on first use and kept."""
+        if self._orthogonal is None:
+            object.__setattr__(self, "_orthogonal", tuple(map(tuple, orthogonalize(self))))
+        return self._orthogonal
+
     def is_degenerate(self) -> bool:
-        return self.gram.det().is_zero()
+        return self.det().is_zero()
 
     def congruent(self, basis: Matrix) -> "BilinearForm":
         """The form in the coordinates of the given basis (columns)."""
@@ -114,15 +128,14 @@ class QuadraticData:
     range_dimension: int
 
 
-def orthogonalize(form: BilinearForm,
-                  det=None) -> tuple[list[Vector], list[FieldElement]]:
+def orthogonalize(form: BilinearForm) -> tuple[list[Vector], list[FieldElement]]:
     """An orthogonal basis and its diagonal h-values.
 
     Nonzero diagonal entries come first, radical vectors (value 0) last.
     Degenerate input is allowed (the radical is split off first); alternating
     input raises AlternatingForm.  Pivots are chosen first-come in index
-    order, so the output is deterministic.  A caller that has det(H) passes
-    it as `det`; when it is nonzero the radical is zero and not computed.
+    order, so the output is deterministic.  The radical is computed only
+    when det(H) = 0; `form.orthogonal()` keeps the result.
 
     The space still to be split is kept as payload columns S together with
     its congruent Gram M = S^T H S (payload rows): the h-value of a column
@@ -137,7 +150,7 @@ def orthogonalize(form: BilinearForm,
     if form.is_alternating():
         raise AlternatingForm("alternating forms admit no orthogonal basis")
 
-    radical = [] if det is not None and not det.is_zero() else form.radical()
+    radical = form.radical() if form.is_degenerate() else []
     # the complement of the radical is spanned by unit vectors, so its
     # congruent Gram is a principal submatrix of H
     chosen = _complement_indices(field, radical, n)
@@ -252,7 +265,7 @@ def _hyperbolic_pair(field, m) -> tuple[int, int]:
 
 def orthonormalize(form: BilinearForm) -> list[Vector]:
     """An orthonormal basis; only possible when every diagonal value is a square."""
-    basis, diag = orthogonalize(form)
+    basis, diag = form.orthogonal()
     out = []
     for v, c in zip(basis, diag):
         root = c.sqrt()
@@ -262,18 +275,14 @@ def orthonormalize(form: BilinearForm) -> list[Vector]:
     return out
 
 
-def quadratic_data(form: BilinearForm, orthogonal=None, det=None) -> QuadraticData:
-    """Defect, range dimension and kernel of q for a non-degenerate form.
-
-    A caller that has them already passes `orthogonal`, the (basis, values)
-    pair of `orthogonalize(form)`, and `det`, det(H); else they are computed.
-    """
-    det = form.gram.det() if det is None else det
-    if det.is_zero():
+def quadratic_data(form: BilinearForm) -> QuadraticData:
+    """Defect, range dimension and kernel of q for a non-degenerate form,
+    from its det(H) and orthogonal basis (each computed once per form)."""
+    if form.is_degenerate():
         raise DegenerateForm("the quadratic analysis needs a non-degenerate form")
     if form.is_alternating():
         raise AlternatingForm("q vanishes identically on an alternating form")
-    basis, diag = orthogonalize(form, det) if orthogonal is None else orthogonal
+    basis, diag = form.orthogonal()
     range_dimension = square_span_dimension(diag)
     s = Matrix.from_columns(form.field, basis)
     kernel = [s * Vector(form.field, coeffs) for coeffs in square_span_kernel(diag)]
@@ -284,10 +293,9 @@ def quadratic_data(form: BilinearForm, orthogonal=None, det=None) -> QuadraticDa
                          range_dimension=range_dimension)
 
 
-def discriminant_class(form: BilinearForm, det=None) -> tuple[FieldElement, bool]:
-    """det(gram) and whether it is a square (the square class of disc h);
-    `det` is det(gram), for a caller that has it already."""
-    d = form.gram.det() if det is None else det
+def discriminant_class(form: BilinearForm) -> tuple[FieldElement, bool]:
+    """det(gram) and whether it is a square (the square class of disc h)."""
+    d = form.det()
     if d.is_zero():
         raise DegenerateForm("degenerate forms have no discriminant class")
     return d, d.is_square()

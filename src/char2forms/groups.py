@@ -28,7 +28,7 @@ from ._smallfield import EncodedMatrices, try_int_field
 from .errors import Char2FormsError, CheckFailed, require
 from .exterior import compound_matrix, hodge
 from .fields import FieldElement, square_span_solve
-from .forms import BilinearForm, DegenerateForm, FormError, orthogonalize, quadratic_data
+from .forms import BilinearForm, DegenerateForm, FormError, quadratic_data
 from .kalgebra import KAlgebra, KModule, NotSplit, build_module, wz_submodule
 from .linalg import DimensionMismatch, Matrix, Vector
 
@@ -735,11 +735,10 @@ def classify(form: BilinearForm) -> ClassificationReport:
     """Normalize a 4-dimensional form to its defect case and build the report."""
     if form.dim != 4:
         raise FormError("the classification covers dimension 4")
-    disc = form.gram.det()
-    if disc.is_zero():
+    if form.is_degenerate():
         raise DegenerateForm("classification needs a non-degenerate form")
-    qd = quadratic_data(form, det=disc)
-    k_split = disc.is_square()
+    qd = quadratic_data(form)
+    k_split = form.det().is_square()
     defect = qd.defect
 
     if defect == 3:
@@ -758,27 +757,24 @@ def _case_report(form, qd, k_split, case, s, scale, normal, isometries=(), simil
     """Check a normal form and its generators, then build the report.
 
     S^T H S must equal scale * normal.  The isometries and the (matrix,
-    multiplier) similitudes are given in the normal-form coordinates; each is
-    moved to the input coordinates as S g S^-1 and checked there.
+    multiplier) similitudes are given and checked in the normal-form
+    coordinates, an isometry as a similitude of multiplier 1; by that
+    congruence this is the check of S g S^-1 against H, without its large
+    fractions.  Each is then moved to the input coordinates as S g S^-1.
     """
     require(_CASE_OF.get((qd.defect, k_split)) == case,
             f"internal: case {case} does not match (defect={qd.defect}, split={k_split})")
     require(s.transpose() * form.gram * s == normal * scale,
             "internal: the normalizing basis does not reach the normal form")
-    s_inv = s.inverse()
+    normal_form = BilinearForm(normal)
     one = form.field.one()
-    generators = []
-    for g in isometries:
-        moved = s * g * s_inv
-        require(is_isometry(form, moved),
-                "internal: constructed generator fails the isometry check")
-        generators.append(GroupElement(matrix=moved, multiplier=one))
-    for g, mult in similitudes:
-        moved = s * g * s_inv
-        r = similitude_multiplier(form, moved)
-        require(r is not None and r == mult,
-                "internal: constructed similitude has the wrong multiplier")
-        generators.append(GroupElement(matrix=moved, multiplier=r))
+    checked = [(g, one) for g in isometries] + list(similitudes)
+    for g, mult in checked:
+        require(similitude_multiplier(normal_form, g) == mult,
+                "internal: a constructed generator has the wrong multiplier")
+    s_inv = s.inverse()
+    generators = [GroupElement(matrix=s * g * s_inv, multiplier=mult)
+                  for g, mult in checked]
     return ClassificationReport(
         defect=qd.defect, k_split=k_split, case=case, description=_DESCRIPTIONS[case],
         multipliers=multipliers or _MULTIPLIERS[case], generators=tuple(generators),
@@ -929,7 +925,7 @@ def _classify_defect1(form, qd, k_split) -> ClassificationReport:
     require(len(complement) == 2, "internal: the hyperbolic plane has no 2-dim complement")
     c = Matrix.from_columns(field, complement)
     sub_gram = form.congruent(c).gram * s_val.inverse()
-    sub_basis, (c3, c4) = orthogonalize(BilinearForm(sub_gram))
+    sub_basis, (c3, c4) = BilinearForm(sub_gram).orthogonal()
     u3, u4 = (c * v for v in sub_basis)
 
     s = Matrix.from_columns(field, [u1s, u2_vec, u3, u4])

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from char2forms import groups
-from char2forms.cli import main
+from char2forms.cli import main, parse_document
+from char2forms.errors import CheckFailed
+from char2forms.forms import BilinearForm, quadratic_data
+from char2forms.linalg import Matrix
 
 
 def _write(tmp_path, name, text):
@@ -381,6 +384,45 @@ def test_classify_failed_internal_check_exits_1(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: internal: ")
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify", "verify"])
+def test_one_det_of_h_per_command(command, monkeypatch, capsys):
+    # the form keeps det(H), so the degenerate check, the quadratic analysis,
+    # the discriminant and the Hodge data of a command share one computation
+    path = Path(__file__).parent / "golden" / "defect0_f2tu.txt"
+    gram = parse_document(str(path), path.read_text()).matrix
+    operands = []
+    real = Matrix.det
+
+    def counting(self):
+        operands.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "det", counting)
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert sum(m == gram for m in operands) == 1
+
+
+def test_case_report_checks_generators_in_normal_coordinates(f2t):
+    # over the identity form, with S = N = I, a shear is no isometry and
+    # t*I is a similitude of multiplier t^2, not t
+    form = BilinearForm(Matrix.identity(f2t, 4))
+    ident, t = Matrix.identity(f2t, 4), f2t.generator
+    shear = Matrix(f2t, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+    def report(**generators):
+        return groups._case_report(form, quadratic_data(form), True, "defect3", ident,
+                                   f2t.one(), ident, notes=(), case_data={}, **generators)
+
+    with pytest.raises(CheckFailed, match="^internal: "):
+        report(isometries=[shear])
+    with pytest.raises(CheckFailed, match="^internal: "):
+        report(similitudes=[(ident * t, t)])
+    rep = report(isometries=[ident], similitudes=[(ident * t, t * t)])
+    assert [(g.matrix, g.multiplier) for g in rep.generators] == [
+        (ident, f2t.one()), (ident * t, t * t)]
+
+
 def test_no_assert_in_package():
     # `python -O` strips assert statements, so no check in the package may be one
     package = Path(__file__).resolve().parents[1] / "src" / "char2forms"
@@ -395,6 +437,7 @@ import dataclasses, sys
 from char2forms import GF2, BilinearForm, CheckFailed, Matrix, build_module, hodge
 from char2forms import groups
 from char2forms.cli import main
+from char2forms.fields import RationalFunctionField
 from char2forms.forms import quadratic_data
 from char2forms.oracle import direct_g
 
@@ -420,6 +463,17 @@ except CheckFailed:
     pass
 else:
     sys.exit("_case_report accepted a wrong normal form")
+f2t = RationalFunctionField(gf2, "t")
+form, ident, t = BilinearForm(Matrix.identity(f2t, 4)), Matrix.identity(f2t, 4), f2t.generator
+shear = Matrix(f2t, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+for generators in ({"isometries": [shear]}, {"similitudes": [(ident * t, t)]}):
+    try:
+        groups._case_report(form, quadratic_data(form), True, "defect3", ident, f2t.one(),
+                            ident, notes=(), case_data={}, **generators)
+    except CheckFailed:
+        pass
+    else:
+        sys.exit(f"_case_report accepted a bad generator: {generators}")
 codes = [main(["verify", sys.argv[1]])] + [main(["classify", p]) for p in sys.argv[1:]]
 sys.exit(max(codes))
 """

@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from char2forms import forms
+from char2forms.cli import main
 from char2forms.fields import square_span_dimension
 from char2forms.forms import (AlternatingForm, BilinearForm, DegenerateForm, FormError,
                               ZeroForm, discriminant_class, orthogonalize,
@@ -232,7 +234,7 @@ def _reference_cases(field, params, rng):
 def test_orthogonalize_matches_vector_pairing_reference(name, params, request, monkeypatch):
     # the orthogonalization on the congruent Gram returns the basis and the
     # diagonal of the loop that paired vectors through H, on degenerate forms
-    # and on forms that take the repair step too, with or without det(H)
+    # and on forms that take the repair step too; the form keeps that result
     field = request.getfixturevalue(name)
     rng = random.Random(f"orthogonalize-{name}")
     repairs = []
@@ -249,8 +251,27 @@ def test_orthogonalize_matches_vector_pairing_reference(name, params, request, m
         before = len(repairs)
         expected = _reference_orthogonalize(form)
         assert orthogonalize(form) == expected
-        assert orthogonalize(form, form.gram.det()) == expected
+        assert form.orthogonal() == tuple(map(tuple, expected))
+        assert form.orthogonal() is form.orthogonal()
         cases += 1
         degenerate += form.is_degenerate()
         repaired += len(repairs) > before
     assert cases == 28 and degenerate >= 12 and repaired >= 3
+
+
+def test_analyze_orthogonalizes_once(monkeypatch, capsys):
+    # the basis, the diagonal, the quadratic analysis and the Hodge data of
+    # `analyze` share one orthogonalization, which `BilinearForm.orthogonal`
+    # runs through the module's `orthogonalize`
+    calls = []
+    real = forms.orthogonalize
+
+    def counting(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(forms, "orthogonalize", counting)
+    path = Path(__file__).parent / "golden" / "defect0_f2tu.txt"
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

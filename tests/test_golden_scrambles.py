@@ -8,6 +8,11 @@ F2(t)(u) and S a product of two seeded permuted shears (the construction of
 form whose orthogonalization takes the hyperbolic repair step.  The expected
 stdout is pinned byte for byte in `<name>.analyze`,
 `<name>.classify-machine` and `<name>.verify`.
+
+`dense_defect2_f2tu` is a defect-2 split form over F2(t)(u) with dense
+entries, not built by that construction.  Its `classify` runs for about
+30 s, so the tier1 CI workflow runs that job instead of this module: under
+`python` and `python -O`, with the same bytes and `case: defect2_split`.
 """
 
 import dataclasses
@@ -23,6 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.stem for p in GOLDEN.glob("*.txt"))
 JOBS = {"analyze": ["analyze"], "classify-machine": ["classify", "--machine"],
         "verify": ["verify"]}
+SLOW = {("dense_defect2_f2tu", "classify-machine")}
 # the jobs that do not exit 0, with their stderr ({path} is the document)
 FAILS = {("degenerate_f2t", "classify-machine"):
          (2, "error: classification needs a non-degenerate form\n"),
@@ -33,11 +39,11 @@ FAILS = {("degenerate_f2t", "classify-machine"):
 def test_golden_documents_cover_the_cases():
     assert NAMES == ["defect0_f2tu", "defect1_f2tu", "defect2_nonsplit_f2t",
                      "defect2_nonsplit_f2tu", "defect2_split_f2t", "defect3_f2t",
-                     "degenerate_f2t", "repair_f2tu"]
+                     "degenerate_f2t", "dense_defect2_f2tu", "repair_f2tu"]
 
 
-@pytest.mark.parametrize("job", sorted(JOBS))
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name,job", [(name, job) for name in NAMES for job in sorted(JOBS)
+                                      if (name, job) not in SLOW])
 def test_golden_output(name, job, capsys):
     path = str(GOLDEN / f"{name}.txt")
     code = main(JOBS[job] + [path])
