@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import random
 import sys
 from dataclasses import dataclass
@@ -241,9 +242,10 @@ def cmd_classify(doc: InputDocument, args, report: Report) -> int:
     report.block("normal gram", rep.normal_gram)
     report.item("scale", rep.scale)
     report.block("normalizing basis columns", rep.normalizer)
-    isometries = [g for g in rep.generators if g.multiplier.is_one()]
-    report.item("isometry generators", len(isometries))
-    for g in rep.generators:
+    # only the closure below needs the generators in the input coordinates
+    report.item("isometry generators",
+                sum(g.multiplier.is_one() for g in rep.normal_generators))
+    for g in rep.normal_generators:
         if not g.multiplier.is_one():
             report.item("similitude multiplier", g.multiplier)
     if doc.field.order is not None:
@@ -254,7 +256,8 @@ def cmd_classify(doc: InputDocument, args, report: Report) -> int:
             report.item("note", f"predicted order not machine-verified: closure and "
                                 f"oracle run only up to order {MAX_VERIFIED_ORDER}")
         else:
-            closure = generate_closure([g.matrix for g in isometries])
+            closure = generate_closure([g.matrix for g in rep.generators
+                                        if g.multiplier.is_one()])
             report.item("generated order", len(closure))
             result = oracle.enumerate_isometries(form)
             report.item(f"oracle order ({result.method})", result.order)
@@ -383,7 +386,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="char2forms",
         description="exact analysis of non-alternating symmetric bilinear "

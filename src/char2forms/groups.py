@@ -12,8 +12,9 @@ Each case comes with an explicit normal form, explicit generators, the
 similitude families realizing the multiplier set, and the representation on
 the K-module W = Lambda^2 V (and on Wz in the split cases).  ``classify``
 normalizes an arbitrary non-degenerate non-alternating 4-dimensional form to
-the matching normal form by constructive basis changes and transports the
-generators back to the input coordinates.
+the matching normal form by constructive basis changes and checks the
+generators there; the report moves them to the input coordinates on first
+read.
 
 All group elements are plain matrices with a multiplier; finite groups are
 materialized by Dimino's coset closure of the generator set.
@@ -22,6 +23,7 @@ materialized by Dimino's coset closure of the generator set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ._smallfield import EncodedMatrices, try_int_field
@@ -636,12 +638,20 @@ class ClassificationReport:
     case: str
     description: str
     multipliers: str
-    generators: tuple[GroupElement, ...]
+    normal_generators: tuple[GroupElement, ...]
     normalizer: Matrix
     scale: FieldElement
     normal_gram: Matrix
     notes: tuple[str, ...]
     case_data: dict
+
+    @cached_property
+    def generators(self) -> tuple[GroupElement, ...]:
+        """The normal-form generators g moved to the input coordinates as
+        S g S^-1 (S the normalizer), computed on first read and kept."""
+        s, s_inv = self.normalizer, self.normalizer.inverse()
+        return tuple(GroupElement(matrix=s * g.matrix * s_inv, multiplier=g.multiplier)
+                     for g in self.normal_generators)
 
     def predicted_order(self, q: int) -> Optional[int]:
         """Group order over a field with q elements, when finite."""
@@ -760,7 +770,8 @@ def _case_report(form, qd, k_split, case, s, scale, normal, isometries=(), simil
     multiplier) similitudes are given and checked in the normal-form
     coordinates, an isometry as a similitude of multiplier 1; by that
     congruence this is the check of S g S^-1 against H, without its large
-    fractions.  Each is then moved to the input coordinates as S g S^-1.
+    fractions.  The report keeps them in those coordinates; it computes
+    S g S^-1 only when its ``generators`` are read.
     """
     require(_CASE_OF.get((qd.defect, k_split)) == case,
             f"internal: case {case} does not match (defect={qd.defect}, split={k_split})")
@@ -772,12 +783,11 @@ def _case_report(form, qd, k_split, case, s, scale, normal, isometries=(), simil
     for g, mult in checked:
         require(similitude_multiplier(normal_form, g) == mult,
                 "internal: a constructed generator has the wrong multiplier")
-    s_inv = s.inverse()
-    generators = [GroupElement(matrix=s * g * s_inv, multiplier=mult)
-                  for g, mult in checked]
     return ClassificationReport(
         defect=qd.defect, k_split=k_split, case=case, description=_DESCRIPTIONS[case],
-        multipliers=multipliers or _MULTIPLIERS[case], generators=tuple(generators),
+        multipliers=multipliers or _MULTIPLIERS[case],
+        normal_generators=tuple(GroupElement(matrix=g, multiplier=mult)
+                                for g, mult in checked),
         normalizer=s, scale=scale, normal_gram=normal, notes=notes, case_data=case_data)
 
 
@@ -792,8 +802,7 @@ def _classify_defect3(form, qd, k_split) -> ClassificationReport:
         isometries=defect3_generators(field),
         notes=("generators: xi(t1,t2,t3) spanning Xi and diag(1,B,1) with "
                "B in SL2(F), transported from the hyperbolic coordinates",),
-        case_data={"b_basis": sum_squares_basis(field),
-                   "h_tilde": h_tilde_gram(field)})
+        case_data={})
 
 
 def _defect2_normal_form(form, qd):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from char2forms import groups
-from char2forms.cli import main, parse_document
+from char2forms.cli import build_parser, main, parse_document
 from char2forms.errors import CheckFailed
 from char2forms.forms import BilinearForm, quadratic_data
 from char2forms.linalg import Matrix
@@ -421,6 +421,54 @@ def test_case_report_checks_generators_in_normal_coordinates(f2t):
     rep = report(isometries=[ident], similitudes=[(ident * t, t * t)])
     assert [(g.matrix, g.multiplier) for g in rep.generators] == [
         (ident, f2t.one()), (ident * t, t * t)]
+
+
+# S^T S for S unit upper triangular with entries in {0, 1, g, g+1}: a
+# defect-3 form over GF(4) whose normalizer is not the identity
+SCRAMBLED_GF4 = """\
+field: gf2k:2:7
+gram:
+1 g 0 1
+g g g g
+0 g g g
+1 g g g+1
+"""
+
+
+@pytest.mark.parametrize("document, transports", [
+    ((Path(__file__).parent / "golden" / "defect1_f2tu.txt").read_text(), 0),
+    (SCRAMBLED_GF4, 1)], ids=["defect1_f2tu", "scrambled_gf4"])
+def test_classify_transports_generators_only_for_the_closure(
+        document, transports, tmp_path, monkeypatch, capsys):
+    # S g S^-1 is computed, with one inverse of the normalizer S, only where
+    # the closure over a finite field reads the generators
+    path = _write(tmp_path, "doc.txt", document)
+    normalizer = groups.classify(BilinearForm(parse_document(path, document).matrix)).normalizer
+    operands = []
+    real = Matrix.inverse
+
+    def recording(self):
+        operands.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "inverse", recording)
+    assert main(["classify", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(m == normalizer for m in operands) == transports
+    assert ("generated order: 3840" in lines) == (transports == 1)
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    # main builds its parser once per process; a flag given to one call must
+    # not carry over to the next
+    assert build_parser() is build_parser()
+    path = str(Path(__file__).parent / "golden" / "defect2_nonsplit_f2t.txt")
+    for argv in (["classify", "--machine"], ["classify"], ["verify", "--seed", "3"]):
+        assert main(argv + [path]) == 0
+        child = subprocess.run([sys.executable, "-m", "char2forms.cli", *argv, path],
+                               capture_output=True, env=_child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr.decode()
+        assert capsys.readouterr().out == child.stdout.decode()
 
 
 def test_no_assert_in_package():

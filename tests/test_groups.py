@@ -514,6 +514,22 @@ def test_classify_scrambled_input(gf2, f2t, rng):
         done += 1
 
 
+def test_classify_generators_are_moved_once_on_read(f2t):
+    # the report keeps the generators in the normal-form coordinates and
+    # computes S g S^-1 on the first read of `generators` only
+    t, one = f2t.generator, f2t.one()
+    s = Matrix(f2t, [[1, t, 0, 1], [0, 1, t + one, 0], [0, 0, 1, t], [0, 0, 0, 1]])
+    base = Matrix.diagonal(f2t, [t, t, one, one])
+    rep = G.classify(BilinearForm(s.transpose() * base * s))
+    assert rep.case == "defect2_split"
+    moved = rep.generators
+    assert rep.generators is moved
+    n, n_inv = rep.normalizer, rep.normalizer.inverse()
+    assert len(moved) == len(rep.normal_generators) > 0
+    for g, h in zip(rep.normal_generators, moved):
+        assert (h.matrix, h.multiplier) == (n * g.matrix * n_inv, g.multiplier)
+
+
 def test_classify_double_rewrite(f2t):
     # diag(1, t, 1+t, 1): both rewriting steps fire, discriminant t+t^2 is not
     # a square, so the result is the three-equal-entries normal form
