@@ -9,7 +9,8 @@ signs disappear, which keeps every coefficient formula here sign-free:
 - a volume identification b turns the wedge pairing into the bilinear map Pf
   with entries b * [S and T disjoint],
 - for n = 2l the composite J = Pf^(-1) o (induced form) squares to the scalar
-  delta = det(H) / b^2.
+  delta = det(H) / b^2; Pf is b times the complement permutation S -> S^c,
+  so J is read off the induced form's Gram without inverting Pf.
 
 For n = 4 the quadratic form whose zero set is the Klein quadric of
 decomposable 2-vectors is also provided, together with the interpretation of
@@ -84,9 +85,8 @@ def compound_matrix(a: Matrix, ell: int) -> Matrix:
     """The matrix of Lambda^l A on the lex wedge basis: minors of A."""
     if not a.is_square():
         raise WrongDimension("compound matrices need a square input")
-    sets = index_sets(a.nrows, ell)
-    return Matrix(a.ring, [[a.minor_det([i - 1 for i in s], [j - 1 for j in t])
-                            for t in sets] for s in sets])
+    sets = [[i - 1 for i in s] for s in index_sets(a.nrows, ell)]
+    return a.minors(sets, sets)
 
 
 def exterior_form_gram(form: BilinearForm, ell: int) -> Matrix:
@@ -130,7 +130,10 @@ class HodgeData:
 
 
 def hodge(form: BilinearForm, volume_scale=None) -> HodgeData:
-    """Assemble the Hodge data of a non-degenerate form on an even-dimensional space."""
+    """Assemble the Hodge data of a non-degenerate form on an even-dimensional space.
+
+    The only nonzero entry of Pf in column S is Pf[S^c, S] = b, the volume
+    scale, so row S of J = Pf^(-1) Lh is row S^c of Lh times 1/b."""
     field = form.field
     n = form.dim
     if n % 2:
@@ -144,9 +147,11 @@ def hodge(form: BilinearForm, volume_scale=None) -> HodgeData:
         raise DegenerateForm("the Hodge operator needs a non-degenerate form")
     pf = pfaffian_gram(field, n, ell, scale)
     lh = exterior_form_gram(form, ell)
-    j = pf.inverse() * lh
+    space = ExteriorSpace(n, ell)
+    j = Matrix(field, [lh.entries[space.position(space.complement(s))]
+                       for s in space.sets]) * scale.inverse()
     delta = det * (scale * scale).inverse()
-    return HodgeData(form=form, space=ExteriorSpace(n, ell), volume_scale=scale,
+    return HodgeData(form=form, space=space, volume_scale=scale,
                      pf_gram=pf, lh_gram=lh, j_matrix=j, delta=delta)
 
 
@@ -254,7 +259,5 @@ def wedge(field, vectors) -> Vector:
     vectors = list(vectors)
     n = len(vectors[0])
     ell = len(vectors)
-    mat = Matrix.from_columns(field, vectors)
-    sets = index_sets(n, ell)
-    return Vector(field, [mat.minor_det([i - 1 for i in s], list(range(ell)))
-                          for s in sets])
+    sets = [[i - 1 for i in s] for s in index_sets(n, ell)]
+    return Matrix.from_columns(field, vectors).minors(sets, [range(ell)]).column(0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import Char2FormsError, require
 from .fields import (FieldElement, square_span_dimension, square_span_kernel)
-from .linalg import Matrix, Vector, bilinear, kernel_rows
+from .linalg import Matrix, Vector, bilinear, echelon, kernel_rows
 
 
 class FormError(Char2FormsError):
@@ -195,18 +195,15 @@ def orthogonalize(form: BilinearForm) -> tuple[list[Vector], list[FieldElement]]
 
 
 def _complement_indices(field, radical: list[Vector], n: int) -> list[int]:
-    """The indices of the unit vectors completing the radical to a basis of F^n."""
+    """The indices of the unit vectors completing the radical to a basis of F^n.
+
+    In index order, e_i is kept unless some vector of the radical's span has
+    its last nonzero entry at i: a pivot of the column-reversed radical rows."""
     if not radical:
         return list(range(n))
-    rows = [list(v.entries) for v in radical]
-    chosen: list[int] = []
-    for i in range(n):
-        trial = rows + [list(Vector.unit(field, n, c).entries) for c in chosen + [i]]
-        if Matrix(field, trial).rank() == len(trial):
-            chosen.append(i)
-        if len(chosen) + len(rows) == n:
-            break
-    return chosen
+    rows = [[e.payload for e in reversed(v.entries)] for v in radical]
+    dropped = {n - 1 - p for p in echelon(field, rows)}
+    return [i for i in range(n) if i not in dropped]
 
 
 def _vector(field, payloads) -> Vector:

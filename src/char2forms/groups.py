@@ -283,14 +283,16 @@ def eta(module: KModule, a: Matrix) -> Matrix:
     r = similitude_multiplier(module.hodge.form, a)
     if r is None:
         raise NotSimilitude("eta is defined on similitudes only")
-    la = compound_matrix(a, module.hodge.space.ell)
+    space = module.hodge.space
+    la = compound_matrix(a, space.ell)
     j = module.hodge.j_matrix
     columns = []
     for s in module.basis_sets:
-        e = module.basis_vector(s)
-        image = la * e
+        # the images of e_S under Lambda^2 A and J are columns S of la and j
+        p = space.position(s)
+        image = la.column(p)
         # K-linearity probe on the basis (automatic for similitudes)
-        if j * image != la * (j * e):
+        if j * image != la * j.column(p):
             raise NotSimilitude("exterior action fails to be K-linear")
         columns.append(module.k_coordinates(image))
     return Matrix(module.algebra, [[columns[j][i] for j in range(len(columns))]

@@ -11,7 +11,9 @@ K = F[z]/(z^2).
 
 The middle exterior power W = Lambda^l V becomes a free right K-module via
 w * j := J(w).  On an orthogonal basis the wedges whose index set contains 1
-form a K-basis B1, and the K-valued form
+form a K-basis B1: J sends each e_S to a nonzero multiple of e_(S^c), whose
+index set lacks 1, so the K-coordinates of w are read off its entries at S
+and S^c.  The K-valued form
 
     g(u, v) = Lh(u, v) + j * Pf(u, v)
 
@@ -29,7 +31,7 @@ from typing import Optional
 from .errors import Char2FormsError, require
 from .exterior import HodgeData, hodge
 from .fields import Field, FieldElement, square_span_solve
-from .linalg import Matrix, SingularMatrix, Vector, bilinear
+from .linalg import Matrix, Vector, bilinear
 
 
 class KAlgebraError(Char2FormsError):
@@ -210,24 +212,18 @@ class KModule:
         return w.scale(x0) + (self.hodge.j_matrix * w).scale(x1)
 
     @cached_property
-    def _phi_inverse(self) -> Matrix:
-        # inverse of the F-matrix whose columns pair each B1 wedge with its
-        # J-image; cached, since eta solves against it repeatedly
-        cols = []
-        for s in self.basis_sets:
-            e = self.basis_vector(s)
-            cols.append(e)
-            cols.append(self.hodge.j_matrix * e)
-        try:
-            return Matrix.from_columns(self.field, cols).inverse()
-        except SingularMatrix:
-            raise KAlgebraError("internal: B1 failed to span the module") from None
+    def _complements(self) -> tuple:
+        # (position of S, position of S^c, 1/J[S^c, S]) for each S in B1;
+        # cached, since eta reads coordinates repeatedly
+        space, j = self.hodge.space, self.hodge.j_matrix
+        pairs = [(space.position(s), space.position(space.complement(s)))
+                 for s in self.basis_sets]
+        return tuple((p, q, j[q, p].inverse()) for p, q in pairs)
 
     def k_coordinates(self, w: Vector) -> list[FieldElement]:
-        """Coordinates of w over the K-basis B1 (solve in the F-picture)."""
-        sol = self._phi_inverse * w
-        return [self.algebra.element(sol[2 * i], sol[2 * i + 1])
-                for i in range(len(self.basis_sets))]
+        """Coordinates of w over the K-basis B1: J e_S = J[S^c, S] e_(S^c)
+        (`build_module` checks it), so x0 = w_S and x1 = w_(S^c) / J[S^c, S]."""
+        return [self.algebra.element(w[p], w[q] * inv) for p, q, inv in self._complements]
 
     def from_k_coordinates(self, coords) -> Vector:
         w = Vector.zero(self.field, self.hodge.space.dim)
@@ -246,26 +242,25 @@ def build_module(data: HodgeData) -> KModule:
     """Turn Lambda^l V into a free K-module over an orthogonal basis of V.
 
     Requires a diagonal Gram matrix (the free-basis statement is tied to an
-    orthogonal basis); checks that J carries every B1 wedge into the span of
-    the complementary wedges.
+    orthogonal basis); checks that J carries every B1 wedge e_S to a nonzero
+    multiple of e_(S^c), reading column S of J.
     """
     if data.space.n != 2 * data.space.ell:
         raise NotMiddleDegree("the K-module lives on the middle exterior power")
     if not data.form.gram.is_diagonal():
         raise KAlgebraError("build the module over an orthogonal basis "
                             "(diagonal Gram matrix); orthogonalize first")
-    field = data.field
-    algebra = KAlgebra(field, data.delta)
-    basis_sets = tuple(s for s in data.space.sets if 1 in s)
-    other = {s for s in data.space.sets if 1 not in s}
+    algebra = KAlgebra(data.field, data.delta)
+    space, j = data.space, data.j_matrix
+    basis_sets = tuple(s for s in space.sets if 1 in s)
     for s in basis_sets:
-        image = data.j_matrix * data.space.basis_vector(field, s)
-        support = {data.space.sets[i] for i, e in enumerate(image) if not e.is_zero()}
-        if not support <= other:
-            raise KAlgebraError(f"J does not map wedge {s} into the complementary span")
+        p, c = space.position(s), space.complement(s)
+        q = space.position(c)
+        if j[q, p].is_zero() or any(not j[i, p].is_zero() for i in range(space.dim) if i != q):
+            raise KAlgebraError(f"J does not map wedge {s} to a nonzero multiple of wedge {c}")
 
     # g on two wedge basis vectors reads the entries of Lh and Pf
-    b1 = [data.space.position(s) for s in basis_sets]
+    b1 = [space.position(s) for s in basis_sets]
     gram = Matrix(algebra, [[algebra.element(data.lh_gram[i, k], data.pf_gram[i, k])
                              for k in b1] for i in b1])
     return KModule(hodge=data, algebra=algebra, basis_sets=basis_sets,

@@ -4,15 +4,15 @@ Matrices and vectors are immutable and generic over a ring object: it builds
 their elements (``zero()``, ``one()``, ``coerce()``) and computes on element
 payloads (``_add``, ``_mul``, ``_inv``, ``_is_zero``, ``_is_unit``,
 ``_from_int``).  Products of a matrix with a matrix or a vector, the pairing
-`bilinear`, `Matrix.det` and the one row echelon behind `inverse`, `rank`,
-`kernel_basis` and `solve` all read the payloads of their operands once,
-compute with those primitives and wrap only the entries of the result.
-Products go through one payload dot product, which skips the zero entries
-of both sides.  The operand rings of a call must be equal, else
+`bilinear`, `Matrix.det`, `Matrix.minors` and the one row `echelon` behind
+`inverse`, `rank`, `kernel_basis` and `solve` all read the payloads of their
+operands once, compute with those primitives and wrap only the entries of
+the result.  Products go through one payload dot product, which skips the
+zero entries of both sides.  The operand rings of a call must be equal, else
 `DescriptorMismatch`: one check per call in place of one per element
-product.  `det_rows` is the determinant on payload rows, for callers that
-never build a matrix; its elimination updates only the columns right of each
-pivot.  Dimensions are tiny (at most 6x6), so elimination is
+product.  `det_rows` is the determinant on payload rows behind `det` and
+each minor of `minors`; its elimination updates only the columns right of
+each pivot.  Matrices are small (J is 70x70 for n = 8), so elimination is
 plain exact elimination with first-unit pivots.
 
 Per call, on elements before and on payloads now (Python 3.11, one core of
@@ -50,10 +50,6 @@ class DimensionMismatch(LinalgError):
 
 
 class SingularMatrix(LinalgError):
-    pass
-
-
-class BadIndexSet(LinalgError):
     pass
 
 
@@ -262,12 +258,12 @@ class Matrix:
         zero, one = ring._from_int(0), ring._from_int(1)
         rows = [row + [one if j == i else zero for j in range(n)]
                 for i, row in enumerate(_payload_rows(self))]
-        if len(_echelon(ring, rows, n)) < n:
+        if len(echelon(ring, rows, n)) < n:
             raise SingularMatrix("matrix is not invertible")
         return Matrix(ring, [_elements(self, row[n:]) for row in rows])
 
     def rank(self) -> int:
-        return len(_echelon(self.ring, _payload_rows(self)))
+        return len(echelon(self.ring, _payload_rows(self)))
 
     def kernel_basis(self) -> list[Vector]:
         """Basis of the right null space (free variables set in index order).
@@ -289,7 +285,7 @@ class Matrix:
         ring = self.ring
         _same_ring(ring, rhs.ring)
         rows = [row + [b.payload] for row, b in zip(_payload_rows(self), rhs.entries)]
-        pivots = _echelon(ring, rows, self.ncols)
+        pivots = echelon(ring, rows, self.ncols)
         _require_decided(ring, rows, len(pivots), self.ncols)
         if any(not ring._is_zero(rows[r][-1]) for r in range(len(pivots), self.nrows)):
             return None
@@ -298,19 +294,16 @@ class Matrix:
             x[c] = rows[r][-1]
         return Vector(ring, _elements(self, x))
 
-    def submatrix(self, row_set: Sequence[int], col_set: Sequence[int]) -> "Matrix":
-        for i in row_set:
-            if not 0 <= i < self.nrows:
-                raise BadIndexSet(f"row index {i} out of range")
-        for j in col_set:
-            if not 0 <= j < self.ncols:
-                raise BadIndexSet(f"column index {j} out of range")
-        return Matrix(self.ring, [[self.entries[i][j] for j in col_set] for i in row_set])
-
-    def minor_det(self, row_set: Sequence[int], col_set: Sequence[int]):
-        if len(row_set) != len(col_set):
-            raise BadIndexSet("minor needs index sets of equal size")
-        return self.submatrix(row_set, col_set).det()
+    def minors(self, row_sets: Sequence[Sequence[int]],
+               col_sets: Sequence[Sequence[int]]) -> "Matrix":
+        """The matrix whose entry (i, j) is the minor on the rows `row_sets[i]`
+        and the columns `col_sets[j]` (0-based index sets, all of one size),
+        each by `det_rows` on payload rows; only the results are wrapped."""
+        ring, rows = self.ring, _payload_rows(self)
+        return Matrix(ring, [_elements(self, [det_rows(ring, [[rows[i][j] for j in cols]
+                                                              for i in row_set])
+                                              for cols in col_sets])
+                             for row_set in row_sets])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
@@ -448,7 +441,7 @@ def kernel_rows(ring, rows) -> list[list]:
     """The payloads of the `Matrix.kernel_basis` vectors of the payload rows
     (changed in place): one per free column, in index order."""
     ncols = len(rows[0])
-    pivots = _echelon(ring, rows)
+    pivots = echelon(ring, rows)
     _require_decided(ring, rows, len(pivots), ncols)
     zero, one = ring._from_int(0), ring._from_int(1)
     basis = []
@@ -473,7 +466,7 @@ def _require_decided(ring, rows, rank: int, ncols: int) -> None:
         raise NonUnitColumn("a column holds nonzero non-units but no unit pivot")
 
 
-def _echelon(ring, rows, ncols: Optional[int] = None) -> list[int]:
+def echelon(ring, rows, ncols: Optional[int] = None) -> list[int]:
     """Reduced row echelon form of the payload rows, in place, with the first
     unit of each column as its pivot; returns the pivot columns."""
     add, mul, is_zero, is_unit = ring._add, ring._mul, ring._is_zero, ring._is_unit

@@ -55,6 +55,42 @@ def test_compound_matches_expansion_oracle(gf4, f2t, rng):
             assert compound_matrix(a, ell) == compound_by_expansion(a, ell)
 
 
+def test_compound_matches_expansion_oracle_over_f2tu(f2tu, rng):
+    for n, ell in ((4, 2), (6, 3)):
+        a = _random_matrix(f2tu, n, rng, size=1)
+        assert compound_matrix(a, ell) == compound_by_expansion(a, ell)
+
+
+def _wedge_by_expansion(field, vectors):
+    """v_1 ^ ... ^ v_l from the multilinear definition: the sum over index
+    tuples (i_1..i_l) of v_1[i_1]...v_l[i_l] e_(i_1) ^ ... ^ e_(i_l), where a
+    repeated index gives 0 and no reordering carries a sign."""
+    n, ell = len(vectors[0]), len(vectors)
+    space = ExteriorSpace(n, ell)
+    total = Vector.zero(field, space.dim)
+    for idx in product(range(n), repeat=ell):
+        if len(set(idx)) < ell:
+            continue
+        coeff = field.one()
+        for v, i in zip(vectors, idx):
+            coeff = coeff * v[i]
+        total = total + space.basis_vector(field, [i + 1 for i in idx]).scale(coeff)
+    return total
+
+
+def test_wedge_matches_multilinear_definition(gf4, f2t, rng):
+    for field in (gf4, f2t):
+        for n, ell in ((4, 1), (4, 2), (4, 3), (6, 3)):
+            vectors = [Vector(field, [field.random_element(rng, size=1) for _ in range(n)])
+                       for _ in range(ell)]
+            assert wedge(field, vectors) == _wedge_by_expansion(field, vectors)
+            # the wedge of the first l columns of A is column (1..l) of its compound
+            a = Matrix.from_columns(field, vectors + [Vector.unit(field, n, i)
+                                                      for i in range(n - ell)])
+            position = ExteriorSpace(n, ell).position(range(1, ell + 1))
+            assert wedge(field, vectors) == compound_by_expansion(a, ell).column(position)
+
+
 def test_exterior_form_gram(gf2, f2t):
     assert exterior_form_gram(BilinearForm(Matrix.identity(gf2, 4)), 2) \
         == Matrix.identity(gf2, 6)
@@ -126,6 +162,27 @@ def test_hodge_closed_form_on_orthogonal_basis(f2t, rng):
             for i in s:
                 coeff = coeff * c[i - 1]
             assert image == space.basis_vector(f2t, space.complement(s)).scale(coeff)
+
+
+def _sparse_form(field, x, n):
+    """A non-diagonal, non-degenerate n x n form with entries 0, 1, x, x+1."""
+    diag = [x, 1, x + 1, 1, x, 1, x, 1][:n]
+    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    # two 2x2 blocks of determinants x + 1 and x, the rest diagonal
+    rows[0][1] = rows[1][0] = rows[2][n - 1] = rows[n - 1][2] = field.one()
+    return BilinearForm(Matrix(field, rows))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_hodge_matches_pfaffian_inverse(n, gf4, f2t, f2tu):
+    # the general formula J = Pf^(-1) Lh, with Pf inverted by elimination
+    for field, x in ((gf4, gf4.generator), (f2t, f2t.generator), (f2tu, f2tu.parse("u"))):
+        form = _sparse_form(field, x, n)
+        for scale in (field.one(), x):
+            data = hodge(form, volume_scale=scale)
+            pf = pfaffian_gram(field, n, n // 2, scale)
+            assert data.pf_gram == pf
+            assert data.j_matrix == pf.inverse() * exterior_form_gram(form, n // 2)
 
 
 def test_hodge_identities_fixtures(gf2, gf4, f2t):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,50 @@ def test_orthogonalize_degenerate_radical_last(gf2):
     basis, diag = orthogonalize(form)
     assert [d.is_zero() for d in diag] == [False, False, True]
     assert form.q(basis[2]).is_zero()
+
+
+def _greedy_complement_indices(field, radical, n):
+    """The greedy reference: keep e_i when it is independent of the radical
+    and of the unit vectors kept so far, one rank per candidate."""
+    rows = [list(v.entries) for v in radical]
+    chosen = []
+    for i in range(n):
+        trial = rows + [list(Vector.unit(field, n, c).entries) for c in chosen + [i]]
+        if Matrix(field, trial).rank() == len(trial):
+            chosen.append(i)
+        if len(chosen) + len(rows) == n:
+            break
+    return chosen
+
+
+def _symmetric(field, values):
+    """The symmetric 4x4 matrix whose upper triangle, row by row, is `values`."""
+    rows = [[None] * 4 for _ in range(4)]
+    upper = iter(values)
+    for i in range(4):
+        for j in range(i, 4):
+            rows[i][j] = rows[j][i] = next(upper)
+    return Matrix(field, rows)
+
+
+def test_complement_indices_match_greedy_reference(gf2, gf4):
+    # every degenerate symmetric 4x4 Gram matrix over GF(2), and the
+    # degenerate ones among seeded random symmetric draws over GF(4)
+    grams = [_symmetric(gf2, bits) for bits in product([0, 1], repeat=10)]
+    rng = random.Random(7)
+    elements = list(gf4.elements())
+    grams += [_symmetric(gf4, [rng.choice(elements) for _ in range(10)])
+              for _ in range(3000)]
+    checked = 0
+    for gram in grams:
+        form = BilinearForm(gram)
+        if not form.is_degenerate():
+            continue
+        radical = form.radical()
+        assert forms._complement_indices(gram.ring, radical, 4) \
+            == _greedy_complement_indices(gram.ring, radical, 4)
+        checked += 1
+    assert checked == 1352
 
 
 def test_orthogonalize_rejects(gf2):

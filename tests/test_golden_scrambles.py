@@ -1,13 +1,22 @@
 """Golden `analyze`, `classify --machine` and `verify` output on congruence
 scrambles.
 
-Each `tests/golden/<name>.txt` is S^T N S for a normal form N over F2(t) or
-F2(t)(u) and S a product of two seeded permuted shears (the construction of
-`bench/workloads.py`).  The documents cover defects 0-3, a degenerate form
+Each 4x4 `tests/golden/<name>.txt` is S^T N S for a normal form N over F2(t)
+or F2(t)(u) and S a product of two seeded permuted shears (the construction
+of `bench/workloads.py`).  The documents cover defects 0-3, a degenerate form
 (its radical vector comes last in the orthogonal basis) and a non-degenerate
-form whose orthogonalization takes the hyperbolic repair step.  The expected
-stdout is pinned byte for byte in `<name>.analyze`,
-`<name>.classify-machine` and `<name>.verify`.
+form whose orthogonalization takes the hyperbolic repair step.
+`defect0_nonsplit_f2tu` scrambles N = defect0_gram(F, t, u, t+1), where
+a + b = 1 is a square and a != b, so `classify` on N takes the non-split
+sub-case of defect 0.  Most scrambles of N report the sub-case `none`,
+because the sub-case is read off the one orthogonal basis `classify` finds;
+its seed (43, shear entries t, u, t+1, u+1) is the first that keeps
+`nonsplit`.  The expected stdout is pinned byte for byte in
+`<name>.analyze`, `<name>.classify-machine` and `<name>.verify`.
+
+`dim6_f2t` is S^T diag(t,1,t+1,1,t,1) S over F2(t), with S a product of three
+seeded 6x6 permuted shears.  Its Pf and J are 20x20; `classify` refuses it,
+because the classification covers dimension 4.
 
 `dense_defect2_f2tu` is a defect-2 split form over F2(t)(u) with dense
 entries, not built by that construction.  Its `classify` takes about 2 s,
@@ -33,13 +42,16 @@ JOBS = {"analyze": ["analyze"], "classify-machine": ["classify", "--machine"],
 FAILS = {("degenerate_f2t", "classify-machine"):
          (2, "error: classification needs a non-degenerate form\n"),
          ("degenerate_f2t", "verify"):
-         (2, "error: {path}: verify needs a non-degenerate form\n")}
+         (2, "error: {path}: verify needs a non-degenerate form\n"),
+         ("dim6_f2t", "classify-machine"):
+         (2, "error: the classification covers dimension 4\n")}
 
 
 def test_golden_documents_cover_the_cases():
-    assert NAMES == ["defect0_f2tu", "defect1_f2tu", "defect2_nonsplit_f2t",
-                     "defect2_nonsplit_f2tu", "defect2_split_f2t", "defect3_f2t",
-                     "degenerate_f2t", "dense_defect2_f2tu", "repair_f2tu"]
+    assert NAMES == ["defect0_f2tu", "defect0_nonsplit_f2tu", "defect1_f2tu",
+                     "defect2_nonsplit_f2t", "defect2_nonsplit_f2tu", "defect2_split_f2t",
+                     "defect3_f2t", "degenerate_f2t", "dense_defect2_f2tu", "dim6_f2t",
+                     "repair_f2tu"]
 
 
 @pytest.mark.parametrize("name,job", [(name, job) for name in NAMES for job in sorted(JOBS)])

@@ -1,9 +1,11 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from char2forms import groups as G
+from char2forms.cli import parse_document
 from char2forms.exterior import compound_matrix, hodge
 from char2forms.fields import GF2k
 from char2forms.forms import BilinearForm, quadratic_data
@@ -550,6 +552,24 @@ def test_classify_defect0_no_family(f2tu):
     rep = G.classify(BilinearForm(gram))
     assert rep.case_data["subcase"] == "none"
     assert rep.generators == ()
+
+
+def test_classify_defect0_nonsplit_golden():
+    # the scrambled defect0_gram(F, t, u, t+1) of the goldens: a + b = 1 is a
+    # square and a != b, so the non-split family applies
+    path = Path(__file__).parent / "golden" / "defect0_nonsplit_f2tu.txt"
+    doc = parse_document(str(path), path.read_text())
+    field, form = doc.field, BilinearForm(doc.matrix)
+    rep = G.classify(form)
+    data = rep.case_data
+    assert (rep.case, data["subcase"]) == ("defect0", "nonsplit")
+    assert data["a"] + data["b"] == field.one() and data["a"] != data["b"]
+    assert data["rho"] == field.one()
+    # the printed multiplier (`similitude multiplier=t+1`), checked on the
+    # generators moved to the input coordinates
+    assert [str(g.multiplier) for g in rep.generators] == ["t+1"]
+    for g in rep.generators:
+        assert G.similitude_multiplier(form, g.matrix) == g.multiplier
 
 
 def test_build_case_wrappers(gf2, f2t, f2tu):

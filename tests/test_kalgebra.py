@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from char2forms.exterior import hodge, wedge
@@ -145,6 +148,43 @@ def test_g_diagonal_entries_from_definition(f2t, rng):
 def test_build_module_requires_diagonal(gf2):
     with pytest.raises(KAlgebraError):
         build_module(hodge(BilinearForm(h_tilde_gram(gf2))))
+
+
+def test_build_module_requires_j_onto_the_complement(f2t):
+    # column S of J must be a nonzero multiple of e_(S^c): an extra entry at
+    # another wedge without 1, or a zero entry at S^c, is refused
+    data = hodge(BilinearForm(Matrix.diagonal(f2t, [f2t.parse("t"), 1, 1, 1])))
+    space = data.space
+    col, comp = space.position((1, 2)), space.position((3, 4))
+    for row, value in ((space.position((2, 4)), f2t.one()), (comp, f2t.zero())):
+        rows = [list(r) for r in data.j_matrix.entries]
+        rows[row][col] = value
+        with pytest.raises(KAlgebraError):
+            build_module(dataclasses.replace(data, j_matrix=Matrix(f2t, rows)))
+
+
+@pytest.mark.parametrize("diag,scale,split", [
+    (["t", "1", "1", "1"], None, False),
+    (["t", "t+1", "1", "t^2"], "t", False),
+    (["t", "t", "1", "1"], None, True),
+    (["t", "1", "t+1", "1", "t", "t+1"], "t+1", True),
+    (["t", "1", "t+1", "1", "t", "t"], None, False),
+])
+def test_k_coordinates_match_solve(f2t, diag, scale, split):
+    # the general solve in the F-picture: columns (e_S, J e_S) for S in B1
+    module = _module(f2t, diag, scale=None if scale is None else f2t.parse(scale))
+    assert module.split == split
+    cols = []
+    for s in module.basis_sets:
+        e = module.basis_vector(s)
+        cols += [e, module.hodge.j_matrix * e]
+    phi = Matrix.from_columns(f2t, cols)
+    rng = random.Random(len(diag))
+    for _ in range(6):
+        w = Vector(f2t, [f2t.random_element(rng, 1) for _ in range(module.hodge.space.dim)])
+        sol = phi.solve(w)
+        assert module.k_coordinates(w) == [module.algebra.element(sol[2 * i], sol[2 * i + 1])
+                                           for i in range(len(module.basis_sets))]
 
 
 def test_module_right_action_axioms(f2t, rng):
