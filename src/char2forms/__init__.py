@@ -14,11 +14,9 @@ from .exterior import (ExteriorSpace, HodgeData, ZeroVolume, WrongDimension,
 from .kalgebra import (KAlgebra, KModule, KAlgebraError, NonInvertible, NotSplit,
                        build_module, normalize_split, wz_submodule)
 from .groups import (ClassificationReport, GroupElement, SL2Word, GroupError,
-                     HypothesisViolated, NotSimilitude, NotUnimodular,
-                     build_case_defect0, build_case_defect1, build_case_defect2,
-                     build_case_defect3, classify, eta, eta_o, generate_closure,
-                     hat_l, hat_u, is_isometry, o3_standard_form_group,
-                     similitude_multiplier, sl2_decompose, t_hat)
+                     HypothesisViolated, NotSimilitude, NotUnimodular, classify, eta,
+                     eta_o, generate_closure, hat_l, hat_u, is_isometry,
+                     o3_standard_form_group, similitude_multiplier, sl2_decompose, t_hat)
 from .oracle import (EnumerationResult, NoConsistentScalar, OracleError, TooLarge,
                      brute_pq_scalar, compound_by_expansion, direct_g,
                      enumerate_isometries)

@@ -1,20 +1,20 @@
 """Isometry and similitude groups of non-alternating forms in dimension 4.
 
-The classification by defect:
-
-  defect 3: O(V,h) ~= (SL2(F) semidirect F^2) x F, K split
-  defect 2, K non-split: O(V,h) ~= SL2(F)
-  defect 2, K split:     O(V,h) ~= (F^3, +)
-  defect 1: O(V,h) ~= (F, +), K non-split
-  defect 0: O(V,h) trivial (q anisotropic)
+The classification has five cases, set by the defect of q (0-3) and, for
+defect 2, by whether K splits.  ``CASES`` states the fixed claims of each
+case once: its defect, the K-split values it admits, the structure of
+O(V,h), |O(V,h)| over GF(q), and a (multipliers, note) pair per sub-case
+(``None`` where there is none; defect 0 has ``split``, ``nonsplit`` and
+``none``).  The report text, the case check of ``classify`` and the
+predicted order are all read off that table.
 
 Each case comes with an explicit normal form, explicit generators, the
 similitude families realizing the multiplier set, and the representation on
 the K-module W = Lambda^2 V (and on Wz in the split cases).  ``classify``
 normalizes an arbitrary non-degenerate non-alternating 4-dimensional form to
 the matching normal form by constructive basis changes and checks the
-generators there; the report moves them to the input coordinates on first
-read.
+generators there; the report keeps only that computed data, and moves the
+generators to the input coordinates on first read.
 
 All group elements are plain matrices with a multiplier; finite groups are
 materialized by Dimino's coset closure of the generator set.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ._smallfield import EncodedMatrices, try_int_field
 from .errors import Char2FormsError, CheckFailed, require
@@ -633,19 +633,79 @@ def defect0_split_element(field, a, c, x1, x2, x3, x4) -> tuple[Matrix, FieldEle
 # ---------------------------------------------------------------------------
 # classification
 
+_SQUARE_MULTIPLIERS = "every multiplier is a square: GO(V,h) = F^x * O(V,h)"
+_NORM_MULTIPLIERS = ("multipliers form the inseparable quadratic extension "
+                     "F^2(m) minus 0 (all a^2 + b^2 m != 0)")
+
+
+@dataclass(frozen=True)
+class Case:
+    """The fixed claims of one classification case (a row of ``CASES``)."""
+
+    defect: int
+    k_split: tuple[bool, ...]
+    structure: str
+    order: Callable[[int], int]
+    subcases: dict[Optional[str], tuple[str, str]]
+
+
+CASES: dict[str, Case] = {
+    "defect3": Case(
+        3, (True,), "O(V,h) ~= (SL2(F) semidirect F^2) x F; K splits",
+        lambda q: q ** 4 * (q * q - 1),
+        {None: (_SQUARE_MULTIPLIERS,
+                "generators: xi(t1,t2,t3) spanning Xi and diag(1,B,1) with "
+                "B in SL2(F), transported from the hyperbolic coordinates")}),
+    "defect2_nonsplit": Case(
+        2, (False,), "O(V,h) ~= SL2(F); K = F(j) with j^2 = m",
+        lambda q: q * (q * q - 1),
+        {None: (_NORM_MULTIPLIERS,
+                "isometries diag(1, hat L_x) and diag(1, hat U_x), x in F, "
+                "generate O; similitudes diag(A, A) with A = [[a,b],[bm,a]] "
+                "realize every multiplier a^2 + b^2 m")}),
+    "defect2_split": Case(
+        2, (True,), "O(V,h) ~= (F^3, +), elementary abelian of exponent 2; K splits",
+        lambda q: q ** 3,
+        {None: (_NORM_MULTIPLIERS,
+                "O(V,h) = {[[E+aM, bM],[mbM, E+cM]]: a,b,c in F} with M the "
+                "all-ones matrix; the action on Wz has kernel {a = c}")}),
+    "defect1": Case(
+        1, (False,), "O(V,h) ~= (F, +); K is not split",
+        lambda q: q,
+        {None: (_SQUARE_MULTIPLIERS,
+                "O(V,h) = {diag(U_x, E): x in F} in the u-basis; on the K-basis "
+                "(v1^v3, (v1^v4)(j/c4), v1^v2) the form g is diag(c3, c3, 1) and "
+                "eta sends the generator family to hat U_x")}),
+    "defect0": Case(
+        0, (True, False), "q is anisotropic; O(V,q) and O(V,h) are trivial",
+        lambda q: 1,
+        {"split": ("every element of E = F^2(a) + F^2(a)c occurs as a "
+                   "multiplier; GO(V,h) is sharply transitive on V minus 0",
+                   "split sub-case (a = b): the similitudes F(A,C) form a "
+                   "field acting sharply transitively"),
+         "nonsplit": ("multipliers form F^2(a) minus 0, the multiplicative "
+                      "group of an inseparable quadratic extension of F^2",
+                      "non-split sub-case (rho = sqrt(a+b) in F): similitudes "
+                      "are the nonzero elements of the field L = {diag(A, psi(A))}"),
+         "none": ("no similitude with non-square multiplier found among "
+                  "the constructed families; F^x * id is realized",
+                  "similitude analysis skipped: the diagonal (1,a,c,cb) "
+                  "fits neither constructed family (a+b not a square, a != b)")}),
+}
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
-    defect: int
-    k_split: bool
+    """The computed data of a classification; the claims are read off
+    ``CASES[case]``, the sub-case from ``case_data``."""
+
     case: str
-    description: str
-    multipliers: str
-    normal_generators: tuple[GroupElement, ...]
+    k_split: bool
+    case_data: dict
     normalizer: Matrix
     scale: FieldElement
     normal_gram: Matrix
-    notes: tuple[str, ...]
-    case_data: dict
+    normal_generators: tuple[GroupElement, ...]
 
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:
@@ -655,42 +715,29 @@ class ClassificationReport:
         return tuple(GroupElement(matrix=s * g.matrix * s_inv, multiplier=g.multiplier)
                      for g in self.normal_generators)
 
-    def predicted_order(self, q: int) -> Optional[int]:
-        """Group order over a field with q elements, when finite."""
-        sl2 = q * (q * q - 1)
-        if self.case == "defect3":
-            return sl2 * q * q * q
-        if self.case == "defect2_nonsplit":
-            return sl2
-        if self.case == "defect2_split":
-            return q ** 3
-        if self.case == "defect1":
-            return q
-        if self.case == "defect0":
-            return 1
-        return None
+    @property
+    def defect(self) -> int:
+        return CASES[self.case].defect
 
+    @property
+    def description(self) -> str:
+        return CASES[self.case].structure
 
-_CASE_OF = {(3, True): "defect3", (2, False): "defect2_nonsplit",
-            (2, True): "defect2_split", (1, False): "defect1",
-            (0, True): "defect0", (0, False): "defect0"}
+    @property
+    def multipliers(self) -> str:
+        return self._subcase[0]
 
-_DESCRIPTIONS = {
-    "defect3": "O(V,h) ~= (SL2(F) semidirect F^2) x F; K splits",
-    "defect2_nonsplit": "O(V,h) ~= SL2(F); K = F(j) with j^2 = m",
-    "defect2_split": "O(V,h) ~= (F^3, +), elementary abelian of exponent 2; K splits",
-    "defect1": "O(V,h) ~= (F, +); K is not split",
-    "defect0": "q is anisotropic; O(V,q) and O(V,h) are trivial",
-}
+    @property
+    def notes(self) -> tuple[str, ...]:
+        return (self._subcase[1],)
 
-_MULTIPLIERS = {
-    "defect3": "every multiplier is a square: GO(V,h) = F^x * O(V,h)",
-    "defect2_nonsplit": "multipliers form the inseparable quadratic extension "
-                        "F^2(m) minus 0 (all a^2 + b^2 m != 0)",
-    "defect2_split": "multipliers form the inseparable quadratic extension "
-                     "F^2(m) minus 0 (all a^2 + b^2 m != 0)",
-    "defect1": "every multiplier is a square: GO(V,h) = F^x * O(V,h)",
-}
+    @property
+    def _subcase(self) -> tuple[str, str]:
+        return CASES[self.case].subcases[self.case_data.get("subcase")]
+
+    def predicted_order(self, q: int) -> int:
+        """Group order over a field with q elements."""
+        return CASES[self.case].order(q)
 
 
 def _same_square_class(a: FieldElement, b: FieldElement) -> bool:
@@ -702,45 +749,6 @@ def _rescale_to(value: FieldElement, target: FieldElement) -> FieldElement:
     root = (target * value.inverse()).sqrt()
     require(root is not None, "internal: rescaling across square classes")
     return root
-
-
-def build_case_defect3(field) -> ClassificationReport:
-    """The sum-of-squares case: the identity Gram matrix over the given field."""
-    return classify(BilinearForm(Matrix.identity(field, 4)))
-
-
-def build_case_defect2(field, m, variant: str) -> ClassificationReport:
-    """One of the two defect-2 normal forms diag(m,1,1,1) or diag(m,m,1,1)."""
-    if variant == "H1":
-        gram = h1_gram(field, m)
-    elif variant == "H2":
-        gram = h2_gram(field, m)
-    else:
-        raise HypothesisViolated(f"variant must be H1 or H2, got {variant!r}")
-    report = classify(BilinearForm(gram))
-    require(report.case_data["variant"] == variant,
-            f"internal: the {variant} normal form classified as another variant")
-    return report
-
-
-def build_case_defect1(field, c3, c4) -> ClassificationReport:
-    """The defect-1 normal form with hyperbolic-plus-anisotropic Gram matrix."""
-    return classify(BilinearForm(defect1_gram(field, c3, c4)))
-
-
-def build_case_defect0(field, data) -> ClassificationReport:
-    """The anisotropic case, from a Gram matrix or from parameters (r, s, c, t)."""
-    if isinstance(data, Matrix):
-        gram = data
-    elif isinstance(data, BilinearForm):
-        gram = data.gram
-    else:
-        r, s, c, t = data
-        gram, _ = defect0_gram_from_parameters(field, r, s, c, t)
-    report = classify(BilinearForm(gram))
-    if report.defect != 0:
-        raise HypothesisViolated(f"the supplied form has defect {report.defect}, not 0")
-    return report
 
 
 def classify(form: BilinearForm) -> ClassificationReport:
@@ -765,7 +773,7 @@ def classify(form: BilinearForm) -> ClassificationReport:
 
 
 def _case_report(form, qd, k_split, case, s, scale, normal, isometries=(), similitudes=(),
-                 *, notes, case_data, multipliers=None) -> ClassificationReport:
+                 *, case_data) -> ClassificationReport:
     """Check a normal form and its generators, then build the report.
 
     S^T H S must equal scale * normal.  The isometries and the (matrix,
@@ -775,7 +783,8 @@ def _case_report(form, qd, k_split, case, s, scale, normal, isometries=(), simil
     fractions.  The report keeps them in those coordinates; it computes
     S g S^-1 only when its ``generators`` are read.
     """
-    require(_CASE_OF.get((qd.defect, k_split)) == case,
+    row = CASES[case]
+    require(qd.defect == row.defect and k_split in row.k_split,
             f"internal: case {case} does not match (defect={qd.defect}, split={k_split})")
     require(s.transpose() * form.gram * s == normal * scale,
             "internal: the normalizing basis does not reach the normal form")
@@ -786,11 +795,9 @@ def _case_report(form, qd, k_split, case, s, scale, normal, isometries=(), simil
         require(similitude_multiplier(normal_form, g) == mult,
                 "internal: a constructed generator has the wrong multiplier")
     return ClassificationReport(
-        defect=qd.defect, k_split=k_split, case=case, description=_DESCRIPTIONS[case],
-        multipliers=multipliers or _MULTIPLIERS[case],
-        normal_generators=tuple(GroupElement(matrix=g, multiplier=mult)
-                                for g, mult in checked),
-        normalizer=s, scale=scale, normal_gram=normal, notes=notes, case_data=case_data)
+        case=case, k_split=k_split, case_data=case_data, normalizer=s, scale=scale,
+        normal_gram=normal, normal_generators=tuple(GroupElement(matrix=g, multiplier=mult)
+                                                    for g, mult in checked))
 
 
 def _classify_defect3(form, qd, k_split) -> ClassificationReport:
@@ -801,10 +808,7 @@ def _classify_defect3(form, qd, k_split) -> ClassificationReport:
         field, [v.scale(_rescale_to(c, c1)) for v, c in zip(qd.basis, qd.values)])
     return _case_report(
         form, qd, k_split, "defect3", s, c1, Matrix.identity(field, 4),
-        isometries=defect3_generators(field),
-        notes=("generators: xi(t1,t2,t3) spanning Xi and diag(1,B,1) with "
-               "B in SL2(F), transported from the hyperbolic coordinates",),
-        case_data={})
+        isometries=defect3_generators(field), case_data={})
 
 
 def _defect2_normal_form(form, qd):
@@ -904,19 +908,14 @@ def _classify_defect2(form, qd, k_split) -> ClassificationReport:
         case, normal = "defect2_nonsplit", h1_gram(field, m)
         isometries = [h1_isometry_l(field, one), h1_isometry_u(field, one)]
         similitude = h1_similitude(field, m, zero, one)
-        notes = ("isometries diag(1, hat L_x) and diag(1, hat U_x), x in F, "
-                 "generate O; similitudes diag(A, A) with A = [[a,b],[bm,a]] "
-                 "realize every multiplier a^2 + b^2 m",)
     else:
         case, normal = "defect2_split", h2_gram(field, m)
         isometries = [h2_isometry(field, m, one, zero, zero),
                       h2_isometry(field, m, zero, one, zero),
                       h2_isometry(field, m, zero, zero, one)]
         similitude = h2_similitude(field, m, zero, one)
-        notes = ("O(V,h) = {[[E+aM, bM],[mbM, E+cM]]: a,b,c in F} with M the "
-                 "all-ones matrix; the action on Wz has kernel {a = c}",)
     return _case_report(form, qd, k_split, case, s, scale, normal, isometries, [similitude],
-                        notes=notes, case_data={"m": m, "variant": variant})
+                        case_data={"m": m, "variant": variant})
 
 
 def _classify_defect1(form, qd, k_split) -> ClassificationReport:
@@ -942,11 +941,7 @@ def _classify_defect1(form, qd, k_split) -> ClassificationReport:
     s = Matrix.from_columns(field, [u1s, u2_vec, u3, u4])
     return _case_report(
         form, qd, k_split, "defect1", s, s_val, defect1_gram(field, c3, c4),
-        isometries=[defect1_isometry(field, field.one())],
-        notes=("O(V,h) = {diag(U_x, E): x in F} in the u-basis; on the K-basis "
-               "(v1^v3, (v1^v4)(j/c4), v1^v2) the form g is diag(c3, c3, 1) and "
-               "eta sends the generator family to hat U_x",),
-        case_data={"c3": c3, "c4": c4})
+        isometries=[defect1_isometry(field, field.one())], case_data={"c3": c3, "c4": c4})
 
 
 def _classify_defect0(form, qd, k_split) -> ClassificationReport:
@@ -963,25 +958,13 @@ def _classify_defect0(form, qd, k_split) -> ClassificationReport:
     if a == b:
         big_a, big_c = defect0_split_family(field, a, c)
         similitudes = [(big_a, a), (big_c, c)]
-        multipliers = ("every element of E = F^2(a) + F^2(a)c occurs as a "
-                       "multiplier; GO(V,h) is sharply transitive on V minus 0")
-        note = ("split sub-case (a = b): the similitudes F(A,C) form a "
-                "field acting sharply transitively")
         case_data["subcase"] = "split"
     elif (a + b).is_square():
         similitudes = [defect0_nonsplit_similitude(field, a, b, field.zero(), field.one())]
-        multipliers = ("multipliers form F^2(a) minus 0, the multiplicative "
-                       "group of an inseparable quadratic extension of F^2")
-        note = ("non-split sub-case (rho = sqrt(a+b) in F): similitudes "
-                "are the nonzero elements of the field L = {diag(A, psi(A))}")
         case_data["subcase"] = "nonsplit"
         case_data["rho"] = (a + b).sqrt()
     else:
         similitudes = []
-        multipliers = ("no similitude with non-square multiplier found among "
-                       "the constructed families; F^x * id is realized")
-        note = ("similitude analysis skipped: the diagonal (1,a,c,cb) "
-                "fits neither constructed family (a+b not a square, a != b)")
         case_data["subcase"] = "none"
     return _case_report(form, qd, k_split, "defect0", s, d1, normal, similitudes=similitudes,
-                        notes=(note,), case_data=case_data, multipliers=multipliers)
+                        case_data=case_data)

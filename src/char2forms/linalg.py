@@ -11,9 +11,9 @@ the result.  Products go through one payload dot product, which skips the
 zero entries of both sides.  The operand rings of a call must be equal, else
 `DescriptorMismatch`: one check per call in place of one per element
 product.  `det_rows` is the determinant on payload rows behind `det` and
-each minor of `minors`; its elimination updates only the columns right of
-each pivot.  Matrices are small (J is 70x70 for n = 8), so elimination is
-plain exact elimination with first-unit pivots.
+each minor of `minors` that no zero row decides; its elimination updates
+only the columns right of each pivot.  Matrices are small (J is 70x70 for
+n = 8), so elimination is plain exact elimination with first-unit pivots.
 
 Per call, on elements before and on payloads now (Python 3.11, one core of
 a shared x86-64 host, random invertible matrices with a quarter zero
@@ -298,11 +298,20 @@ class Matrix:
                col_sets: Sequence[Sequence[int]]) -> "Matrix":
         """The matrix whose entry (i, j) is the minor on the rows `row_sets[i]`
         and the columns `col_sets[j]` (0-based index sets, all of one size),
-        each by `det_rows` on payload rows; only the results are wrapped."""
+        each by `det_rows` on payload rows; only the results are wrapped.
+
+        A minor with a row that is zero on its columns is zero without a
+        `det_rows` call, so a diagonal matrix costs only its diagonal minors."""
         ring, rows = self.ring, _payload_rows(self)
-        return Matrix(ring, [_elements(self, [det_rows(ring, [[rows[i][j] for j in cols]
-                                                              for i in row_set])
-                                              for cols in col_sets])
+        zero, is_zero = ring._from_int(0), ring._is_zero
+        support = [frozenset(j for j, x in enumerate(row) if not is_zero(x)) for row in rows]
+
+        def minor(row_set, cols):
+            if any(support[i].isdisjoint(cols) for i in row_set):
+                return zero
+            return det_rows(ring, [[rows[i][j] for j in cols] for i in row_set])
+
+        return Matrix(ring, [_elements(self, [minor(row_set, cols) for cols in col_sets])
                              for row_set in row_sets])
 
     def __eq__(self, other):

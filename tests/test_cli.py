@@ -412,7 +412,7 @@ def test_case_report_checks_generators_in_normal_coordinates(f2t):
 
     def report(**generators):
         return groups._case_report(form, quadratic_data(form), True, "defect3", ident,
-                                   f2t.one(), ident, notes=(), case_data={}, **generators)
+                                   f2t.one(), ident, case_data={}, **generators)
 
     with pytest.raises(CheckFailed, match="^internal: "):
         report(isometries=[shear])
@@ -506,7 +506,7 @@ form = BilinearForm(Matrix.identity(gf2, 4))
 try:
     groups._case_report(form, quadratic_data(form), True, "defect3",
                         Matrix.identity(gf2, 4), gf2.one(), groups.h_tilde_gram(gf2),
-                        notes=(), case_data={})
+                        case_data={})
 except CheckFailed:
     pass
 else:
@@ -517,7 +517,7 @@ shear = Matrix(f2t, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 for generators in ({"isometries": [shear]}, {"similitudes": [(ident * t, t)]}):
     try:
         groups._case_report(form, quadratic_data(form), True, "defect3", ident, f2t.one(),
-                            ident, notes=(), case_data={}, **generators)
+                            ident, case_data={}, **generators)
     except CheckFailed:
         pass
     else:

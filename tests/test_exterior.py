@@ -1,8 +1,10 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
+from char2forms import linalg
 from char2forms.cli import main
 from char2forms.exterior import (ExteriorSpace, WrongDimension, ZeroVolume, alt_matrix,
                                  compound_matrix, exterior_form_gram, hodge,
@@ -59,6 +61,37 @@ def test_compound_matches_expansion_oracle_over_f2tu(f2tu, rng):
     for n, ell in ((4, 2), (6, 3)):
         a = _random_matrix(f2tu, n, rng, size=1)
         assert compound_matrix(a, ell) == compound_by_expansion(a, ell)
+
+
+def test_compound_of_sparse_and_diagonal_matches_expansion_oracle(gf4, f2t, f2tu, rng,
+                                                                   monkeypatch):
+    # a minor with a row that is zero on its columns is zero without a
+    # det_rows call, so a diagonal matrix costs only its C(n, l) diagonal minors
+    calls = []
+
+    def counting(ring, rows):
+        calls.append(len(rows))
+        return real(ring, rows)
+
+    real = linalg.det_rows
+    monkeypatch.setattr(linalg, "det_rows", counting)
+    for field, n in ((gf4, 6), (f2t, 6), (f2tu, 4)):
+        def nonzero():
+            while (x := field.random_element(rng, size=1)).is_zero():
+                pass
+            return x
+
+        diagonal = Matrix.diagonal(field, [nonzero() for _ in range(n)])
+        sparse = Matrix(field, [[nonzero() if rng.random() < 0.3 else field.zero()
+                                 for _ in range(n)] for _ in range(n)])
+        monomial = Matrix(field, [[field.one() if j == (i + 1) % n else field.zero()
+                                   for j in range(n)] for i in range(n)]) * diagonal
+        for a in (diagonal, sparse, monomial):
+            for ell in range(1, n):
+                calls.clear()
+                assert compound_matrix(a, ell) == compound_by_expansion(a, ell)
+                if a is diagonal:
+                    assert len(calls) == comb(n, ell)
 
 
 def _wedge_by_expansion(field, vectors):

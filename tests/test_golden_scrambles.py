@@ -11,7 +11,11 @@ a + b = 1 is a square and a != b, so `classify` on N takes the non-split
 sub-case of defect 0.  Most scrambles of N report the sub-case `none`,
 because the sub-case is read off the one orthogonal basis `classify` finds;
 its seed (43, shear entries t, u, t+1, u+1) is the first that keeps
-`nonsplit`.  The expected stdout is pinned byte for byte in
+`nonsplit`.  `defect0_split_f2tu` scrambles N = defect0_gram(F, t, u, t),
+where a = b, so `classify` on N takes the split sub-case; its seed (22, same
+shear entries) is the first that keeps `split`.  With `defect0_f2tu`, whose
+`classify` reports the sub-case `none`, every (case, sub-case) row of
+`groups.CASES` is pinned.  The expected stdout is pinned byte for byte in
 `<name>.analyze`, `<name>.classify-machine` and `<name>.verify`.
 
 `dim6_f2t` is S^T diag(t,1,t+1,1,t,1) S over F2(t), with S a product of three
@@ -48,10 +52,10 @@ FAILS = {("degenerate_f2t", "classify-machine"):
 
 
 def test_golden_documents_cover_the_cases():
-    assert NAMES == ["defect0_f2tu", "defect0_nonsplit_f2tu", "defect1_f2tu",
-                     "defect2_nonsplit_f2t", "defect2_nonsplit_f2tu", "defect2_split_f2t",
-                     "defect3_f2t", "degenerate_f2t", "dense_defect2_f2tu", "dim6_f2t",
-                     "repair_f2tu"]
+    assert NAMES == ["defect0_f2tu", "defect0_nonsplit_f2tu", "defect0_split_f2tu",
+                     "defect1_f2tu", "defect2_nonsplit_f2t", "defect2_nonsplit_f2tu",
+                     "defect2_split_f2t", "defect3_f2t", "degenerate_f2t",
+                     "dense_defect2_f2tu", "dim6_f2t", "repair_f2tu"]
 
 
 @pytest.mark.parametrize("name,job", [(name, job) for name in NAMES for job in sorted(JOBS)])
@@ -95,4 +99,23 @@ def test_verify_fails_on_a_corrupted_module_j(monkeypatch, capsys):
     assert "check g two-formula agreement: FAIL" in lines
     assert [line for line in lines if "FAIL" in line] == [
         "check g two-formula agreement: FAIL"]
+    assert lines[-1] == "result: 1 check(s) failed"
+
+
+def test_verify_reports_a_failed_wz_check(monkeypatch, capsys):
+    # `wz_submodule` checks that g vanishes on Wz, that rho_z is the identity
+    # and that j fixes Wz pointwise; `verify` prints the three PASS lines only
+    # when it returns, and one FAIL line with its message otherwise
+    def corrupted(module):
+        module = real(module)
+        data = module.hodge
+        j = data.j_matrix + Matrix.identity(data.field, data.space.dim)
+        return dataclasses.replace(module, hodge=dataclasses.replace(data, j_matrix=j))
+
+    real = cli.normalize_split
+    monkeypatch.setattr(cli, "normalize_split", corrupted)
+    assert main(["verify", str(GOLDEN / "defect2_split_f2t.txt")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "Wz" in line or "FAIL" in line] == [
+        "check split module structure: FAIL (j must fix Wz pointwise)"]
     assert lines[-1] == "result: 1 check(s) failed"

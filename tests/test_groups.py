@@ -469,16 +469,29 @@ def test_classify_case_tags(gf2, f2t, f2tu):
     ident = BilinearForm(Matrix.identity(gf2, 4))
     assert G.classify(ident).case == "defect3"
     t = f2t.generator
-    one = f2t.one()
-    assert G.classify(BilinearForm(Matrix.diagonal(f2t, [t, one, one, one]))).case \
-        == "defect2_nonsplit"
-    assert G.classify(BilinearForm(Matrix.diagonal(f2t, [t, t, one, one]))).case \
-        == "defect2_split"
+    rep_h1 = G.classify(BilinearForm(G.h1_gram(f2t, t)))
+    assert (rep_h1.case, rep_h1.case_data["variant"]) == ("defect2_nonsplit", "H1")
+    rep_h2 = G.classify(BilinearForm(G.h2_gram(f2t, t)))
+    assert (rep_h2.case, rep_h2.case_data["variant"]) == ("defect2_split", "H2")
     tt, uu = f2tu.parse("t"), f2tu.parse("u")
     assert G.classify(BilinearForm(G.defect1_gram(f2tu, tt, uu))).case == "defect1"
-    d0 = BilinearForm(Matrix.diagonal(f2tu, [f2tu.one(), tt, uu, tt * uu]))
-    rep0 = G.classify(d0)
+    rep0 = G.classify(BilinearForm(G.defect0_gram(f2tu, tt, uu, tt)))
     assert rep0.case == "defect0" and rep0.case_data["subcase"] == "split"
+
+
+def test_report_claims_come_from_the_case_table(gf2, f2tu):
+    # a report's claims are its row of CASES, the multipliers and the note
+    # taken from the sub-case
+    rep = G.classify(BilinearForm(Matrix.identity(gf2, 4)))
+    assert [rep.predicted_order(q) for q in (2, 4)] == [48, 3840]
+    tt, uu = f2tu.parse("t"), f2tu.parse("u")
+    rep0 = G.classify(BilinearForm(G.defect0_gram(f2tu, tt, uu, tt + uu)))
+    assert rep0.case_data["subcase"] == "none"
+    assert (rep0.multipliers, rep0.notes[0]) == G.CASES["defect0"].subcases["none"]
+    # the rows partition the (defect, K split) pairs
+    pairs = [(row.defect, split) for row in G.CASES.values() for split in row.k_split]
+    assert sorted(pairs) == [(0, False), (0, True), (1, False), (2, False), (2, True),
+                             (3, True)]
 
 
 def test_classify_normal_form_congruence(f2t, f2tu, rng):
@@ -572,27 +585,14 @@ def test_classify_defect0_nonsplit_golden():
         assert G.similitude_multiplier(form, g.matrix) == g.multiplier
 
 
-def test_build_case_wrappers(gf2, f2t, f2tu):
-    t = f2t.generator
-    assert G.build_case_defect3(gf2).case == "defect3"
-    assert G.build_case_defect2(f2t, t, "H1").case == "defect2_nonsplit"
-    assert G.build_case_defect2(f2t, t, "H2").case == "defect2_split"
-    with pytest.raises(G.HypothesisViolated):
-        G.build_case_defect2(f2t, t, "H3")
-    tt, uu = f2tu.parse("t"), f2tu.parse("u")
-    assert G.build_case_defect1(f2tu, tt, uu).case == "defect1"
-    rep = G.build_case_defect0(f2tu, G.defect0_gram(f2tu, tt, uu, tt))
-    assert rep.case_data["subcase"] == "split"
-
-
-def test_build_case_defect0_from_parameters(f2tu):
+def test_classify_defect0_from_parameters(f2tu):
     # r = t, s = 0, c = u, t-parameter = 0: a = b = t, the split sub-case
     tt, uu = f2tu.parse("t"), f2tu.parse("u")
     zero = f2tu.zero()
     gram, u_basis = G.defect0_gram_from_parameters(f2tu, tt, zero, uu, zero)
     moved = u_basis.transpose() * gram * u_basis
     assert moved == G.defect0_gram(f2tu, tt, uu, tt)
-    rep = G.build_case_defect0(f2tu, (tt, zero, uu, zero))
+    rep = G.classify(BilinearForm(gram))
     assert rep.case == "defect0" and rep.case_data["subcase"] == "split"
     # a nontrivial shear: r = t, s = 1, c = u, t-parameter = 1 gives a = t+1,
     # b = t+1 (split again), with a genuinely non-diagonal input Gram
@@ -601,10 +601,8 @@ def test_build_case_defect0_from_parameters(f2tu):
     assert not gram2.is_diagonal()
     a = tt + one
     assert u2.transpose() * gram2 * u2 == G.defect0_gram(f2tu, a, uu, a)
-    rep2 = G.build_case_defect0(f2tu, (tt, one, uu, one))
-    assert rep2.case_data["subcase"] == "split"
-    with pytest.raises(G.HypothesisViolated):
-        G.build_case_defect0(f2tu, Matrix.identity(f2tu, 4))
+    rep2 = G.classify(BilinearForm(gram2))
+    assert rep2.case == "defect0" and rep2.case_data["subcase"] == "split"
 
 
 def test_classify_rejects(gf2, f2t):
