@@ -567,6 +567,24 @@ def test_classify_defect0_no_family(f2tu):
     assert rep.generators == ()
 
 
+def test_build_case_wrappers(gf2, f2t, f2tu):
+    # each case is built as classify(BilinearForm(<normal-form builder>)); the
+    # builders reject parameters outside the case's hypotheses
+    t, one = f2t.generator, f2t.one()
+    assert G.classify(BilinearForm(Matrix.identity(gf2, 4))).case == "defect3"
+    assert G.classify(BilinearForm(G.h1_gram(f2t, t))).case == "defect2_nonsplit"
+    assert G.classify(BilinearForm(G.h2_gram(f2t, t))).case == "defect2_split"
+    for builder in (G.h1_gram, G.h2_gram):
+        with pytest.raises(G.HypothesisViolated):
+            builder(f2t, one)
+    tt, uu = f2tu.parse("t"), f2tu.parse("u")
+    assert G.classify(BilinearForm(G.defect1_gram(f2tu, tt, uu))).case == "defect1"
+    rep = G.classify(BilinearForm(G.defect0_gram(f2tu, tt, uu, tt)))
+    assert rep.case_data["subcase"] == "split"
+    with pytest.raises(G.HypothesisViolated):
+        G.defect0_gram(f2tu, tt, uu, tt * uu)
+
+
 def test_classify_defect0_nonsplit_golden():
     # the scrambled defect0_gram(F, t, u, t+1) of the goldens: a + b = 1 is a
     # square and a != b, so the non-split family applies
