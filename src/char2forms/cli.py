@@ -327,17 +327,12 @@ def cmd_verify(doc: InputDocument, args, report: Report) -> int:
 
 def _g_formulas_agree(module) -> bool:
     """Whether g(u, v) = Lh(u, v) + Lh(u, v*j) * j^(-1) equals
-    Lh(u, v) + j * Pf(u, v) on every pair of wedge basis vectors: the
-    pairings of basis vectors are matrix entries, so the two formulas are
-    compared as K-matrices (`oracle.direct_g` evaluates one pair)."""
-    algebra, data = module.algebra, module.hodge
-
-    def over_k(m: Matrix) -> Matrix:
-        return Matrix(algebra, [[algebra.coerce(e) for e in row] for row in m.entries])
-
-    lh = over_k(data.lh_gram)
-    left = lh + over_k(data.lh_gram * data.j_matrix) * algebra.j().inverse()
-    return left == lh + over_k(data.pf_gram) * algebra.j()
+    Lh(u, v) + j * Pf(u, v) on every pair of wedge basis vectors.  The
+    pairings of basis vectors are matrix entries, and j^2 = delta with j a
+    unit, so the two formulas agree exactly when Lh J = delta Pf as matrices
+    over F (`oracle.direct_g` evaluates one pair over K)."""
+    data = module.hodge
+    return data.lh_gram * data.j_matrix == data.pf_gram * module.algebra.delta
 
 
 def _verify_pq(doc: InputDocument, data, rng, report: Report) -> None:

@@ -160,9 +160,10 @@ def hodge_identities(data: HodgeData) -> list[tuple[str, bool, str]]:
 
     Each pairing identity amounts to an entrywise matrix equation over the
     wedge basis (entry (i,j) is the identity evaluated at the basis pair
-    (i,j)), so the pairs are checked by comparing both sides as matrices.
-    Returns (name, passed, detail) triples; detail names a counterexample
-    pair when a check fails.
+    (i,j)), so the pairs are checked by comparing both sides as matrices;
+    the entries are searched only when the matrices differ.  Returns (name,
+    passed, detail) triples; detail names the first failing pair when a
+    check fails.
     """
     field = data.field
     dim = data.space.dim
@@ -182,8 +183,8 @@ def hodge_identities(data: HodgeData) -> list[tuple[str, bool, str]]:
         ("Lh(Jx,Jy) = delta*Lh(x,y)", jt_g * data.j_matrix, data.lh_gram * data.delta),
     ]
     for name, left, right in checks:
-        bad = next(((i, j) for i in range(dim) for j in range(dim)
-                    if left[i, j] != right[i, j]), None)
+        bad = None if left == right else next(
+            (i, j) for i in range(dim) for j in range(dim) if left[i, j] != right[i, j])
         results.append((name, bad is None,
                         "" if bad is None else
                         f"fails at basis pair {data.space.sets[bad[0]]},{data.space.sets[bad[1]]}"))

@@ -10,7 +10,11 @@ on itself.
 `orthogonalize` keeps the space still to be split as payload columns S with
 its congruent Gram M = S^T H S, so that every h-value and pairing it needs
 is an entry of M, and each step only updates S and M: it never pairs vectors
-through H again until its final check. Per call, on a form whose det(H)
+through H again until its final check.  The updates S C and C^T M C are
+products of payload rows by `linalg.product_rows`, the one product behind
+`Matrix` products and `bilinear` as well; a kernel vector c has a one at
+its free column and zeros at the other free columns, which that product
+adds or skips without multiplying.  Per call, on a form whose det(H)
 is known (Python 3.11, 2 shared cores, best of 9 runs of 5 calls on the
 `tests/golden` forms): defect-3 F2(t) form 1.2-1.4 -> 0.5-0.6 ms, defect-0
 F2(t)(u) form 17-20 -> 8-11 ms, repair-step F2(t)(u) form 1.5-2.5 -> 0.9-1.4
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import Char2FormsError, require
 from .fields import (FieldElement, square_span_dimension, square_span_kernel)
-from .linalg import Matrix, Vector, bilinear, echelon, kernel_rows
+from .linalg import Matrix, Vector, bilinear, echelon, kernel_rows, product_rows
 
 
 class FormError(Char2FormsError):
@@ -214,40 +218,14 @@ def _restrict(field, space, m, constraints):
     """S C and C^T M C, on payloads, for the space S (its columns `space`)
     with congruent Gram M (its rows `m`) and the matrix C whose columns are
     the `kernel_rows` of the constraint rows: the subspace of span(S) they
-    cut out and its congruent Gram."""
-    add, mul, is_zero = field._add, field._mul, field._is_zero
-    zero, one = field._from_int(0), field._from_int(1)
-
-    def combine(vectors, coeffs):
-        # sum coeffs[k] * vectors[k]; a kernel vector has a coefficient 1
-        total = None
-        for x, v in zip(coeffs, vectors):
-            if is_zero(x):
-                continue
-            term = v if x == one else [mul(x, e) for e in v]
-            total = term if total is None else [
-                b if is_zero(a) else a if is_zero(b) else add(a, b)
-                for a, b in zip(total, term)]
-        return total
-
-    def dot(u, v):
-        total = None
-        for x, y in zip(u, v):
-            if not (is_zero(x) or is_zero(y)):
-                term = mul(x, y)
-                total = term if total is None else add(total, term)
-        return zero if total is None else total
-
+    cut out and its congruent Gram.  Each is one `product_rows`: the
+    columns of S C are the rows of C^T S^T, and C^T M C is C^T times the
+    columns M c, which are the rows of C^T M since M is symmetric."""
     kernel = kernel_rows(field, constraints)
-    new_space = [combine(space, c) for c in kernel]
-    # M c is the same combination of the rows of M, since M is symmetric
-    m_c = [combine(m, c) for c in kernel]
-    dim = len(kernel)
-    new_m = [[zero] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(a, dim):
-            new_m[a][b] = new_m[b][a] = dot(kernel[a], m_c[b])
-    return new_space, new_m
+    if not kernel:
+        return [], []
+    m_c = product_rows(field, kernel, m)
+    return product_rows(field, kernel, space), product_rows(field, kernel, list(zip(*m_c)))
 
 
 def _hyperbolic_pair(field, m) -> tuple[int, int]:

@@ -7,31 +7,33 @@ payloads (``_add``, ``_mul``, ``_inv``, ``_is_zero``, ``_is_unit``,
 `bilinear`, `Matrix.det`, `Matrix.minors` and the one row `echelon` behind
 `inverse`, `rank`, `kernel_basis` and `solve` all read the payloads of their
 operands once, compute with those primitives and wrap only the entries of
-the result.  Products go through one payload dot product, which skips the
-zero entries of both sides.  The operand rings of a call must be equal, else
+the result.  Every product is the one kernel `product_rows`: each row of A B
+combines the rows of B, with the coefficients in that row of A.  It skips
+the zero entries of both sides, and it adds a row of B without products
+where the coefficient is one.  M v is the one row v^T M^T, x^T G y is
+the row x^T G against y, and M s multiplies only the nonzero entries of M
+by the scalar s.  The operand rings of a call must be equal, else
 `DescriptorMismatch`: one check per call in place of one per element
 product.  `det_rows` is the determinant on payload rows behind `det` and
 each minor of `minors` that no zero row decides; its elimination updates
 only the columns right of each pivot.  Matrices are small (J is 70x70 for
 n = 8), so elimination is plain exact elimination with first-unit pivots.
 
-Per call, on elements before and on payloads now (Python 3.11, one core of
-a shared x86-64 host, random invertible matrices with a quarter zero
-entries, best of ten):
+Per call (Python 3.11.7, 2 shared x86-64 cores; random invertible matrices
+with a quarter zero entries and `random_element` entries, seed 5; best of
+10 repeats of 200 calls, 20 over F2(t)(u), and of 3 runs):
 
-==================  ==============  ===============  =================
-                    GF(4)           F2(t)            F2(t)(u)
-==================  ==============  ===============  =================
-4x4 product         164 -> 53 us    205 -> 84 us     1.7 -> 1.2 ms
-6x6 product         313 -> 107 us   610 -> 169 us    8.7 -> 2.3 ms
-6x6 pairing         62 -> 24 us     126 -> 54 us     1.4 -> 0.34 ms
-6x6 inverse         583 -> 128 us   910 -> 487 us
-6x6 rank            325 -> 48 us    486 -> 181 us
-==================  ==============  ===============  =================
+==================  =======  =======  ========
+                    GF(4)    F2(t)    F2(t)(u)
+==================  =======  =======  ========
+4x4 product         29 us    57 us    7.3 ms
+6x6 product         56 us    88 us    16 ms
+6x6 pairing         19 us    50 us    1.4 ms
+6x6 matrix-vector   19 us    37 us    1.0 ms
+==================  =======  =======  ========
 
-Over F2(t)(u) the echelon spends its time in the gcds of its fractions,
-which are the same on payloads: a dense 4x4 inverse takes 30-400 ms either
-way.
+Over F2(t)(u) the time goes to the gcds of the fractions, and the echelon
+is no exception: a dense 4x4 inverse takes 30-400 ms.
 """
 
 from __future__ import annotations
@@ -199,27 +201,27 @@ class Matrix:
     __sub__ = __add__
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DimensionMismatch(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-            ring = self.ring
             _same_ring(ring, other.ring)
-            add, mul, zero = ring._add, ring._mul, ring._from_int(0)
-            rows = [_sparse(ring, row) for row in self.entries]
-            cols = [_dense(ring, col) for col in zip(*_payload_rows(other))]
-            return Matrix(ring, [_elements(self, [_dot(add, mul, zero, row, col) for col in cols])
-                                 for row in rows])
+            rows = product_rows(ring, _payload_rows(self), _payload_rows(other))
+            return Matrix(ring, [_elements(self, row) for row in rows])
         if isinstance(other, Vector):
             if self.ncols != len(other):
                 raise DimensionMismatch("matrix/vector shapes differ")
-            return Vector(self.ring, _elements(self, _apply(self, other)))
-        s = self.ring.coerce(other)
-        return Matrix(self.ring, [[e * s for e in row] for row in self.entries])
+            _same_ring(ring, other.ring)
+            # one row: v combines the columns of the matrix
+            row = product_rows(ring, [[e.payload for e in other.entries]],
+                               list(zip(*_payload_rows(self))))[0]
+            return Vector(ring, _elements(self, row))
+        s, mul, is_zero = ring.coerce(other).payload, ring._mul, ring._is_zero
+        return Matrix(ring, [_elements(self, [p if is_zero(p) else mul(p, s) for p in row])
+                             for row in _payload_rows(self)])
 
-    def __rmul__(self, other):
-        s = self.ring.coerce(other)
-        return Matrix(self.ring, [[s * e for e in row] for row in self.entries])
+    __rmul__ = __mul__
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ring, list(zip(*self.entries)))
@@ -329,16 +331,16 @@ class Matrix:
 
 
 def bilinear(gram: Matrix, x: Vector, y: Vector):
-    """The pairing x^T G y, on payloads: G y first, then x against it."""
+    """The pairing x^T G y, on payloads: the row x^T G first, then against y."""
     if len(x) != gram.nrows or len(y) != gram.ncols:
         raise DimensionMismatch(
             f"cannot pair vectors of lengths {len(x)} and {len(y)} "
             f"through a {gram.nrows}x{gram.ncols} matrix")
     ring = gram.ring
     _same_ring(ring, x.ring)
-    gy = _dense(ring, _apply(gram, y))
-    value = _dot(ring._add, ring._mul, ring._from_int(0), _sparse(ring, x.entries), gy)
-    return _elements(gram, [value])[0]
+    _same_ring(ring, y.ring)
+    xg = product_rows(ring, [[e.payload for e in x.entries]], _payload_rows(gram))
+    return _elements(gram, product_rows(ring, xg, [[e.payload] for e in y.entries])[0])[0]
 
 
 def _same_ring(ring, other) -> None:
@@ -358,37 +360,30 @@ def _elements(m: Matrix, payloads) -> list:
     return [cls(ring, p) for p in payloads]
 
 
-def _sparse(ring, entries) -> list:
-    """The (index, payload) pairs of the nonzero elements."""
-    is_zero = ring._is_zero
-    return [(k, e.payload) for k, e in enumerate(entries) if not is_zero(e.payload)]
+def product_rows(ring, a, b) -> list[list]:
+    """The payload rows of the product A B of the payload rows `a` and `b`:
+    row i is the combination of the rows b[k] with the coefficients a[i][k].
 
-
-def _dense(ring, payloads) -> list:
-    """The payloads with None in place of each zero."""
-    is_zero = ring._is_zero
-    return [None if is_zero(p) else p for p in payloads]
-
-
-def _dot(add, mul, zero, row, col):
-    """The payload sum of a * col[k] over the pairs (k, a) of the sparse
-    `row`, skipping the zeros (None) of the dense `col`."""
-    total = None
-    for k, a in row:
-        b = col[k]
-        if b is not None:
-            term = mul(a, b)
-            total = term if total is None else add(total, term)
-    return zero if total is None else total
-
-
-def _apply(m: Matrix, v: Vector) -> list:
-    """The payloads of m * v."""
-    ring = m.ring
-    _same_ring(ring, v.ring)
-    add, mul, zero = ring._add, ring._mul, ring._from_int(0)
-    col = _dense(ring, [e.payload for e in v.entries])
-    return [_dot(add, mul, zero, _sparse(ring, row), col) for row in m.entries]
+    A zero a[i][k] or a zero entry of b[k] makes no product, and a
+    coefficient one adds b[k] without products."""
+    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
+    zero, one = ring._from_int(0), ring._from_int(1)
+    width = len(b[0])
+    # each row of b as the (column, payload) pairs of its nonzero entries
+    sparse = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in b]
+    out = []
+    for coeffs in a:
+        total = [None] * width
+        for x, row in zip(coeffs, sparse):
+            if row and not is_zero(x):
+                unit = x == one
+                for j, y in row:
+                    if not unit:
+                        y = mul(x, y)
+                    t = total[j]
+                    total[j] = y if t is None else add(t, y)
+        out.append([zero if t is None else t for t in total])
+    return out
 
 
 def det_rows(ring, rows):

@@ -36,6 +36,9 @@ import pytest
 
 from char2forms import cli, forms
 from char2forms.cli import main
+from char2forms.exterior import hodge
+from char2forms.forms import BilinearForm
+from char2forms.kalgebra import build_module
 from char2forms.linalg import Matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,6 +103,39 @@ def test_verify_fails_on_a_corrupted_module_j(monkeypatch, capsys):
     assert [line for line in lines if "FAIL" in line] == [
         "check g two-formula agreement: FAIL"]
     assert lines[-1] == "result: 1 check(s) failed"
+
+
+def _g_formulas_agree_over_k(module):
+    # the reference: both formulas for g as K-matrices, entry (u, v) at the
+    # wedge basis pair (u, v)
+    algebra, data = module.algebra, module.hodge
+
+    def over_k(m):
+        return Matrix(algebra, [[algebra.coerce(e) for e in row] for row in m.entries])
+
+    lh = over_k(data.lh_gram)
+    left = lh + over_k(data.lh_gram * data.j_matrix) * algebra.j().inverse()
+    return left == lh + over_k(data.pf_gram) * algebra.j()
+
+
+@pytest.mark.parametrize("name,split", [("defect2_split_f2t", True),
+                                        ("defect2_nonsplit_f2t", False)])
+@pytest.mark.parametrize("scale", [None, "t"])
+def test_g_formulas_agree_matches_the_k_matrix_comparison(name, split, scale):
+    # `verify` compares Lh J with delta Pf over F; that holds exactly when
+    # the two formulas for g agree as K-matrices, with J intact or corrupted
+    path = GOLDEN / f"{name}.txt"
+    form = BilinearForm(cli.parse_document(str(path), path.read_text()).matrix)
+    _, diag = form.orthogonal()
+    scale = None if scale is None else form.field.parse(scale)
+    module = build_module(hodge(BilinearForm(Matrix.diagonal(form.field, diag)), scale))
+    assert module.split == split
+    data = module.hodge
+    j = data.j_matrix + Matrix.identity(data.field, data.space.dim)
+    corrupted = dataclasses.replace(module, hodge=dataclasses.replace(data, j_matrix=j))
+    results = [(cli._g_formulas_agree(m), _g_formulas_agree_over_k(m))
+               for m in (module, corrupted)]
+    assert results == [(True, True), (False, False)]
 
 
 def test_verify_reports_a_failed_wz_check(monkeypatch, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from char2forms.fields import GF2, GF2k, DescriptorMismatch, RationalFunctionField
+from char2forms.forms import BilinearForm, orthogonalize
 from char2forms.groups import t_hat
 from char2forms.kalgebra import KAlgebra
 from char2forms.linalg import (DimensionMismatch, Matrix, NonUnitColumn, SingularMatrix,
@@ -329,7 +330,9 @@ def _small_sampler(name, ring, rng):
 
 def _test_matrices(draw, ring, n, count, rng):
     """Seeded n x n matrices: random ones, singular ones (row n-1 is the sum
-    of rows 0 and 1) and, over k(1), ones whose column 0 holds non-units."""
+    of rows 0 and 1) and, over k(1), ones whose column 0 holds non-units;
+    then the identity, a permutation and a one-column shear, whose zero and
+    one entries take the skips of the product kernel."""
     for i in range(count):
         rows = [[draw() for _ in range(n)] for _ in range(n)]
         if i % 3 == 1:
@@ -339,6 +342,18 @@ def _test_matrices(draw, ring, n, count, rng):
             for row in rows:
                 row[0] = z if rng.randrange(2) else ring.zero()
         yield Matrix(ring, rows)
+    yield from _unit_matrices(ring, n, draw)
+
+
+def _unit_matrices(ring, n, draw):
+    """The identity, the cyclic permutation e_i -> e_(i+1) and the shear that
+    adds draws to column 1 off the diagonal."""
+    one, zero = ring.one(), ring.zero()
+    yield Matrix.identity(ring, n)
+    yield Matrix(ring, [[one if i == (j + 1) % n else zero for j in range(n)]
+                        for i in range(n)])
+    yield Matrix(ring, [[one if i == j else draw() if j == 1 else zero for j in range(n)]
+                        for i in range(n)])
 
 
 @pytest.mark.parametrize("name", list(_product_rings()))
@@ -384,6 +399,58 @@ def test_payload_products_and_echelon_match_element_reference(name):
     # only a local ring with non-units can leave a column undecided; the
     # seeded k(1) matrices with a column of non-units include such ones
     assert (undecided > 0) == (name == "k1")
+
+
+class _RecordingGF4(GF2k):
+    """GF(4) that records the operands of each payload product."""
+
+    def __init__(self):
+        super().__init__(2, 0b111)
+        self.products = []
+
+    def _mul(self, a, b):
+        self.products.append((a, b))
+        return super()._mul(a, b)
+
+
+def test_products_skip_zero_operands_and_unit_left_factors():
+    # the product kernel multiplies neither by a zero entry on either side
+    # nor by a left factor one; identity, permutation and shear matrices are
+    # mostly made of both
+    ring = _RecordingGF4()
+    g = ring.generator
+    shear_entries = iter([g, g * g, g])
+    mats = list(_unit_matrices(ring, 4, lambda: next(shear_entries)))
+    scaled = [a * g for a in mats]
+    vectors = [Vector(ring, [g, 0, g * g, 1]), Vector(ring, [1, g, 0, g])]
+    # H = g S^T S for the identity, the permutation and the shear e_1 -> e_0 + e_1,
+    # with det(H) known: the entries of H and of each restricted Gram are 0
+    # or g, so the echelon inside `orthogonalize` pivots on g and multiplies
+    # no one either, and no restricted Gram is alternating (the repair step
+    # scales whole vectors)
+    forms = [BilinearForm(a.transpose() * a * g)
+             for a in _unit_matrices(ring, 4, iter([1, 0, 0]).__next__)]
+    for form in forms:
+        form.det()
+    pairs = [(a, b) for a in mats for b in mats + scaled]
+    applied = [(a, x) for a in scaled for x in vectors]
+    paired = [(a, x, y) for a in scaled for x in vectors for y in vectors]
+    ring.products.clear()
+    results = ([a * b for a, b in pairs], [a * x for a, x in applied],
+               [bilinear(a, x, y) for a, x, y in paired], [orthogonalize(f) for f in forms])
+    made = ring.products[:]
+    one = ring._from_int(1)
+    assert made
+    assert all(not ring._is_zero(x) and not ring._is_zero(y) for x, y in made)
+    assert all(x != one for x, _ in made)
+    # and the products are right
+    assert results[0] == [Matrix(ring, _ref_mul(a, b)) for a, b in pairs]
+    assert results[1] == [Vector(ring, [_ref_dot(row, x.entries) for row in a.entries])
+                          for a, x in applied]
+    assert results[2] == [_ref_dot(x.entries, [_ref_dot(row, y.entries) for row in a.entries])
+                          for a, x, y in paired]
+    for form, (basis, values) in zip(forms, results[3]):
+        assert form.congruent(Matrix.from_columns(ring, basis)).gram == Matrix.diagonal(ring, values)
 
 
 def test_mixed_ring_products_raise(gf2, gf4):
