@@ -180,10 +180,10 @@ def orthogonalize(form: BilinearForm) -> tuple[list[Vector], list[FieldElement]]
         # cross terms to cancel when a != 1).
         i, j = _hyperbolic_pair(field, m)
         x = _vector(field, space[i])
-        y = _vector(field, space[j]).scale(FieldElement(field, field._inv(m[i][j])))
         w_k = orthos[-1]
         a = FieldElement(field, value)  # q(w_k), and the value of each new vector
-        triple = [w_k + x, w_k + y.scale(a), w_k + x + y.scale(a)]
+        ya = _vector(field, space[j]).scale(FieldElement(field, field._inv(m[i][j]))).scale(a)
+        triple = [w_k + x, w_k + ya, w_k + x + ya]
         require(form.congruent(Matrix.from_columns(field, triple)).gram
                 == Matrix.identity(field, 3) * a,
                 "internal: the hyperbolic repair step is not orthogonal")

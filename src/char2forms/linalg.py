@@ -3,21 +3,20 @@
 Matrices and vectors are immutable and generic over a ring object: it builds
 their elements (``zero()``, ``one()``, ``coerce()``) and computes on element
 payloads (``_add``, ``_mul``, ``_inv``, ``_is_zero``, ``_is_unit``,
-``_from_int``).  Products of a matrix with a matrix or a vector, the pairing
-`bilinear`, `Matrix.det`, `Matrix.minors` and the one row `echelon` behind
-`inverse`, `rank`, `kernel_basis` and `solve` all read the payloads of their
-operands once, compute with those primitives and wrap only the entries of
-the result.  Every product is the one kernel `product_rows`: each row of A B
-combines the rows of B, with the coefficients in that row of A.  It skips
-the zero entries of both sides, and it adds a row of B without products
-where the coefficient is one.  M v is the one row v^T M^T, x^T G y is
-the row x^T G against y, and M s multiplies only the nonzero entries of M
-by the scalar s.  The operand rings of a call must be equal, else
-`DescriptorMismatch`: one check per call in place of one per element
-product.  `det_rows` is the determinant on payload rows behind `det` and
-each minor of `minors` that no zero row decides; its elimination updates
-only the columns right of each pivot.  Matrices are small (J is 70x70 for
-n = 8), so elimination is plain exact elimination with first-unit pivots.
+``_from_int``).  Each operation reads the payloads of its operands once and
+wraps only the entries of its result; the operand rings of a call must be
+equal, else `DescriptorMismatch` (one check per call).  Every product is
+`product_rows`: each row of A B combines the rows of B, with the
+coefficients in that row of A.  It skips the zero entries of both sides,
+and it adds a row of B without products where the coefficient is one.  M v
+is the one row v^T M^T, x^T G y is the row x^T G against y, and M s and v s
+multiply by the scalar s only the entries other than zero and one.
+Every elimination is one forward pass, `_forward`, with the first unit of
+each column as its pivot and no product by a zero or a one (the matrices
+are small: J is 70x70 for n = 8).  `det_rows`, behind `det` and each minor
+of `minors` that no zero row decides, is the product of the pivots above
+3x3 and cofactors up to 3x3; `rank` counts the pivots; `echelon`, behind
+`inverse`, `kernel_basis` and `solve`, adds back substitution.
 
 Per call (Python 3.11.7, 2 shared x86-64 cores; random invertible matrices
 with a quarter zero entries and `random_element` entries, seed 5; best of
@@ -96,8 +95,11 @@ class Vector:
     __sub__ = __add__
 
     def scale(self, s) -> "Vector":
-        s = self.ring.coerce(s)
-        return Vector(self.ring, [a * s for a in self.entries])
+        ring, s = self.ring, self.ring.coerce(s)
+        p, one, mul, is_zero = s.payload, ring._from_int(1), ring._mul, ring._is_zero
+        return self if p == one else Vector(ring, [
+            a if is_zero(a.payload) else s if a.payload == one else type(s)(ring, mul(a.payload, p))
+            for a in self.entries])
 
     def __mul__(self, s):
         return self.scale(s)
@@ -217,9 +219,10 @@ class Matrix:
             row = product_rows(ring, [[e.payload for e in other.entries]],
                                list(zip(*_payload_rows(self))))[0]
             return Vector(ring, _elements(self, row))
-        s, mul, is_zero = ring.coerce(other).payload, ring._mul, ring._is_zero
-        return Matrix(ring, [_elements(self, [p if is_zero(p) else mul(p, s) for p in row])
-                             for row in _payload_rows(self)])
+        s, one, mul, is_zero = ring.coerce(other).payload, ring._from_int(1), ring._mul, ring._is_zero
+        return self if s == one else Matrix(ring, [
+            _elements(self, [p if is_zero(p) else s if p == one else mul(p, s) for p in row])
+            for row in _payload_rows(self)])
 
     __rmul__ = __mul__
 
@@ -245,9 +248,9 @@ class Matrix:
     def det(self):
         """The determinant, computed on payloads with the ring's primitives.
 
-        Up to 3x3 by cofactors; above, by elimination with first-unit pivots.
-        Over a local ring such as k(1) a column can hold nonzero non-units
-        only; the block that is left is then expanded by cofactors.
+        Up to 3x3 by cofactors; above, the product of the pivots of the one
+        forward elimination, times, where a column of non-units gets no pivot
+        (k(1)), the cofactor expansion of the block left without pivots.
         """
         if not self.is_square():
             raise LinalgError("determinant needs a square matrix")
@@ -265,7 +268,7 @@ class Matrix:
         return Matrix(ring, [_elements(self, row[n:]) for row in rows])
 
     def rank(self) -> int:
-        return len(echelon(self.ring, _payload_rows(self)))
+        return len(_forward(self.ring, _payload_rows(self), self.ncols))
 
     def kernel_basis(self) -> list[Vector]:
         """Basis of the right null space (free variables set in index order).
@@ -388,35 +391,21 @@ def product_rows(ring, a, b) -> list[list]:
 
 def det_rows(ring, rows):
     """Determinant payload of the square payload rows (changed in place):
-    cofactors up to 3x3, elimination above."""
-    return _cofactor_det(ring, rows) if len(rows) <= 3 else _eliminate_det(ring, rows)
-
-
-def _eliminate_det(ring, rows):
-    """Determinant payload of the square payload rows (changed in place)."""
-    add, mul, is_zero, is_unit = ring._add, ring._mul, ring._is_zero, ring._is_unit
-    n = len(rows)
-    det = ring._from_int(1)
-    for c in range(n):
-        for pivot in range(c, n):
-            if is_unit(rows[pivot][c]):
-                break
-        else:
-            if all(is_zero(rows[r][c]) for r in range(c, n)):
-                return ring._from_int(0)
-            return mul(det, _cofactor_det(ring, [row[c:] for row in rows[c:]]))
-        top = rows[pivot]
-        if pivot != c:
-            rows[c], rows[pivot] = top, rows[c]  # char 2: no sign flip
-        det = mul(det, top[c])
-        inv = ring._inv(top[c])
-        # columns up to c are never read again, so only the later ones are updated
-        for r in range(c + 1, n):
-            row = rows[r]
-            f = mul(row[c], inv)
-            if not is_zero(f):
-                for j in range(c + 1, n):
-                    row[j] = add(row[j], mul(f, top[j]))
+    cofactors up to 3x3; above, the product of the `_forward` pivots, times
+    the cofactor det of the block of non-units that k(1) can leave without
+    pivots (over a field, a block left without pivots is zero)."""
+    if len(rows) <= 3:
+        return _cofactor_det(ring, rows)
+    one = det = ring._from_int(1)
+    pivots = _forward(ring, rows, len(rows))
+    if len(pivots) < len(rows):
+        done = {c for c, _ in pivots}
+        rest = [[x for j, x in enumerate(row) if j not in done] for row in rows[len(pivots):]]
+        if all(ring._is_zero(x) for row in rest for x in row):
+            return ring._from_int(0)
+        det = _cofactor_det(ring, rest)
+    for p in [p for _, p in pivots if p != one]:
+        det = p if det == one else ring._mul(det, p)
     return det
 
 
@@ -470,33 +459,50 @@ def _require_decided(ring, rows, rank: int, ncols: int) -> None:
         raise NonUnitColumn("a column holds nonzero non-units but no unit pivot")
 
 
-def echelon(ring, rows, ncols: Optional[int] = None) -> list[int]:
-    """Reduced row echelon form of the payload rows, in place, with the first
-    unit of each column as its pivot; returns the pivot columns."""
-    add, mul, is_zero, is_unit = ring._add, ring._mul, ring._is_zero, ring._is_unit
-    n = len(rows)
-    width = ncols if ncols is not None else len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(width):
+def _forward(ring, rows, ncols: int) -> list[tuple]:
+    """Forward elimination of the payload rows, in place: in each of the
+    first `ncols` columns the first unit below the pivot rows so far is the
+    pivot; its row moves up, is scaled to a leading one unless the pivot is
+    one, and clears the column below.  Returns the (column, pivot) pairs."""
+    mul, is_zero, is_unit = ring._mul, ring._is_zero, ring._is_unit
+    one, n, pivots = ring._from_int(1), len(rows), []
+    for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, n) if is_unit(rows[i][c])), None)
         if pivot is None:
             continue
         top = rows[pivot]
-        rows[r], rows[pivot] = top, rows[r]
-        inv = ring._inv(top[c])
-        # scale the pivot row; later updates read only its nonzero entries
-        nonzero = [(j, mul(b, inv)) for j, b in enumerate(top) if not is_zero(b)]
-        for j, b in nonzero:
-            top[j] = b
-        for i in range(n):
-            row = rows[i]
-            f = row[c]
-            if i != r and not is_zero(f):
-                for j, b in nonzero:
-                    row[j] = add(row[j], mul(f, b))
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
+        rows[r], rows[pivot] = top, rows[r]  # char 2: the swap flips no sign of det
+        p = top[c]
+        if p != one:
+            inv = ring._inv(p)
+            top[:] = [one if j == c else inv if b == one else b if is_zero(b) else mul(b, inv)
+                      for j, b in enumerate(top)]
+        _clear(ring, rows[r + 1:], top, c)
+        pivots.append((c, p))
+    return pivots
+
+
+def _clear(ring, rows, top, c: int) -> None:
+    """Add row[c] times the pivot row `top` (one in column c) to each row, on
+    the nonzero entries of `top` in every column but c (over k(1), `top` can
+    be nonzero in a column of non-units left of c), with no product by one."""
+    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
+    zero, one = ring._from_int(0), ring._from_int(1)
+    tail = [(j, b) for j, b in enumerate(top) if j != c and not is_zero(b)]
+    for row in rows:
+        f = row[c]
+        if not is_zero(f):
+            for j, b in tail:
+                row[j] = add(row[j], b if f == one else f if b == one else mul(f, b))
+            row[c] = zero
+
+
+def echelon(ring, rows, ncols: Optional[int] = None) -> list[int]:
+    """Reduced row echelon form of the payload rows, in place: `_forward` on
+    the first `ncols` columns (all by default), then back substitution from
+    the last pivot up by the same `_clear`; returns the pivot columns."""
+    pivots = [c for c, _ in _forward(ring, rows, len(rows[0]) if ncols is None else ncols)]
+    for r in range(len(pivots) - 1, 0, -1):
+        _clear(ring, rows[:r], rows[r], pivots[r])
     return pivots

@@ -187,17 +187,29 @@ def _entry_sampler(ring, rng):
     return draw
 
 
+def _skipped_column_matrix(k1):
+    """A k(1) matrix whose column 0 holds the non-units j and 1+j only, so it
+    gets no pivot, while the unit pivot of column 1 sits in a row that is
+    nonzero in column 0; an elimination that clears only the columns right
+    of each pivot leaves column 0 wrong and gives det 1+j, not 0."""
+    j = k1.j()
+    return Matrix(k1, [[j, 1 + j, j, 0], [0, 0, 0, j], [j, 0, 1 + j, j], [1, 0, 0, 1]])
+
+
 @pytest.mark.parametrize("name", list(_det_rings()))
 def test_det_over_split_local_ring_matches_expansion(name):
     # det eliminates on payloads with the ring's primitives; over
     # F2[z]/(z^2) = k(1) a column can hold nonzero entries none of which is
-    # a unit, where elimination finds no pivot; det then expands by cofactors
+    # a unit, where elimination finds no pivot; det then expands the block
+    # left without pivots by cofactors
     from char2forms.oracle import compound_by_expansion
     ring = _det_rings()[name]
     if name == "k1":
         z = ring.z()
         one = ring.one()
         assert Matrix.diagonal(ring, [z, one, one, one]).det() == z
+        skipped = _skipped_column_matrix(ring)
+        assert skipped.det() == compound_by_expansion(skipped, 4)[0, 0] == ring.zero()
     draw = _entry_sampler(ring, random.Random(4))
     for n, count in ((4, 200 if name == "k1" else 40), (6, 10)):
         for _ in range(count):
@@ -369,6 +381,13 @@ def test_payload_products_and_echelon_match_element_reference(name):
         z = ring.z()
         b = Matrix.diagonal(ring, [z, ring.one()])
         assert _check_kernel_and_solve(b, [Vector(ring, [z, ring.zero()])])
+        # column 0 gets no pivot, and the pivot row of column 1 is nonzero in
+        # it: back substitution must clear that column too
+        skipped = _skipped_column_matrix(ring)
+        rhs = Vector(ring, [1, z, 0, 1])
+        assert skipped.rank() == len(_ref_echelon([list(r) for r in skipped.entries],
+                                                  ring, 4)[1]) == 3
+        assert not _check_kernel_and_solve(skipped, [rhs, skipped * rhs])
     # fewer 6x6 ones over the infinite rings, where fractions grow
     for n, count in ((4, 12), (6, 4 if ring.order else 2)):
         mats = list(_test_matrices(draw, ring, n, count, rng))
@@ -415,42 +434,79 @@ class _RecordingGF4(GF2k):
 
 def test_products_skip_zero_operands_and_unit_left_factors():
     # the product kernel multiplies neither by a zero entry on either side
-    # nor by a left factor one; identity, permutation and shear matrices are
-    # mostly made of both
+    # nor by a left factor one, and scalar multiples and the elimination
+    # multiply by no zero and no one; identity, permutation and shear
+    # matrices are mostly made of both
+    from itertools import combinations, cycle
     ring = _RecordingGF4()
     g = ring.generator
-    shear_entries = iter([g, g * g, g])
+    shear_entries = cycle([g, g * g, g])
     mats = list(_unit_matrices(ring, 4, lambda: next(shear_entries)))
     scaled = [a * g for a in mats]
+    # 6x6 ones, so that det and the 4x4 minors take the elimination, not
+    # the cofactors (which multiply every term of a 2x2 or 3x3 minor)
+    mats6 = list(_unit_matrices(ring, 6, lambda: next(shear_entries)))
+    mats6 += [a * g for a in mats6]
+    sets6 = [list(c) for c in combinations(range(6), 4)]
     vectors = [Vector(ring, [g, 0, g * g, 1]), Vector(ring, [1, g, 0, g])]
-    # H = g S^T S for the identity, the permutation and the shear e_1 -> e_0 + e_1,
-    # with det(H) known: the entries of H and of each restricted Gram are 0
-    # or g, so the echelon inside `orthogonalize` pivots on g and multiplies
-    # no one either, and no restricted Gram is alternating (the repair step
-    # scales whole vectors)
+    # H = g S^T S for the identity, the permutation and the shear e_1 -> e_0 + e_1;
+    # then a Gram whose restricted Gram turns alternating (the hyperbolic
+    # repair step runs) and one with entries one.  det(H) is known first
     forms = [BilinearForm(a.transpose() * a * g)
              for a in _unit_matrices(ring, 4, iter([1, 0, 0]).__next__)]
+    forms += [BilinearForm(Matrix(ring, rows)) for rows in (
+        [[g, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, g]],
+        [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, g, 1], [0, 0, 1, 1]])]
     for form in forms:
         form.det()
     pairs = [(a, b) for a in mats for b in mats + scaled]
     applied = [(a, x) for a in scaled for x in vectors]
     paired = [(a, x, y) for a in scaled for x in vectors for y in vectors]
+    squares = mats + scaled
+    wide = [Matrix.block([[a, b]]) for a, b in zip(squares, scaled + mats)]
+    multiples = [(a, g) for a in mats] + [(a, 1) for a in scaled]
     ring.products.clear()
-    results = ([a * b for a, b in pairs], [a * x for a, x in applied],
-               [bilinear(a, x, y) for a, x, y in paired], [orthogonalize(f) for f in forms])
+    products = ([a * b for a, b in pairs], [a * x for a, x in applied],
+                [bilinear(a, x, y) for a, x, y in paired], [orthogonalize(f) for f in forms])
     made = ring.products[:]
+    ring.products.clear()
+    scalars = ([a * s for a, s in multiples], [x.scale(s) for x in vectors for s in (g, 1)])
+    dets = [a.det() for a in squares + mats6]
+    minors = [a.minors(sets6, sets6) for a in mats6]
+    inverses = [a.inverse() for a in squares]
+    ranks = [a.rank() for a in squares + wide]
+    kernels = [a.kernel_basis() for a in squares + wide]
+    solutions = [a.solve(x) for a in squares for x in vectors]
+    strict = ring.products[:]
     one = ring._from_int(1)
-    assert made
-    assert all(not ring._is_zero(x) and not ring._is_zero(y) for x, y in made)
+    assert made and strict
+    assert all(not ring._is_zero(x) and not ring._is_zero(y) for x, y in made + strict)
     assert all(x != one for x, _ in made)
-    # and the products are right
-    assert results[0] == [Matrix(ring, _ref_mul(a, b)) for a, b in pairs]
-    assert results[1] == [Vector(ring, [_ref_dot(row, x.entries) for row in a.entries])
-                          for a, x in applied]
-    assert results[2] == [_ref_dot(x.entries, [_ref_dot(row, y.entries) for row in a.entries])
-                          for a, x, y in paired]
-    for form, (basis, values) in zip(forms, results[3]):
+    assert all(x != one and y != one for x, y in strict)
+    # and the results are right
+    assert products[0] == [Matrix(ring, _ref_mul(a, b)) for a, b in pairs]
+    assert products[1] == [Vector(ring, [_ref_dot(row, x.entries) for row in a.entries])
+                           for a, x in applied]
+    assert products[2] == [_ref_dot(x.entries, [_ref_dot(row, y.entries) for row in a.entries])
+                           for a, x, y in paired]
+    for form, (basis, values) in zip(forms, products[3]):
         assert form.congruent(Matrix.from_columns(ring, basis)).gram == Matrix.diagonal(ring, values)
+    assert scalars[0] == [Matrix(ring, [[x * s for x in row] for row in a.entries])
+                          for a, s in multiples]
+    assert scalars[1] == [Vector(ring, [e * s for e in x]) for x in vectors for s in (g, 1)]
+    assert dets == [_cofactor_det(a) for a in squares + mats6]
+    assert minors == [Matrix(ring, [[_cofactor_det(Matrix(ring, [[a[i, j] for j in cols]
+                                                                 for i in rows]))
+                                     for cols in sets6] for rows in sets6])
+                      for a in mats6]
+    identity = [list(r) for r in Matrix.identity(ring, 4).entries]
+    assert all(_ref_mul(a, inv) == identity for a, inv in zip(squares, inverses))
+    assert ranks == [len(_ref_echelon([list(r) for r in a.entries], ring, a.ncols)[1])
+                     for a in squares + wide]
+    assert [[list(v) for v in kernel] for kernel in kernels] == [
+        _ref_kernel(a) for a in squares + wide]
+    assert [None if x is None else list(x) for x in solutions] == [
+        _ref_solve(a, x.entries) for a in squares for x in vectors]
 
 
 def test_mixed_ring_products_raise(gf2, gf4):
