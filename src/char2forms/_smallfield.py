@@ -13,10 +13,11 @@ stay packed rows (`EncodedMatrices`) and are decoded into matrices, built
 from one interned element per payload, only where they are read.
 
 On the identity form over GF(4) (3,840 isometries) the closure of the
-`classify` generators takes 3-6 ms and the oracle 15-26 ms, against 33-53
-ms and 48-75 ms on tuples of payloads with a table lookup per scalar
-product; over GF(8) (258,048 isometries) 0.7-0.85 s and 2.9-4.4 s, against
-2.6-4.4 s and 6.0-8.5 s (Python 3.11, 2 shared x86-64 cores).
+`classify` generators takes 3-7.5 ms and the oracle, which lists the
+products of its column-stabilizer transversals, 6-14 ms; over GF(8)
+(258,048 isometries) 0.5-1.2 s and 0.65-1.2 s (Python 3.11, 2 shared x86-64
+cores).  On tuples of payloads with a table lookup per scalar product, the
+closure took 33-53 ms and 2.6-4.4 s.
 """
 
 from __future__ import annotations

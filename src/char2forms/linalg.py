@@ -8,14 +8,15 @@ wraps only the entries of its result; the operand rings of a call must be
 equal, else `DescriptorMismatch` (one check per call).  Every product is
 `product_rows`: each row of A B combines the rows of B, with the
 coefficients in that row of A.  It skips the zero entries of both sides,
-and it adds a row of B without products where the coefficient is one.  M v
-is the one row v^T M^T, x^T G y is the row x^T G against y, and M s and v s
-multiply by the scalar s only the entries other than zero and one.
+and a factor one on either side gives the other factor without a product.
+M v is the one row v^T M^T, x^T G y is the row x^T G against y, and M s and
+v s multiply by the scalar s only the entries other than zero and one.
 Every elimination is one forward pass, `_forward`, with the first unit of
 each column as its pivot and no product by a zero or a one (the matrices
 are small: J is 70x70 for n = 8).  `det_rows`, behind `det` and each minor
 of `minors` that no zero row decides, is the product of the pivots above
-3x3 and cofactors up to 3x3; `rank` counts the pivots; `echelon`, behind
+3x3 and cofactors up to 3x3, which drop a term with a zero factor and
+multiply by no one; `rank` counts the pivots; `echelon`, behind
 `inverse`, `kernel_basis` and `solve`, adds back substitution.
 
 Per call (Python 3.11.7, 2 shared x86-64 cores; random invertible matrices
@@ -367,21 +368,24 @@ def product_rows(ring, a, b) -> list[list]:
     """The payload rows of the product A B of the payload rows `a` and `b`:
     row i is the combination of the rows b[k] with the coefficients a[i][k].
 
-    A zero a[i][k] or a zero entry of b[k] makes no product, and a
-    coefficient one adds b[k] without products."""
+    A zero a[i][k] or a zero entry of b[k] makes no product, and a factor
+    one on either side gives the other factor without a product."""
     add, mul, is_zero = ring._add, ring._mul, ring._is_zero
     zero, one = ring._from_int(0), ring._from_int(1)
     width = len(b[0])
-    # each row of b as the (column, payload) pairs of its nonzero entries
-    sparse = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in b]
+    # each row of b as the (column, payload, payload is one) triples of its
+    # nonzero entries
+    sparse = [[(j, y, y == one) for j, y in enumerate(row) if not is_zero(y)] for row in b]
     out = []
     for coeffs in a:
         total = [None] * width
         for x, row in zip(coeffs, sparse):
             if row and not is_zero(x):
                 unit = x == one
-                for j, y in row:
-                    if not unit:
+                for j, y, y_unit in row:
+                    if y_unit:
+                        y = x
+                    elif not unit:
                         y = mul(x, y)
                     t = total[j]
                     total[j] = y if t is None else add(t, y)
@@ -411,23 +415,25 @@ def det_rows(ring, rows):
 
 def _cofactor_det(ring, e):
     """Determinant payload of the square payload rows `e` by cofactor
-    expansion (no signs in characteristic 2)."""
-    add, mul = ring._add, ring._mul
+    expansion along the first row (no signs in characteristic 2).  A zero
+    entry or a zero minor drops its term, and a factor one gives the other
+    factor without a product."""
     n = len(e)
     if n == 1:
         return e[0][0]
-    if n == 2:
-        return add(mul(e[0][0], e[1][1]), mul(e[0][1], e[1][0]))
-    if n == 3:
-        return add(add(mul(e[0][0], add(mul(e[1][1], e[2][2]), mul(e[1][2], e[2][1]))),
-                       mul(e[0][1], add(mul(e[1][0], e[2][2]), mul(e[1][2], e[2][0])))),
-                   mul(e[0][2], add(mul(e[1][0], e[2][1]), mul(e[1][1], e[2][0]))))
-    total = mul(e[0][0], _cofactor_det(ring, [row[1:] for row in e[1:]]))
-    for j in range(1, n):
-        if not ring._is_zero(e[0][j]):
-            total = add(total, mul(e[0][j],
-                                   _cofactor_det(ring, [row[:j] + row[j + 1:] for row in e[1:]])))
-    return total
+    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
+    one = ring._from_int(1)
+    total = None
+    for j, x in enumerate(e[0]):
+        if is_zero(x):
+            continue
+        minor = (e[1][1 - j] if n == 2
+                 else _cofactor_det(ring, [row[:j] + row[j + 1:] for row in e[1:]]))
+        if is_zero(minor):
+            continue
+        term = minor if x == one else x if minor == one else mul(x, minor)
+        total = term if total is None else add(total, term)
+    return ring._from_int(0) if total is None else total
 
 
 def kernel_rows(ring, rows) -> list[list]:

@@ -5,24 +5,31 @@ desk scale: exhaustive isometry-group enumeration, the Klein-quadric scalar,
 the compound matrix recomputed by multilinear expansion instead of minors,
 and the module form g evaluated from both of its defining formulas.
 
-The enumeration uses only the Gram matrix H.  One column search serves it:
-image columns are chosen among the candidates of the right norm, and each
-chosen column filters the candidates of the later columns, so a column
-prefix that breaks A^T H A = H rejects all of its completions at once and
-every one of the q^(n^2) matrices is decided.  When q^(n^2) <= 2^22 (so
-|GL_n(q)| < q^(n^2) is small too) the result is labelled `full_gl_scan`, and
-every survivor is rank-checked, so nothing is assumed about H; otherwise it is
-labelled `backtracking`, and survivors are rank-checked when H is
-degenerate (a non-degenerate H makes every congruent matrix invertible).
-The search runs on the packed vectors and rows of `_smallfield.IntField`:
-each chosen column's pairing is a table lookup per candidate, and what it
-finds stays packed rows.  `closure_order_matches` compares a generated
-closure with them as sets of packed payload rows, after checking that the
-closure lies over the same field and has the same order.  Over a small
-field `generate_closure` hands over its own packed rows, so neither side is
-decoded into matrices.  On the identity form (Python 3.11, 2 shared cores)
-the enumeration takes 15-26 ms over GF(4) and 2.9-4.4 s over GF(8), and
-the 258,048 elements of GF(8) compare in 0.2-0.26 s.
+The enumeration uses only the Gram matrix H.  It lists the group through
+its chain of column stabilizers G = G_0 > G_1 > ... > G_n = {I}, where G_j
+holds the invertible isometries fixing e_0..e_(j-1).  For each column j,
+a filtered column search finds one completion per point of the orbit of e_j
+under G_j: image columns are chosen among the candidates of the right norm,
+and each chosen column filters the candidates of the later columns, so a
+column prefix that breaks A^T H A = H rejects all of its completions at
+once.  Invertible isometries form a group for any H, so G_j is the disjoint
+union of the cosets t G_(j+1) over that transversal, and the elements are
+its products t x, checked distinct in explicit code.  When q^(n^2) <= 2^22
+(so |GL_n(q)| < q^(n^2) is small too) the result is labelled
+`full_gl_scan`, and every completion is rank-checked, so nothing is assumed
+about H; otherwise it is labelled `backtracking`, and completions are
+rank-checked when H is degenerate (a non-degenerate H makes every congruent
+matrix invertible).  The search runs on the packed vectors and rows of
+`_smallfield.IntField`: each chosen column's pairing is a table lookup per
+candidate, and what it finds stays packed rows.  `closure_order_matches`
+compares a generated closure with them as sets of packed payload rows,
+after checking that the closure lies over the same field and has the same
+order.  Over a small field `generate_closure` hands over its own packed
+rows, so neither side is decoded into matrices.  On the identity form
+(Python 3.11, 2 shared cores) the enumeration takes 6-14 ms over GF(4) and
+0.65-1.2 s over GF(8), against 15-28 ms and 3.0-5.3 s when each leaf of the
+column tree was decided on its own, and the 258,048 elements of GF(8)
+compare in 0.2-0.38 s.
 
 `brute_pq_scalar` evaluates Pq(X)^2 and det(alt X) at all q^6 2-vectors at
 once, bit-sliced: each bit of a value over all points is one int, and a
@@ -94,7 +101,7 @@ def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
     gram = intf.encode_matrix(form.gram)
     full_scan = q ** (n * n) <= 2 ** 22
     # a non-degenerate H makes every congruent A invertible; the full scan
-    # checks every survivor anyway, so that it assumes nothing about H
+    # checks every completion anyway, so that it assumes nothing about H
     check_rank = full_scan or not intf.independent(gram)
     found = _column_search(intf, gram, n, check_rank)
     return EnumerationResult(field=form.field, rows=tuple(found),
@@ -102,19 +109,45 @@ def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
 
 
 def _column_search(intf: IntField, gram, n, check_rank: bool):
-    """Choose image columns one by one under the Gram constraints.
+    """The invertible isometries of H, listed through the chain of column
+    stabilizers G = G_0 > G_1 > ... > G_n = {I}, where G_j fixes e_0..e_(j-1).
 
-    Candidates are the packed vectors 0 .. q^n - 1.  Level j starts from the
-    candidates with cand^T H cand = H[j][j], grouped by that norm once.  A
-    chosen column c filters the candidate lists of all later levels by its
-    pairing v -> c^T H v, tabulated once per candidate (not once per node),
-    so filtering a level costs one table lookup per candidate and chunk.
-    The filters are exact: a candidate leaves a list only when every
-    completion through it breaks an entry of A^T H A = H, so the search
-    decides each of the q^(n^2) matrices.  The chosen columns are spread
-    into one int holding the matrix row after row, which the last level
-    cuts into packed rows.  With `check_rank`, a complete survivor must also
-    have independent rows.
+    Invertible isometries form a group whatever H is, degenerate or
+    alternating.  An element g of G_j whose column j is c lies in t_c
+    G_(j+1), where t_c is the transversal element of `_transversals` with
+    column j equal to c, since t_c^-1 g fixes e_0..e_j.  So G_j is the
+    disjoint union of the cosets t_c G_(j+1), and its elements are the
+    products t x, t in T_j and x in G_(j+1).  They are formed from the
+    bottom of the chain up, with one `row_tables` per x, and |G| is the
+    product of the |T_j|.  No leaf of the column tree is decided on its own.
+    Products that are not distinct raise OracleError.
+    """
+    elements = [intf.identity(n)]
+    for found in reversed(_transversals(intf, gram, n, check_rank)):
+        products = []
+        for x in elements:
+            right = intf.row_tables(x)
+            products += [intf.mat_mul(t, right) for t in found]
+        elements = products
+    if len(set(elements)) != len(elements):
+        raise OracleError("the transversal products are not distinct")
+    return elements
+
+
+def _transversals(intf: IntField, gram, n, check_rank: bool):
+    """For each column j, one invertible isometry per point of the orbit of
+    e_j under G_j (the isometries fixing e_0..e_(j-1)), as packed rows.
+
+    Candidates are the packed vectors 0 .. q^n - 1.  Column j starts from
+    the candidates with cand^T H cand = H[j][j], grouped by that norm once.
+    A chosen column c filters the candidate lists of all later columns by
+    its pairing v -> c^T H v, tabulated once per candidate, so filtering a
+    list costs one table lookup per candidate and chunk.  The filters are
+    exact: a candidate leaves a list only when every completion through it
+    breaks an entry of A^T H A = H.  With columns 0..j-1 fixed to
+    e_0..e_(j-1), each candidate c of column j gets the first completion
+    the filtered search finds (with `check_rank`, the first with
+    independent rows), or none when c is not in the orbit.
     """
     by_norm: dict[int, list[int]] = {}
     for cand in range(intf.order ** n):
@@ -124,34 +157,46 @@ def _column_search(intf: IntField, gram, n, check_rank: bool):
     pairings: dict[int, list[list[int]]] = {}
     spread = intf.column_tables(n)
     apply, select, split_rows = intf.apply, intf.select, intf.split_rows
-    found = []
 
-    def extend(j, matrix, levels):
-        # levels[i]: the candidates for column j + i that pair correctly
-        # with every chosen column
-        if j + 1 == n:
-            for cand in levels[0]:
-                rows = split_rows(matrix ^ apply(spread[j], cand), n)
-                if not check_rank or intf.independent(rows):
-                    found.append(rows)
+    def narrow(j, cand, levels):
+        # the candidate lists of the columns after j (levels) that pair
+        # correctly with cand in column j, or None when one of them empties
+        pairing = pairings.get(cand)
+        if pairing is None:
+            pairing = intf.row_tables(intf.unpack(apply(gram_tables, cand), n))
+            pairings[cand] = pairing
+        later = []
+        for i, level in enumerate(levels, start=j + 1):
+            kept = select(pairing, level, entries[j][i])
+            if not kept:
+                return None
+            later.append(kept)
+        return later
+
+    def completions(j, matrix, levels):
+        # the completions of the columns before j, spread into `matrix`,
+        # with levels[i] the candidates left for column j + i
+        if j == n:
+            rows = split_rows(matrix, n)
+            if not check_rank or intf.independent(rows):
+                yield rows
             return
-        targets = entries[j]
         for cand in levels[0]:
-            pairing = pairings.get(cand)
-            if pairing is None:
-                pairing = intf.row_tables(intf.unpack(apply(gram_tables, cand), n))
-                pairings[cand] = pairing
-            later = []
-            for i, level in enumerate(levels[1:], start=j + 1):
-                kept = select(pairing, level, targets[i])
-                if not kept:
-                    break
-                later.append(kept)
-            else:
-                extend(j + 1, matrix ^ apply(spread[j], cand), later)
+            later = narrow(j, cand, levels[1:])
+            if later is not None:
+                yield from completions(j + 1, matrix ^ apply(spread[j], cand), later)
 
-    extend(0, 0, [by_norm.get(entries[j][j], []) for j in range(n)])
-    return found
+    transversals = []
+    prefix, levels = 0, [by_norm.get(entries[j][j], []) for j in range(n)]
+    for j in range(n):
+        firsts = (next(completions(j, prefix, [[cand]] + levels[1:]), None)
+                  for cand in levels[0])
+        transversals.append([rows for rows in firsts if rows is not None])
+        # e_j pairs correctly with every later e_i, so no list empties
+        unit = 1 << intf.k * j
+        prefix ^= apply(spread[j], unit)
+        levels = narrow(j, unit, levels[1:])
+    return transversals
 
 
 def brute_pq_scalar(field):

@@ -433,21 +433,21 @@ class _RecordingGF4(GF2k):
 
 
 def test_products_skip_zero_operands_and_unit_left_factors():
-    # the product kernel multiplies neither by a zero entry on either side
-    # nor by a left factor one, and scalar multiples and the elimination
-    # multiply by no zero and no one; identity, permutation and shear
-    # matrices are mostly made of both
+    # the product kernel, scalar multiples, the elimination and the cofactor
+    # determinants multiply by no zero and no one, on either side; identity,
+    # permutation and shear matrices are mostly made of both
     from itertools import combinations, cycle
     ring = _RecordingGF4()
     g = ring.generator
     shear_entries = cycle([g, g * g, g])
     mats = list(_unit_matrices(ring, 4, lambda: next(shear_entries)))
     scaled = [a * g for a in mats]
-    # 6x6 ones, so that det and the 4x4 minors take the elimination, not
-    # the cofactors (which multiply every term of a 2x2 or 3x3 minor)
+    # 6x6 ones, so that det and the 4x4 minors take the elimination; the
+    # 2x2 and 3x3 minors of the 4x4 ones take the cofactors
     mats6 = list(_unit_matrices(ring, 6, lambda: next(shear_entries)))
     mats6 += [a * g for a in mats6]
     sets6 = [list(c) for c in combinations(range(6), 4)]
+    small_sets = [[list(c) for c in combinations(range(4), ell)] for ell in (2, 3)]
     vectors = [Vector(ring, [g, 0, g * g, 1]), Vector(ring, [1, g, 0, g])]
     # H = g S^T S for the identity, the permutation and the shear e_1 -> e_0 + e_1;
     # then a Gram whose restricted Gram turns alternating (the hyperbolic
@@ -473,6 +473,7 @@ def test_products_skip_zero_operands_and_unit_left_factors():
     scalars = ([a * s for a, s in multiples], [x.scale(s) for x in vectors for s in (g, 1)])
     dets = [a.det() for a in squares + mats6]
     minors = [a.minors(sets6, sets6) for a in mats6]
+    small_minors = [a.minors(sets, sets) for a in squares for sets in small_sets]
     inverses = [a.inverse() for a in squares]
     ranks = [a.rank() for a in squares + wide]
     kernels = [a.kernel_basis() for a in squares + wide]
@@ -481,8 +482,7 @@ def test_products_skip_zero_operands_and_unit_left_factors():
     one = ring._from_int(1)
     assert made and strict
     assert all(not ring._is_zero(x) and not ring._is_zero(y) for x, y in made + strict)
-    assert all(x != one for x, _ in made)
-    assert all(x != one and y != one for x, y in strict)
+    assert all(x != one and y != one for x, y in made + strict)
     # and the results are right
     assert products[0] == [Matrix(ring, _ref_mul(a, b)) for a, b in pairs]
     assert products[1] == [Vector(ring, [_ref_dot(row, x.entries) for row in a.entries])
@@ -499,6 +499,10 @@ def test_products_skip_zero_operands_and_unit_left_factors():
                                                                  for i in rows]))
                                      for cols in sets6] for rows in sets6])
                       for a in mats6]
+    assert small_minors == [Matrix(ring, [[_cofactor_det(Matrix(ring, [[a[i, j] for j in cols]
+                                                                       for i in rows]))
+                                           for cols in sets] for rows in sets])
+                            for a in squares for sets in small_sets]
     identity = [list(r) for r in Matrix.identity(ring, 4).entries]
     assert all(_ref_mul(a, inv) == identity for a, inv in zip(squares, inverses))
     assert ranks == [len(_ref_echelon([list(r) for r in a.entries], ring, a.ncols)[1])

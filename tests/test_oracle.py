@@ -1,17 +1,23 @@
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from char2forms import groups as G
+from char2forms._smallfield import IntField, try_int_field
 from char2forms.exterior import compound_matrix, hodge
 from char2forms.fields import FieldElement, GF2k
 from char2forms.forms import BilinearForm
 from char2forms.kalgebra import build_module
 from char2forms.linalg import Matrix, Vector
-from char2forms.oracle import (NoConsistentScalar, TooLarge, brute_pq_scalar,
-                               closure_order_matches, compound_by_expansion, direct_g,
-                               enumerate_isometries)
+from char2forms.oracle import (NoConsistentScalar, OracleError, TooLarge, _transversals,
+                               brute_pq_scalar, closure_order_matches,
+                               compound_by_expansion, direct_g, enumerate_isometries)
 
 
 def test_enumerate_identity_gf2(gf2):
@@ -118,6 +124,120 @@ def test_full_scan_matches_literal_filter_on_every_3x3_gf2_gram(gf2, gf4):
             result = enumerate_isometries(BilinearForm(gram))
             assert result.method == "full_gl_scan"
             assert _payload_rows(result) == _literal_isometries(h, q, mul)
+
+
+def _leaf_search(intf, gram, n, check_rank):
+    """The column search that decided every leaf of the column tree on its
+    own, kept as the reference for the transversal chain: each chosen column
+    filters the candidates of the later columns by its pairing, and every
+    surviving full matrix is listed (with `check_rank`, if invertible)."""
+    by_norm = {}
+    for cand in range(intf.order ** n):
+        by_norm.setdefault(intf.bilinear(cand, gram, cand), []).append(cand)
+    entries = [intf.unpack(row, n) for row in gram]
+    gram_tables = intf.row_tables(gram)
+    pairings = {}
+    spread = intf.column_tables(n)
+    found = []
+
+    def extend(j, matrix, levels):
+        if j + 1 == n:
+            for cand in levels[0]:
+                rows = intf.split_rows(matrix ^ intf.apply(spread[j], cand), n)
+                if not check_rank or intf.independent(rows):
+                    found.append(rows)
+            return
+        for cand in levels[0]:
+            pairing = pairings.get(cand)
+            if pairing is None:
+                pairing = intf.row_tables(intf.unpack(intf.apply(gram_tables, cand), n))
+                pairings[cand] = pairing
+            later = []
+            for i, level in enumerate(levels[1:], start=j + 1):
+                kept = intf.select(pairing, level, entries[j][i])
+                if not kept:
+                    break
+                later.append(kept)
+            else:
+                extend(j + 1, matrix ^ intf.apply(spread[j], cand), later)
+
+    extend(0, 0, [by_norm.get(entries[j][j], []) for j in range(n)])
+    return found
+
+
+def test_transversal_chain_matches_leaf_search_on_every_4x4_gf2_gram(gf2):
+    # all 1,024 symmetric 4x4 Grams over GF(2), degenerate and alternating
+    # ones included: invertible isometries form a group for any H, so the
+    # chain lists exactly the matrices the leaf-by-leaf search decides
+    intf = try_int_field(gf2)
+    orders = set()
+    for h in _every_symmetric_gram(2, 4):
+        gram = Matrix(gf2, h)
+        result = enumerate_isometries(BilinearForm(gram))
+        expected = _leaf_search(intf, intf.encode_matrix(gram), 4, True)
+        assert result.method == "full_gl_scan"
+        assert result.order == len(expected)
+        assert set(result.rows) == set(expected)
+        orders.add(result.order)
+    assert 48 in orders and 20160 in orders  # the identity form and H = 0
+
+
+def test_gf4_scrambles_match_closure_and_transversals_are_isometries(gf4):
+    # seeded S^T S over GF(4), congruent to the identity form: the oracle
+    # lists 3,840 isometries, the closure of the classify generators is the
+    # same set, and every transversal element is an invertible isometry
+    intf = try_int_field(gf4)
+    rng = random.Random(22)
+    checked = 0
+    while checked < 4:
+        s = Matrix(gf4, [[gf4.random_element(rng) for _ in range(4)] for _ in range(4)])
+        if s.det().is_zero():
+            continue
+        checked += 1
+        form = BilinearForm(s.transpose() * s)
+        result = enumerate_isometries(form)
+        assert result.method == "backtracking" and result.order == 3840
+        gens = [g.matrix for g in G.classify(form).generators if g.multiplier.is_one()]
+        assert closure_order_matches(result, G.generate_closure(gens))
+        transversals = _transversals(intf, intf.encode_matrix(form.gram), 4, False)
+        sizes = [len(found) for found in transversals]
+        assert sizes[0] * sizes[1] * sizes[2] * sizes[3] == 3840
+        for found in transversals:
+            for rows in found:
+                m = intf.decode_matrix(rows)
+                assert G.is_isometry(form, m) and not m.det().is_zero()
+
+
+DUPLICATE_CHILD = """\
+import sys
+from char2forms._smallfield import IntField
+from char2forms.fields import GF2
+from char2forms.forms import BilinearForm
+from char2forms.linalg import Matrix
+from char2forms.oracle import OracleError, enumerate_isometries
+
+assert sys.flags.optimize == 1
+IntField.mat_mul = lambda self, a, right: (1, 2, 4, 8)
+try:
+    enumerate_isometries(BilinearForm(Matrix.identity(GF2(), 4)))
+except OracleError:
+    pass
+else:
+    sys.exit("repeated transversal products were accepted")
+"""
+
+
+def test_repeated_products_raise_under_python_and_python_O(gf2, monkeypatch):
+    # a product kernel that returns one fixed matrix makes every product
+    # equal; the distinctness check is explicit code, so python -O keeps it
+    monkeypatch.setattr(IntField, "mat_mul", lambda self, a, right: (1, 2, 4, 8))
+    with pytest.raises(OracleError):
+        enumerate_isometries(BilinearForm(Matrix.identity(gf2, 4)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = subprocess.run([sys.executable, "-O", "-c", DUPLICATE_CHILD],
+                           capture_output=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr.decode()
 
 
 def test_oracle_matches_closure_on_3x3_gf8_form():
