@@ -12,17 +12,22 @@ one xor per table entry; applying it costs one lookup per chunk.  Results
 stay packed rows (`EncodedMatrices`) and are decoded into matrices, built
 from one interned element per payload, only where they are read.
 
-On the identity form over GF(4) (3,840 isometries) the closure of the
-`classify` generators takes 3-7.5 ms and the oracle, which lists the
-products of its column-stabilizer transversals, 6-14 ms; over GF(8)
-(258,048 isometries) 0.5-1.2 s and 0.65-1.2 s (Python 3.11, 2 shared x86-64
-cores).  On tuples of payloads with a table lookup per scalar product, the
-closure took 33-53 ms and 2.6-4.4 s.
+A matrix group is held as its chain of column stabilizers: the oracle's
+transversals, or the `StabilizerChain` that `stabilizer_chain` (Sims'
+algorithm) builds for `groups.generate_closure`; its elements are listed
+(`chain_products`) only where they are read.  On the identity form over
+GF(4) (3,840 isometries) the chain of the `classify` generators, bounded by
+the oracle's order, takes 0.8-1.6 ms and the oracle's transversal search
+2.9-6.9 ms; over GF(8) (258,048 isometries) 3.5-6.5 ms and 0.2-0.37 s
+(Python 3.11, 2 shared x86-64 cores).  Listing the groups with Dimino's
+closure and the oracle's products took 3-7.5 ms and 6-14 ms over GF(4), and
+0.5-1.2 s and 0.65-1.2 s over GF(8).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 
 from .fields import GF2, GF2k, FieldElement
@@ -66,6 +71,21 @@ class IntField:
 
     def identity(self, n) -> tuple[int, ...]:
         return tuple(1 << (self.k * i) for i in range(n))
+
+    def transpose(self, rows) -> tuple[int, ...]:
+        """The transpose of the square matrix with these packed rows: its
+        row j is column j, read off the rows by shifts."""
+        k, mask = self.k, self.order - 1
+        out = [0] * len(rows)
+        shift = 0
+        for row in rows:
+            j = 0
+            while row:
+                out[j] |= (row & mask) << shift
+                row >>= k
+                j += 1
+            shift += k
+        return tuple(out)
 
     # -- GF(2)-linear maps as chunk tables, and what is built on them --------
     def row_tables(self, rows) -> list[list[int]]:
@@ -146,6 +166,39 @@ class IntField:
                 return False
         return True
 
+    def inverse(self, rows):
+        """The inverse of the square matrix with these packed rows, or None
+        when it is singular: Gauss-Jordan on the rows of [A | I], each one
+        packed int of 2n coordinates."""
+        n, k, mask, inv, scale = len(rows), self.k, self.order - 1, self.inv, self.scale
+        width = k * n
+        work = [row | 1 << (width + k * i) for i, row in enumerate(rows)]
+        for c in range(n):
+            shift = k * c
+            pivot = next((i for i in range(c, n) if work[i] >> shift & mask), None)
+            if pivot is None:
+                return None
+            row = scale(work[pivot], inv[work[pivot] >> shift & mask])
+            work[pivot], work[c] = work[c], row
+            for i in range(n):
+                x = work[i] >> shift & mask
+                if x and i != c:
+                    work[i] ^= scale(row, x)
+        return tuple([row >> width for row in work])
+
+    def preserve(self, matrices, gram) -> bool:
+        """Whether A^T H A = H for every square matrix A (packed rows), with H
+        the packed `gram`.  H A is one product, and (H A)^T A, the transpose
+        of A^T H A, is compared with H^T."""
+        gram_t = self.transpose(gram)
+        for a in matrices:
+            if len(a) != len(gram):
+                return False
+            right = self.row_tables(a)
+            if self.mat_mul(self.transpose(self.mat_mul(gram, right)), right) != gram_t:
+                return False
+        return True
+
     # -- the two kernels bench/tracing.py counts, by these names -----------
     def mat_mul(self, a, right) -> tuple[int, ...]:
         """A*B on packed rows, B given by its `row_tables`: one lookup per
@@ -157,16 +210,20 @@ class IntField:
         return tuple([apply(right, row) for row in a])
 
     def bilinear(self, x: int, gram, y: int) -> int:
-        """x^T G y on packed vectors, G as packed rows."""
-        mul, n = self.mul, len(gram)
-        ys = self.unpack(y, n)
+        """x^T G y on packed vectors, G as packed rows: the packed row x^T G
+        is the sum of x_i times row i of G (`scale`, no product for x_i one),
+        and is paired with y by one product per coordinate."""
+        k, mask, mul, scale = self.k, self.order - 1, self.mul, self.scale
+        row = 0
+        for g in gram:
+            if x & mask:
+                row ^= scale(g, x & mask)
+            x >>= k
         acc = 0
-        for xi, row in zip(self.unpack(x, n), gram):
-            if xi:
-                inner = 0
-                for gij, yj in zip(self.unpack(row, n), ys):
-                    inner ^= mul[gij][yj]
-                acc ^= mul[xi][inner]
+        while row and y:
+            acc ^= mul[row & mask][y & mask]
+            row >>= k
+            y >>= k
         return acc
 
 
@@ -194,6 +251,203 @@ class EncodedMatrices(Sequence):
 
     def __iter__(self):
         return map(try_int_field(self.field).decode_matrix, self.rows)
+
+
+def chain_products(intf: IntField, transversals) -> list[tuple[int, ...]]:
+    """The elements of a group given by a chain of column stabilizers
+    G = G_0 > G_1 > ... > G_n = {I}, G_j fixing e_0..e_(j-1) as columns,
+    where transversals[j] holds one element of G_j per point of the orbit of
+    e_j under G_j (its column j).  G_j is the disjoint union of the cosets
+    t G_(j+1), so the elements are the products t x, t in T_j and x in
+    G_(j+1), formed from the bottom of the chain up with one `row_tables`
+    per x.
+    """
+    elements = [intf.identity(len(transversals))]
+    for found in reversed(transversals):
+        products = []
+        for x in elements:
+            right = intf.row_tables(x)
+            products += [intf.mat_mul(t, right) for t in found]
+        elements = products
+    return elements
+
+
+class StabilizerChain(Sequence):
+    """The group generated by `generators` (packed rows over `field`), held
+    as the levels of its chain of column stabilizers (`stabilizer_chain`).
+
+    `len` is the product of the orbit sizes.  `transversals` are formed, in
+    the shape `chain_products` reads, and the elements listed as packed
+    `rows` only on first read; reading an element decodes it.  The
+    generators are invertible, and `preserves(gram)` tells whether every one
+    is an isometry of the packed Gram `gram`, checked once per Gram.
+    """
+
+    def __init__(self, field, generators, levels, preserved):
+        self.field, self.generators, self.levels = field, generators, levels
+        self._preserved = preserved
+
+    def __len__(self):
+        return math.prod(len(level.points) for level in self.levels)
+
+    @functools.cached_property
+    def transversals(self):
+        # level j holds u_v^T, with column j equal to v
+        transpose = try_int_field(self.field).transpose
+        return tuple(tuple(transpose(level.element(point)) for point in level.points)
+                     for level in self.levels)
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(chain_products(try_int_field(self.field), self.transversals))
+
+    def __getitem__(self, index):
+        return EncodedMatrices(self.field, self.rows)[index]
+
+    def __iter__(self):
+        return iter(EncodedMatrices(self.field, self.rows))
+
+    def preserves(self, gram) -> bool:
+        if gram not in self._preserved:
+            self._preserved[gram] = try_int_field(self.field).preserve(self.generators, gram)
+        return self._preserved[gram]
+
+
+class _Level:
+    """One level of a stabilizer chain acting on rows: the orbit of the base
+    point e_j under the strong generators that fix e_0..e_(j-1), kept as a
+    Schreier vector (each point with the point and generator it was reached
+    from), and the Schreier generators already sifted."""
+
+    def __init__(self, intf, strong, base, identity):
+        self.intf, self.strong, self.base = intf, strong, base
+        self.vector = {base: None}
+        self.points = [base]
+        self.gens: list[int] = []
+        self.sifted: set[tuple[int, int]] = set()
+        self.elements = {base: identity}
+        self.inverses: dict[int, list] = {}
+
+    def extend(self, i):
+        """Strong generator i joins the level and the orbit is closed again:
+        the new generator on the old points, every generator on the new ones."""
+        self.gens.append(i)
+        vector, points, strong, apply = self.vector, self.points, self.strong, self.intf.apply
+        start, pos = len(points), 0
+        while pos < len(points):
+            point = points[pos]
+            for g in ((i,) if pos < start else self.gens):
+                image = apply(strong[g][1], point)
+                if image not in vector:
+                    vector[image] = (point, g)
+                    points.append(image)
+            pos += 1
+
+    def element(self, point):
+        """u_point, with e_j u_point = point, formed from the Schreier vector."""
+        path = []
+        while point not in self.elements:
+            parent, g = self.vector[point]
+            path.append((point, g))
+            point = parent
+        u = self.elements[point]
+        for point, g in reversed(path):
+            u = self.elements[point] = self.intf.mat_mul(u, self.strong[g][1])
+        return u
+
+    def inverse_tables(self, point):
+        """The row tables of u_point^-1, inverted on packed rows."""
+        if point not in self.inverses:
+            intf = self.intf
+            self.inverses[point] = intf.row_tables(intf.inverse(self.element(point)))
+        return self.inverses[point]
+
+
+def stabilizer_chain(intf: IntField, generators, cap: int, bound):
+    """The levels of the chain of column stabilizers of <generators> (packed
+    rows), with base e_0..e_(n-1), by Sims' algorithm (C. C. Sims, 1970;
+    A. Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4).
+
+    A acts on the column v as the row v^T A^T, so the chain is built for the
+    transposes X = A^T acting on rows: e_j X is row j of X, and the image of
+    any row is one lookup per table chunk of X.  An element g is sifted
+    level by level, g <- g u_v^-1 with v = e_j g; it stops at the first level
+    whose orbit lacks e_j g, and is then a new strong generator there and at
+    every level above.  The input generators are sifted first.  The levels
+    are then completed from the bottom up: every Schreier generator
+    u_v s u_(vs)^-1 of a level, but those on the Schreier vector's own
+    edges, must sift to the identity through the levels below it, and a
+    level that gains a strong generator is completed again.
+
+    The order is the product of the orbit sizes.  Each orbit lies in the
+    orbit of its base point under the true stabilizer, so the product never
+    exceeds |G|; once it reaches `bound`, an upper bound on |G|, every orbit
+    is whole and the search stops.  Returns None once the product exceeds
+    `cap`.
+    """
+    n = len(generators[0])
+    identity = intf.identity(n)
+    strong: list = []  # (X, row tables of X)
+    levels = [_Level(intf, strong, base, identity) for base in identity]
+
+    def sift(g, j):
+        # (g reduced through the levels from j on, the level it stopped at),
+        # or None when it reduces to the identity, which fixes every e_m
+        for m in range(j, n):
+            level = levels[m]
+            if g[m] != level.base:
+                if g[m] not in level.vector:
+                    return g, m
+                g = intf.mat_mul(g, level.inverse_tables(g[m]))
+        return None
+
+    def add(g, j):
+        # the order of the chain with g as a strong generator at levels 0..j
+        strong.append((g, intf.row_tables(g)))
+        for level in levels[:j + 1]:
+            level.extend(len(strong) - 1)
+        return math.prod(len(level.points) for level in levels)
+
+    def residue(j):
+        # the first Schreier generator of level j that does not sift to the identity
+        level = levels[j]
+        for point in level.points:
+            for g in level.gens:
+                if (point, g) in level.sifted:
+                    continue
+                level.sifted.add((point, g))
+                right = strong[g][1]
+                image = intf.apply(right, point)
+                if level.vector[image] != (point, g):
+                    schreier = intf.mat_mul(intf.mat_mul(level.element(point), right),
+                                            level.inverse_tables(image))
+                    found = sift(schreier, j + 1)
+                    if found is not None:
+                        return found
+        return None
+
+    def residues():
+        # the new strong generators: the input generators that do not sift
+        # to the identity, then the Schreier generators, bottom level first
+        for a in generators:
+            found = sift(intf.transpose(a), 0)
+            if found is not None:
+                yield found
+        j = n - 1
+        while j >= 0:
+            found = residue(j)
+            if found is None:
+                j -= 1
+            else:
+                yield found
+                j = found[1]
+
+    order = 1
+    for found in residues():
+        order = add(*found)
+        if order > cap or order == bound:
+            break
+    return None if order > cap else levels
 
 
 # one view per field: its tables and interned elements are built once, and

@@ -16,8 +16,11 @@ the matching normal form by constructive basis changes and checks the
 generators there; the report keeps only that computed data, and moves the
 generators to the input coordinates on first read.
 
-All group elements are plain matrices with a multiplier; finite groups are
-materialized by Dimino's coset closure of the generator set.
+All group elements are plain matrices with a multiplier.  Over GF(2) and
+GF(2^k) the group a generator set generates is held as a Schreier-Sims
+chain of column stabilizers on packed rows, whose order is known before
+any element is listed; over other finite rings it is listed by Dimino's
+coset closure.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from ._smallfield import EncodedMatrices, try_int_field
+from ._smallfield import StabilizerChain, stabilizer_chain, try_int_field
 from .errors import Char2FormsError, CheckFailed, require
 from .exterior import compound_matrix, hodge
 from .fields import FieldElement, square_span_solve
@@ -210,47 +213,60 @@ def o3_standard_form_group(ring) -> O3Data:
                   t_matrix=t_hat(ring))
 
 
-def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6) -> Sequence[Matrix]:
+def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6,
+                     within=None) -> Sequence[Matrix]:
     """Every element of a finite matrix group; raises beyond `cap` elements.
 
-    Over small finite fields the closure runs on packed rows and is returned
-    as those rows (`EncodedMatrices`), decoded only where an element is
-    read; over other rings it is a list of matrices.
+    Over small finite fields the group is its `_smallfield.StabilizerChain`
+    on packed rows: its `len` is the chain's order, and its elements are
+    listed only where they are read.  `within` may be an
+    `oracle.EnumerationResult`, the isometry group O(V,h) of a form over
+    the generators' field.  When every generator is an invertible isometry
+    of that form (checked on packed rows, and kept on the chain for
+    `oracle.closure_order_matches`), <gens> lies in O(V,h), so the chain
+    stops growing once its order reaches |O(V,h)|; otherwise it runs to
+    completion.  Either way `len` is the exact order.  Over other rings the
+    closure is a list of matrices.
     """
     if not generators:
         return []
     ring = generators[0].ring
-    n = generators[0].nrows
     intf = try_int_field(ring)
     if intf is None:
-        return _closure(Matrix.identity(ring, n), generators, Matrix.__mul__,
-                        lambda b: b, cap)
-    gens = [intf.encode_matrix(g) for g in generators]
-    return EncodedMatrices(ring, _closure(intf.identity(n), gens, intf.mat_mul,
-                                          intf.row_tables, cap))
+        return _closure(generators, cap)
+    gens = tuple(intf.encode_matrix(g) for g in generators)
+    if not all(intf.independent(g) for g in gens):
+        raise GroupError("closure generators must be invertible")
+    preserved, bound = {}, None
+    if within is not None and within.field == ring:
+        preserved[within.gram] = intf.preserve(gens, within.gram)
+        if preserved[within.gram]:
+            bound = within.order
+    levels = stabilizer_chain(intf, gens, cap, bound)
+    if levels is None:
+        raise EnumerationTooLarge(f"closure exceeds cap {cap}")
+    return StabilizerChain(ring, gens, levels, preserved)
 
 
-def _closure(identity, generators, product, right_factor, cap: int) -> list:
+def _closure(generators: Sequence[Matrix], cap: int) -> list[Matrix]:
     """Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
-    Groups*, LNCS 559, 1991, ch. 6).
+    Groups*, LNCS 559, 1991, ch. 6), for matrices over rings without a
+    packed view.
 
     The subgroup H = <g1..g(i-1)> grows to <g1..gi> by whole right cosets Hx.
     A coset costs one product per element, and its representative x probes
     x*g1 .. x*gi for cosets not seen yet.  The element list keeps H as its
     prefix and each later coset as a block of |H| that starts with its
-    representative.  The right factor of every product is a generator or a
-    representative, so `product(a, right_factor(b))` gets b prepared once
-    (over a small field, as the tables of its rows).
+    representative.
     """
+    identity = Matrix.identity(generators[0].ring, generators[0].nrows)
     elements = [identity]
     seen = {identity}
-    prepared = [right_factor(g) for g in generators]
 
     def add_coset(rep, subgroup):
         if len(elements) + 1 + len(subgroup) > cap:
             raise EnumerationTooLarge(f"closure exceeds cap {cap}")
-        right = right_factor(rep)
-        coset = [rep] + [product(h, right) for h in subgroup]
+        coset = [rep] + [h * rep for h in subgroup]
         elements.extend(coset)
         seen.update(coset)
 
@@ -263,8 +279,8 @@ def _closure(identity, generators, product, right_factor, cap: int) -> list:
         rep_pos = size
         while rep_pos < len(elements):
             rep = elements[rep_pos]
-            for s in prepared[:i + 1]:
-                x = product(rep, s)
+            for s in generators[:i + 1]:
+                x = rep * s
                 if x not in seen:
                     add_coset(x, subgroup)
             rep_pos += size

@@ -415,24 +415,45 @@ def det_rows(ring, rows):
 
 def _cofactor_det(ring, e):
     """Determinant payload of the square payload rows `e` by cofactor
-    expansion along the first row (no signs in characteristic 2).  A zero
-    entry or a zero minor drops its term, and a factor one gives the other
-    factor without a product."""
+    expansion along the first row (no signs in characteristic 2), unrolled
+    up to 3x3.  A zero entry or a zero minor drops its term, and a factor
+    one gives the other factor without a product."""
     n = len(e)
     if n == 1:
         return e[0][0]
     add, mul, is_zero = ring._add, ring._mul, ring._is_zero
     one = ring._from_int(1)
-    total = None
-    for j, x in enumerate(e[0]):
-        if is_zero(x):
-            continue
-        minor = (e[1][1 - j] if n == 2
-                 else _cofactor_det(ring, [row[:j] + row[j + 1:] for row in e[1:]]))
-        if is_zero(minor):
-            continue
-        term = minor if x == one else x if minor == one else mul(x, minor)
-        total = term if total is None else add(total, term)
+    if n == 2:
+        total = None
+        for x, y in ((e[0][0], e[1][1]), (e[0][1], e[1][0])):
+            if not (is_zero(x) or is_zero(y)):
+                y = y if x == one else x if y == one else mul(x, y)
+                total = y if total is None else add(total, y)
+        return ring._from_int(0) if total is None else total
+
+    def term(x, y):
+        # x*y, or None when a factor is zero
+        if is_zero(x) or is_zero(y):
+            return None
+        return y if x == one else x if y == one else mul(x, y)
+
+    def plus(x, y):
+        return y if x is None else x if y is None else add(x, y)
+
+    if n == 3:
+        (a, b, c), (d, f, g), (h, i, k) = e
+        total = None
+        for x, p, q, r, s in ((a, f, k, g, i), (b, d, k, g, h), (c, d, i, f, h)):
+            if not is_zero(x):
+                minor = plus(term(p, q), term(r, s))
+                if minor is not None:
+                    total = plus(total, term(x, minor))
+    else:
+        total = None
+        for j, x in enumerate(e[0]):
+            if not is_zero(x):
+                total = plus(total, term(x, _cofactor_det(
+                    ring, [row[:j] + row[j + 1:] for row in e[1:]])))
     return ring._from_int(0) if total is None else total
 
 

@@ -5,31 +5,35 @@ desk scale: exhaustive isometry-group enumeration, the Klein-quadric scalar,
 the compound matrix recomputed by multilinear expansion instead of minors,
 and the module form g evaluated from both of its defining formulas.
 
-The enumeration uses only the Gram matrix H.  It lists the group through
-its chain of column stabilizers G = G_0 > G_1 > ... > G_n = {I}, where G_j
+The enumeration uses only the Gram matrix H.  It finds the group as its
+chain of column stabilizers G = G_0 > G_1 > ... > G_n = {I}, where G_j
 holds the invertible isometries fixing e_0..e_(j-1).  For each column j,
 a filtered column search finds one completion per point of the orbit of e_j
 under G_j: image columns are chosen among the candidates of the right norm,
 and each chosen column filters the candidates of the later columns, so a
 column prefix that breaks A^T H A = H rejects all of its completions at
 once.  Invertible isometries form a group for any H, so G_j is the disjoint
-union of the cosets t G_(j+1) over that transversal, and the elements are
-its products t x, checked distinct in explicit code.  When q^(n^2) <= 2^22
-(so |GL_n(q)| < q^(n^2) is small too) the result is labelled
-`full_gl_scan`, and every completion is rank-checked, so nothing is assumed
-about H; otherwise it is labelled `backtracking`, and completions are
-rank-checked when H is degenerate (a non-degenerate H makes every congruent
-matrix invertible).  The search runs on the packed vectors and rows of
-`_smallfield.IntField`: each chosen column's pairing is a table lookup per
-candidate, and what it finds stays packed rows.  `closure_order_matches`
-compares a generated closure with them as sets of packed payload rows,
-after checking that the closure lies over the same field and has the same
-order.  Over a small field `generate_closure` hands over its own packed
-rows, so neither side is decoded into matrices.  On the identity form
-(Python 3.11, 2 shared cores) the enumeration takes 6-14 ms over GF(4) and
-0.65-1.2 s over GF(8), against 15-28 ms and 3.0-5.3 s when each leaf of the
-column tree was decided on its own, and the 258,048 elements of GF(8)
-compare in 0.2-0.38 s.
+union of the cosets t G_(j+1) over that transversal, and |G| is the product
+of the transversal sizes.  Explicit code checks, before anything is listed,
+that each element of T_j fixes e_0..e_(j-1) and that their columns j are
+distinct, which makes the products t x distinct; they are listed, and
+checked distinct once more, only when `rows` or `elements` is read.  When
+q^(n^2) <= 2^22 (so |GL_n(q)| < q^(n^2) is small too) the result is
+labelled `full_gl_scan`, and every completion is rank-checked, so nothing is
+assumed about H; otherwise it is labelled `backtracking`, and completions
+are rank-checked when H is degenerate (a non-degenerate H makes every
+congruent matrix invertible).  The search runs on the packed vectors and
+rows of `_smallfield.IntField`: each chosen column's pairing is a table
+lookup per candidate, and what it finds stays packed rows.
+
+`closure_order_matches` proves a `generate_closure` chain equal to the
+enumerated group from equal orders and a packed-row check that every
+generator is an isometry of H, so neither group is listed; a list of
+matrices is compared as a set.  On the identity form (in-process, Python
+3.11, 2 shared cores) the enumeration takes 2.9-6.9 ms over GF(4) and
+0.2-0.37 s over GF(8), against 6-14 ms and 0.65-1.2 s when it listed the
+products, and the comparison about 10 us; listing the 258,048 GF(8)
+products takes 0.55-0.72 s more when `rows` is read.
 
 `brute_pq_scalar` evaluates Pq(X)^2 and det(alt X) at all q^6 2-vectors at
 once, bit-sliced: each bit of a value over all points is one int, and a
@@ -40,11 +44,14 @@ and 2.9 s for the walk over payload 6-tuples it replaced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
-from ._smallfield import EncodedMatrices, IntField, try_int_field
+from ._smallfield import (EncodedMatrices, IntField, StabilizerChain, chain_products,
+                          try_int_field)
 from .errors import Char2FormsError, require
 from .exterior import _alt_rows, _pq_payload, index_sets
 from .fields import Field, FieldElement
@@ -73,18 +80,29 @@ KLEIN_EXHAUSTIVE_ORDER = 8
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """The isometries found, kept as packed rows over the form's field.
+    """The invertible isometries of the packed Gram `gram`, kept as the
+    transversals of their chain of column stabilizers (`chain_products`).
 
-    `elements` reads them as matrices, decoding each one where it is read;
-    the oracle comparison works on the rows.
+    `order` is the product of the transversal sizes.  `rows` lists the
+    products t x as packed rows on first read, and raises OracleError unless
+    they are distinct; `elements` reads them as matrices, decoding each one
+    where it is read.
     """
     field: Field
-    rows: tuple[tuple[int, ...], ...]
+    gram: tuple[int, ...]
+    transversals: tuple[tuple[tuple[int, ...], ...], ...]
     method: str
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return math.prod(len(found) for found in self.transversals)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        rows = tuple(chain_products(try_int_field(self.field), self.transversals))
+        if len(set(rows)) != len(rows):
+            raise OracleError("the transversal products are not distinct")
+        return rows
 
     @property
     def elements(self) -> EncodedMatrices:
@@ -103,35 +121,35 @@ def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
     # a non-degenerate H makes every congruent A invertible; the full scan
     # checks every completion anyway, so that it assumes nothing about H
     check_rank = full_scan or not intf.independent(gram)
-    found = _column_search(intf, gram, n, check_rank)
-    return EnumerationResult(field=form.field, rows=tuple(found),
+    transversals = tuple(map(tuple, _transversals(intf, gram, n, check_rank)))
+    _check_chain(intf, transversals)
+    return EnumerationResult(field=form.field, gram=gram, transversals=transversals,
                              method="full_gl_scan" if full_scan else "backtracking")
 
 
-def _column_search(intf: IntField, gram, n, check_rank: bool):
-    """The invertible isometries of H, listed through the chain of column
-    stabilizers G = G_0 > G_1 > ... > G_n = {I}, where G_j fixes e_0..e_(j-1).
+def _check_chain(intf: IntField, transversals) -> None:
+    """Raise OracleError unless each element of T_j fixes e_0..e_(j-1) and
+    the columns j within T_j are distinct.
 
-    Invertible isometries form a group whatever H is, degenerate or
-    alternating.  An element g of G_j whose column j is c lies in t_c
-    G_(j+1), where t_c is the transversal element of `_transversals` with
-    column j equal to c, since t_c^-1 g fixes e_0..e_j.  So G_j is the
-    disjoint union of the cosets t_c G_(j+1), and its elements are the
-    products t x, t in T_j and x in G_(j+1).  They are formed from the
-    bottom of the chain up, with one `row_tables` per x, and |G| is the
-    product of the |T_j|.  No leaf of the column tree is decided on its own.
-    Products that are not distinct raise OracleError.
+    With invertible elements (rank-checked wherever `_transversals` checks
+    rank, and forced by a non-degenerate H elsewhere) this makes the products
+    t x distinct without listing them: column j of t x is t e_j, the column j
+    of t, since x fixes e_j, and t x = t x' gives x = x'.  Coordinates are
+    read off the packed rows by shifts and masks.
     """
-    elements = [intf.identity(n)]
-    for found in reversed(_transversals(intf, gram, n, check_rank)):
-        products = []
-        for x in elements:
-            right = intf.row_tables(x)
-            products += [intf.mat_mul(t, right) for t in found]
-        elements = products
-    if len(set(elements)) != len(elements):
-        raise OracleError("the transversal products are not distinct")
-    return elements
+    k, mask = intf.k, intf.order - 1
+    identity = intf.identity(len(transversals))
+    for j, found in enumerate(transversals):
+        prefix = (1 << k * j) - 1  # the coordinates 0..j-1 of a row
+        fixed = tuple([e & prefix for e in identity])
+        columns = set()
+        for rows in found:
+            if tuple([row & prefix for row in rows]) != fixed:
+                raise OracleError(f"a transversal element of column {j} moves an earlier "
+                                  f"basis vector")
+            columns.add(tuple([row >> k * j & mask for row in rows]))
+        if len(columns) != len(found):
+            raise OracleError(f"two transversal elements of column {j} share that column")
 
 
 def _transversals(intf: IntField, gram, n, check_rank: bool):
@@ -359,16 +377,20 @@ def closure_order_matches(result: EnumerationResult, closure: Sequence[Matrix]) 
     """Set equality between an enumeration and a generated closure.
 
     The closure must lie over the enumerated form's field and have the
-    enumerated order; the two are then compared as sets of packed payload
-    rows.  A closure that keeps its packed rows (`generate_closure` over a
-    small field) is compared as it stands; a list of matrices is encoded
-    through the same int view first.
+    enumerated order.  A `StabilizerChain` (`generate_closure` over a small
+    field) then equals the enumerated group exactly when every generator is
+    an invertible isometry of the form: <gens> lies in O(V,h), and a
+    subgroup of the same finite order is the whole group.  That check runs
+    on packed rows, and no element of either group is listed.  A list of
+    matrices is encoded through the same int view and compared with the
+    enumeration as a set of packed payload rows.
     """
     field = result.field
     if len(closure) != result.order:
         return False
-    if not isinstance(closure, EncodedMatrices):
-        if any(m.ring != field for m in closure):
-            return False
-        closure = EncodedMatrices(field, map(try_int_field(field).encode_matrix, closure))
-    return closure.field == field and set(result.rows) == set(closure.rows)
+    if isinstance(closure, StabilizerChain):
+        return closure.field == field and closure.preserves(result.gram)
+    if any(m.ring != field for m in closure):
+        return False
+    encode = try_int_field(field).encode_matrix
+    return set(result.rows) == {encode(m) for m in closure}

@@ -246,10 +246,49 @@ def test_classify_gf4_decodes_no_closure_element(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("field, completions", [("gf2", 14), ("gf2k:2:7", 84),
+                                                ("gf2k:3:11", 584)])
+def test_classify_lists_neither_group(field, completions, tmp_path, capsys, monkeypatch):
+    # classify proves <gens> = O(V,h) from the orders of two stabilizer
+    # chains: the oracle's column search reaches one completion per
+    # transversal element (8+3+2+1, 64+15+4+1 and 512+63+8+1 on the identity
+    # form) and splits each into rows once, and neither group is listed
+    from char2forms import _smallfield, oracle
+    from char2forms._smallfield import IntField
+    path = _write(tmp_path, "ident.txt", IDENT_GF2.replace("field: gf2", f"field: {field}"))
+    assert main(["classify", path]) == 0
+    expected = capsys.readouterr().out
+    calls = {"split_rows": 0, "mat_mul": 0}
+
+    def counting(name):
+        real = getattr(IntField, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return wrapper
+
+    def no_listing(*args):
+        raise AssertionError("listed the elements of a group")
+
+    for name in calls:
+        monkeypatch.setattr(IntField, name, counting(name))
+    monkeypatch.setattr(oracle, "chain_products", no_listing)
+    monkeypatch.setattr(_smallfield, "chain_products", no_listing)
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr().out == expected
+    assert "check oracle agrees with generated group: PASS" in expected.splitlines()
+    assert calls["split_rows"] == completions
+    if field == "gf2k:2:7":
+        # fewer products than the group has elements (3,840)
+        assert calls["mat_mul"] < 1000
+
+
 @pytest.mark.parametrize("field, predicted", [("gf2k:3:11", 258048),
                                               ("gf2k:4:19", 16711680)])
 def test_classify_large_finite_field_gives_verdict(tmp_path, field, predicted):
-    # GF(8) and GF(16) groups are too large to close and enumerate; classify
+    # the GF(8) group is proved equal to the oracle's from the orders of two
+    # stabilizer chains; GF(16) is above MAX_VERIFIED_ORDER, and classify
     # still reports its verdict, with the order marked as not machine-verified
     path = _write(tmp_path, "ident.txt", IDENT_GF2.replace("field: gf2", f"field: {field}"))
     child = subprocess.run([sys.executable, "-m", "char2forms.cli", "classify", path],
@@ -258,9 +297,16 @@ def test_classify_large_finite_field_gives_verdict(tmp_path, field, predicted):
     lines = child.stdout.decode().splitlines()
     assert "case: defect3" in lines
     assert f"predicted order: {predicted}" in lines
-    assert not any(line.startswith(("generated order", "oracle order")) for line in lines)
-    assert any(line.startswith("note: predicted order not machine-verified")
-               for line in lines)
+    if field == "gf2k:3:11":
+        assert f"generated order: {predicted}" in lines
+        assert f"oracle order (backtracking): {predicted}" in lines
+        assert "check oracle agrees with generated group: PASS" in lines
+        assert "check oracle agrees with predicted order: PASS" in lines
+        assert not any("not machine-verified" in line for line in lines)
+    else:
+        assert not any(line.startswith(("generated order", "oracle order")) for line in lines)
+        assert any(line.startswith("note: predicted order not machine-verified")
+                   for line in lines)
 
 
 def test_verify_gf4_random_diagonal(tmp_path, capsys):

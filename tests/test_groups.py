@@ -685,6 +685,86 @@ def test_closure_matches_breadth_first_reference(ring_name, gf2, gf4):
         G.generate_closure(gens, cap=len(closure) - 1)
 
 
+def _packed_bfs_closure(intf, generators):
+    """Reference closure on packed rows: breadth-first, one product per
+    element and generator, with no chain."""
+    identity = intf.identity(len(generators[0]))
+    right = [intf.row_tables(g) for g in generators]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for m in frontier:
+            for tables in right:
+                p = intf.mat_mul(m, tables)
+                if p not in seen:
+                    seen.add(p)
+                    new.append(p)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("ring_name", ["gf2", "gf4"])
+def test_chain_order_matches_breadth_first_with_and_without_bound(ring_name, gf2, gf4,
+                                                                  monkeypatch):
+    # seeded subsets of the classify generators of the identity form, some
+    # with a shear that is invertible but no isometry: the chain's order is
+    # the breadth-first order whether or not the enumerated group is offered
+    # as a bound, the bound is used only when every generator is an
+    # isometry, and a chain of the whole group has the oracle's orbits
+    from char2forms._smallfield import IntField, try_int_field
+    ring = gf2 if ring_name == "gf2" else gf4
+    intf = try_int_field(ring)
+    form = BilinearForm(Matrix.identity(ring, 4))
+    result = enumerate_isometries(form)
+    pool = [g.matrix for g in G.classify(form).generators if g.multiplier.is_one()]
+    o, z = ring.one(), ring.zero()
+    shear = Matrix(ring, [[o, o, z, z], [z, o, z, z], [z, z, o, z], [z, z, z, o]])
+    assert not G.is_isometry(form, shear) and not shear.det().is_zero()
+    calls = [0]
+    real = IntField.mat_mul
+
+    def counting(self, a, right):
+        calls[0] += 1
+        return real(self, a, right)
+
+    monkeypatch.setattr(IntField, "mat_mul", counting)
+    rng = random.Random(23)
+    whole = with_shear = 0
+    for trial in range(8):
+        gens = rng.sample(pool, rng.randint(2, len(pool)))
+        if trial % 3 == 2:
+            gens = gens[:2] + [shear]
+        reference = _packed_bfs_closure(intf, [intf.encode_matrix(g) for g in gens])
+        chains, products = [], []
+        for within in (None, result):
+            start = calls[0]
+            chains.append(G.generate_closure(gens, within=within))
+            products.append(calls[0] - start)
+        for chain in chains:
+            assert len(chain) == len(reference)
+            assert set(chain.rows) == reference
+        isometries = shear not in gens
+        assert closure_order_matches(result, chains[1]) == (
+            isometries and len(reference) == result.order)
+        if isometries and len(reference) == result.order:
+            whole += 1
+            assert products[1] < products[0]  # the bound cut the search short
+            for j, (ours, theirs) in enumerate(zip(chains[1].transversals,
+                                                    result.transversals)):
+                column = {tuple(row >> intf.k * j & intf.order - 1 for row in t) for t in ours}
+                assert column == {tuple(row >> intf.k * j & intf.order - 1 for row in t)
+                                  for t in theirs}
+        with_shear += not isometries
+    assert whole and with_shear
+
+
+def test_generate_closure_rejects_singular_generators(gf4):
+    singular = Matrix.diagonal(gf4, [gf4.one()] * 3 + [gf4.zero()])
+    with pytest.raises(G.GroupError):
+        G.generate_closure([Matrix.identity(gf4, 4), singular])
+
+
 def test_generate_closure_cap(gf2):
     gens = G.defect3_generators(gf2)
     with pytest.raises(G.EnumerationTooLarge):

@@ -76,6 +76,23 @@ def test_det_multiplicative(gf4, f2t, rng):
         assert a.det() == _cofactor_det(a)
 
 
+def test_unrolled_cofactor_det_matches_recursive_expansion(gf4, f2t):
+    # linalg._cofactor_det spells out 2x2 and 3x3 and skips zero entries,
+    # zero minors and factors one; entries are drawn with zeros and ones
+    # over-represented, so every skip is taken
+    from char2forms import linalg
+    rng = random.Random(23)
+    for field in (gf4, f2t):
+        pool = [field.zero(), field.one()]
+        for n in (1, 2, 3, 4):
+            for _ in range(60):
+                m = Matrix(field, [[rng.choice(pool) if rng.random() < 0.4
+                                    else field.random_element(rng) for _ in range(n)]
+                                   for _ in range(n)])
+                rows = [[x.payload for x in row] for row in m.entries]
+                assert linalg._cofactor_det(field, rows) == _cofactor_det(m).payload
+
+
 def test_inverse_round_trip(gf4, f2t, rng):
     for field in (gf4, f2t):
         done = 0

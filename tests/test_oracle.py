@@ -199,6 +199,9 @@ def test_gf4_scrambles_match_closure_and_transversals_are_isometries(gf4):
         assert result.method == "backtracking" and result.order == 3840
         gens = [g.matrix for g in G.classify(form).generators if g.multiplier.is_one()]
         assert closure_order_matches(result, G.generate_closure(gens))
+        bounded = G.generate_closure(gens, within=result)
+        assert len(bounded) == 3840 and closure_order_matches(result, bounded)
+        assert set(bounded.rows) == set(result.rows)
         transversals = _transversals(intf, intf.encode_matrix(form.gram), 4, False)
         sizes = [len(found) for found in transversals]
         assert sizes[0] * sizes[1] * sizes[2] * sizes[3] == 3840
@@ -217,9 +220,10 @@ from char2forms.linalg import Matrix
 from char2forms.oracle import OracleError, enumerate_isometries
 
 assert sys.flags.optimize == 1
+result = enumerate_isometries(BilinearForm(Matrix.identity(GF2(), 4)))
 IntField.mat_mul = lambda self, a, right: (1, 2, 4, 8)
 try:
-    enumerate_isometries(BilinearForm(Matrix.identity(GF2(), 4)))
+    result.rows
 except OracleError:
     pass
 else:
@@ -227,17 +231,103 @@ else:
 """
 
 
-def test_repeated_products_raise_under_python_and_python_O(gf2, monkeypatch):
-    # a product kernel that returns one fixed matrix makes every product
-    # equal; the distinctness check is explicit code, so python -O keeps it
-    monkeypatch.setattr(IntField, "mat_mul", lambda self, a, right: (1, 2, 4, 8))
-    with pytest.raises(OracleError):
-        enumerate_isometries(BilinearForm(Matrix.identity(gf2, 4)))
+def _run_under_python_O(child_source):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    child = subprocess.run([sys.executable, "-O", "-c", DUPLICATE_CHILD],
+    child = subprocess.run([sys.executable, "-O", "-c", child_source],
                            capture_output=True, env=env, timeout=60)
     assert child.returncode == 0, child.stderr.decode()
+
+
+def test_repeated_products_raise_under_python_and_python_O(gf2, monkeypatch):
+    # a product kernel that returns one fixed matrix makes every product
+    # equal; the products are formed only when the rows are read, and the
+    # distinctness check there is explicit code, so python -O keeps it
+    result = enumerate_isometries(BilinearForm(Matrix.identity(gf2, 4)))
+    assert result.order == 48
+    monkeypatch.setattr(IntField, "mat_mul", lambda self, a, right: (1, 2, 4, 8))
+    with pytest.raises(OracleError):
+        result.rows
+    with pytest.raises(OracleError):
+        list(result.elements)
+    _run_under_python_O(DUPLICATE_CHILD)
+
+
+REPEATED_COLUMN_CHILD = """\
+import sys
+from char2forms import oracle
+from char2forms.fields import GF2
+from char2forms.forms import BilinearForm
+from char2forms.linalg import Matrix
+
+assert sys.flags.optimize == 1
+transversals = oracle._transversals
+def repeated(*args):
+    found = transversals(*args)
+    found[1][1] = found[1][0]
+    return found
+oracle._transversals = repeated
+try:
+    oracle.enumerate_isometries(BilinearForm(Matrix.identity(GF2(), 4)))
+except oracle.OracleError:
+    pass
+else:
+    sys.exit("a repeated transversal column was accepted")
+"""
+
+
+def test_repeated_transversal_column_raises_under_python_and_python_O(gf2, monkeypatch):
+    # two elements of T_1 with the same column 1 would list every product of
+    # theirs twice; enumerate_isometries refuses the chain before any
+    # product is formed, in explicit code that python -O keeps
+    from char2forms import oracle
+    transversals = oracle._transversals
+
+    def repeated(*args):
+        found = transversals(*args)
+        found[1][1] = found[1][0]
+        return found
+
+    monkeypatch.setattr(oracle, "_transversals", repeated)
+    with pytest.raises(OracleError, match="share that column"):
+        enumerate_isometries(BilinearForm(Matrix.identity(gf2, 4)))
+    _run_under_python_O(REPEATED_COLUMN_CHILD)
+
+
+def test_transversal_moving_an_earlier_basis_vector_raises(gf2, monkeypatch):
+    # an element of T_2 that moves e_0 does not lie in G_2; the last element
+    # of T_0 maps e_0 to the largest candidate, which is not e_0
+    from char2forms import oracle
+    transversals = oracle._transversals
+
+    def moved(*args):
+        found = transversals(*args)
+        found[2][0] = found[0][-1]
+        return found
+
+    monkeypatch.setattr(oracle, "_transversals", moved)
+    with pytest.raises(OracleError, match="moves an earlier basis vector"):
+        enumerate_isometries(BilinearForm(Matrix.identity(gf2, 4)))
+
+
+def test_gf8_scrambles_match_closure_by_order():
+    # seeded S^T S over GF(8): the oracle counts 258,048 isometries without
+    # listing them, and the classify generators, checked as isometries of
+    # the scrambled form, close to a chain of that order
+    gf8 = GF2k(3, 0b1011)
+    rng = random.Random(8)
+    checked = 0
+    while checked < 2:
+        s = Matrix(gf8, [[gf8.random_element(rng) for _ in range(4)] for _ in range(4)])
+        if s.det().is_zero():
+            continue
+        checked += 1
+        form = BilinearForm(s.transpose() * s)
+        result = enumerate_isometries(form)
+        assert result.method == "backtracking" and result.order == 258048
+        gens = [g.matrix for g in G.classify(form).generators if g.multiplier.is_one()]
+        closure = G.generate_closure(gens, within=result)
+        assert len(closure) == 258048 and closure_order_matches(result, closure)
 
 
 def test_oracle_matches_closure_on_3x3_gf8_form():

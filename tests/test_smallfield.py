@@ -107,3 +107,36 @@ def test_independent_matches_rank(k):
                 m = Matrix(field, [list(r) for r in m.entries[:-1]] +
                            [[s * a for a in m.entries[0]]])
             assert intf.independent(intf.encode_matrix(m)) == (m.rank() == n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_transpose_inverse_and_preserve_match_matrices(k):
+    # the packed transpose, Gauss-Jordan inverse and isometry test that the
+    # stabilizer-chain closure runs on, against Matrix and A^T H A
+    field = GF2k(k, MODULI[k])
+    intf = try_int_field(field)
+    rng = random.Random(50 + k)
+    for n in (1, 2, 3, 4):
+        gram = Matrix.identity(field, n)
+        isometry = Matrix.identity(field, n)
+        if n >= 2:  # a transposition of two coordinates keeps the identity form
+            isometry = Matrix(field, [list(r) for r in isometry.entries[1::-1]
+                                      + isometry.entries[2:]])
+        for i in range(20):
+            m = _random_matrix(field, n, rng)
+            if i % 4 == 1:  # the last row a multiple of the first
+                s = field.random_element(rng)
+                m = Matrix(field, [list(r) for r in m.entries[:-1]] +
+                           [[s * a for a in m.entries[0]]])
+            rows = intf.encode_matrix(m)
+            assert intf.transpose(rows) == intf.encode_matrix(m.transpose())
+            inverse = intf.inverse(rows)
+            if m.rank() < n:
+                assert inverse is None
+            else:
+                assert intf.decode_matrix(inverse) == m.inverse()
+            h = intf.encode_matrix(m.transpose() * m)
+            assert intf.preserve([intf.encode_matrix(isometry)], h) == (
+                isometry.transpose() * (m.transpose() * m) * isometry == m.transpose() * m)
+        assert intf.preserve([intf.encode_matrix(isometry)], intf.encode_matrix(gram))
+        assert not intf.preserve([intf.identity(n + 1)], intf.encode_matrix(gram))
