@@ -9,8 +9,8 @@ factor B, the pairing v -> c^T H v of a chosen column c, the scaling of a
 row, the spreading of a column into a matrix) is GF(2)-linear on those k*n
 bits, so `IntField.row_tables` tabulates it in chunks of at most 8 bits, at
 one xor per table entry; applying it costs one lookup per chunk.  Results
-stay packed rows (`EncodedMatrices`) and are decoded into matrices, built
-from one interned element per payload, only where they are read.
+stay packed rows (`EncodedMatrices`) and are decoded into matrices of
+payload rows only where they are read.
 
 A matrix group is held as its chain of column stabilizers: the oracle's
 transversals, or the `StabilizerChain` that `stabilizer_chain` (Sims'
@@ -30,7 +30,7 @@ import functools
 import math
 from collections.abc import Sequence
 
-from .fields import GF2, GF2k, FieldElement
+from .fields import GF2, GF2k
 from .linalg import Matrix
 
 CHUNK, CHUNK_MASK = 8, 0xFF
@@ -50,7 +50,6 @@ class IntField:
         self.order = field.order
         self.k = self.order.bit_length() - 1
         self.mul, self.inv = field.tables()
-        self.elements = tuple(FieldElement(field, bits) for bits in range(self.order))
 
     # -- the packed format -------------------------------------------------
     def pack(self, payloads) -> int:
@@ -62,12 +61,12 @@ class IntField:
         return tuple([(v >> (k * j)) & mask for j in range(n)])
 
     def encode_matrix(self, m: Matrix) -> tuple[int, ...]:
-        return tuple([self.pack([e.payload for e in row]) for row in m.entries])
+        return tuple([self.pack(row) for row in m.rows])
 
     def decode_matrix(self, rows) -> Matrix:
         """The square matrix with these packed rows."""
-        elements, n = self.elements, len(rows)
-        return Matrix(self.field, [[elements[e] for e in self.unpack(row, n)] for row in rows])
+        n = len(rows)
+        return Matrix._from_payloads(self.field, [self.unpack(row, n) for row in rows])
 
     def identity(self, n) -> tuple[int, ...]:
         return tuple(1 << (self.k * i) for i in range(n))
@@ -450,8 +449,8 @@ def stabilizer_chain(intf: IntField, generators, cap: int, bound):
     return None if order > cap else levels
 
 
-# one view per field: its tables and interned elements are built once, and
-# the closure and the oracle decode to the same element objects
+# one view per field: its tables are built once, for the closure and the
+# oracle alike
 @functools.lru_cache(maxsize=None)
 def try_int_field(field):
     try:

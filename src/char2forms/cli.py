@@ -217,7 +217,7 @@ def cmd_analyze(doc: InputDocument, args, report: Report) -> int:
     report.item("defect", qd.defect)
     if qd.kernel:
         report.block("kernel of q (rows)",
-                     Matrix(doc.field, [list(v.entries) for v in qd.kernel]))
+                     Matrix.from_columns(doc.field, qd.kernel).transpose())
     else:
         report.item("kernel of q", "trivial")
     rep, is_sq = discriminant_class(form)

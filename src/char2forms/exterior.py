@@ -26,7 +26,7 @@ from typing import Optional
 from .errors import Char2FormsError
 from .fields import FieldElement
 from .forms import BilinearForm, DegenerateForm
-from .linalg import Matrix, Vector, det_rows
+from .linalg import Matrix, Vector, det_rows, sum_of_products
 
 
 class ExteriorError(Char2FormsError):
@@ -148,8 +148,8 @@ def hodge(form: BilinearForm, volume_scale=None) -> HodgeData:
     pf = pfaffian_gram(field, n, ell, scale)
     lh = exterior_form_gram(form, ell)
     space = ExteriorSpace(n, ell)
-    j = Matrix(field, [lh.entries[space.position(space.complement(s))]
-                       for s in space.sets]) * scale.inverse()
+    j = Matrix._from_payloads(field, [lh.rows[space.position(space.complement(s))]
+                                      for s in space.sets]) * scale.inverse()
     delta = det * (scale * scale).inverse()
     return HodgeData(form=form, space=space, volume_scale=scale,
                      pf_gram=pf, lh_gram=lh, j_matrix=j, delta=delta)
@@ -201,21 +201,21 @@ def pq(x: Vector) -> FieldElement:
     """The quadratic form of the Klein quadric: p12 p34 + p13 p24 + p14 p23."""
     if len(x) != 6:
         raise WrongDimension("the Klein quadric quadratic form lives on Lambda^2 F^4")
-    return FieldElement(x.ring, _pq_payload(x.ring, [e.payload for e in x.entries]))
+    return FieldElement(x.ring, _pq_payload(x.ring, x.payloads))
 
 
 def _pq_payload(field, p):
-    """Pq on the six payloads of a 2-vector, as a payload."""
-    add, mul = field._add, field._mul
+    """Pq on the six payloads of a 2-vector, as a payload, with no product
+    by a zero or a one."""
     p12, p13, p14, p23, p24, p34 = p
-    return add(add(mul(p12, p34), mul(p13, p24)), mul(p14, p23))
+    return sum_of_products(field, ((p12, p34), (p13, p24), (p14, p23)))
 
 
 def alt_matrix(x: Vector) -> Matrix:
     """A 2-vector as an alternating 4x4 matrix (standard placement)."""
     if len(x) != 6:
         raise WrongDimension("need a vector of Lambda^2 F^4")
-    return Matrix(x.ring, _alt_rows(x.ring.zero(), x.entries))
+    return Matrix._from_payloads(x.ring, _alt_rows(x.ring._from_int(0), x.payloads))
 
 
 def _alt_rows(zero, p):

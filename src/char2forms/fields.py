@@ -747,7 +747,9 @@ class RationalFunctionField(Field):
     coefficients are base-field payloads.  There a denominator of degree 0
     is 1, because it is monic: when both denominators are 1, `_mul` and
     `_add` multiply or add the numerators and skip `_canonical`, and `_mul`
-    returns a zero operand as it is.  Variable names
+    returns a zero operand as it is.  The payloads of 0 and 1 are built once,
+    in the constructor, and `_from_int` returns those two constants: the
+    linear-algebra kernels ask for them on every call.  Variable names
     are single letters, distinct throughout the tower ('g' is reserved for
     gf2k towers).
     """
@@ -761,6 +763,7 @@ class RationalFunctionField(Field):
         self.var = var
         self.variables = base.variables + (var,)
         self.packed = isinstance(base, GF2)
+        self._constants = (self._constant(base._from_int(0)), self._constant(base._from_int(1)))
 
     def _canonical(self, num: Poly, den: Poly):
         if den.is_zero():
@@ -846,7 +849,7 @@ class RationalFunctionField(Field):
         return num_s if den_s == "1" else _wrap(num_s) + "/" + _wrap(den_s)
 
     def _from_int(self, n):
-        return self._constant(self.base._from_int(n))
+        return self._constants[n & 1]
 
     def _constant(self, c):
         """The payload of the constant with base-field payload c."""

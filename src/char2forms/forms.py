@@ -160,15 +160,15 @@ def orthogonalize(form: BilinearForm) -> tuple[list[Vector], list[FieldElement]]
     chosen = _complement_indices(field, radical, n)
     zero, one = field._from_int(0), field._from_int(1)
     space = [[one if i == c else zero for i in range(n)] for c in chosen]
-    h = form.gram.entries
-    m = [[h[a][b].payload for b in chosen] for a in chosen]
+    h = form.gram.rows
+    m = [[h[a][b] for b in chosen] for a in chosen]
 
     orthos: list[Vector] = []
     is_zero = field._is_zero
     while space:
         idx = next((i for i, row in enumerate(m) if not is_zero(row[i])), None)
         if idx is not None:
-            orthos.append(_vector(field, space[idx]))
+            orthos.append(Vector._from_payloads(field, space[idx]))
             value = m[idx][idx]
             space, m = _restrict(field, space, m, [list(m[idx])])
             continue
@@ -179,10 +179,11 @@ def orthogonalize(form: BilinearForm) -> tuple[list[Vector], list[FieldElement]]
         # (the x-coefficient of the third vector must be 1, not a, for the
         # cross terms to cancel when a != 1).
         i, j = _hyperbolic_pair(field, m)
-        x = _vector(field, space[i])
+        x = Vector._from_payloads(field, space[i])
         w_k = orthos[-1]
         a = FieldElement(field, value)  # q(w_k), and the value of each new vector
-        ya = _vector(field, space[j]).scale(FieldElement(field, field._inv(m[i][j]))).scale(a)
+        ya = Vector._from_payloads(field, space[j]).scale(
+            FieldElement(field, field._inv(m[i][j]))).scale(a)
         triple = [w_k + x, w_k + ya, w_k + x + ya]
         require(form.congruent(Matrix.from_columns(field, triple)).gram
                 == Matrix.identity(field, 3) * a,
@@ -205,13 +206,9 @@ def _complement_indices(field, radical: list[Vector], n: int) -> list[int]:
     its last nonzero entry at i: a pivot of the column-reversed radical rows."""
     if not radical:
         return list(range(n))
-    rows = [[e.payload for e in reversed(v.entries)] for v in radical]
+    rows = [list(reversed(v.payloads)) for v in radical]
     dropped = {n - 1 - p for p in echelon(field, rows)}
     return [i for i in range(n) if i not in dropped]
-
-
-def _vector(field, payloads) -> Vector:
-    return Vector(field, [FieldElement(field, p) for p in payloads])
 
 
 def _restrict(field, space, m, constraints):

@@ -226,13 +226,16 @@ def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6,
     `oracle.closure_order_matches`), <gens> lies in O(V,h), so the chain
     stops growing once its order reaches |O(V,h)|; otherwise it runs to
     completion.  Either way `len` is the exact order.  Over other rings the
-    closure is a list of matrices.
+    closure is a list of matrices.  A singular generator raises `GroupError`
+    on either path.
     """
     if not generators:
         return []
     ring = generators[0].ring
     intf = try_int_field(ring)
     if intf is None:
+        if not all(ring.is_unit(g.det()) for g in generators):
+            raise GroupError("closure generators must be invertible")
         return _closure(generators, cap)
     gens = tuple(intf.encode_matrix(g) for g in generators)
     if not all(intf.independent(g) for g in gens):
@@ -947,7 +950,8 @@ def _classify_defect1(form, qd, k_split) -> ClassificationReport:
     require(not s_val.is_zero(), "internal: defect 1 forces h(u2,u2) != 0")
     u1s = u1.scale(s_val)
 
-    complement = Matrix(field, [g_u1.entries, form.gram.entries[anchor]]).kernel_basis()
+    complement = Matrix._from_payloads(
+        field, [g_u1.payloads, form.gram.rows[anchor]]).kernel_basis()
     require(len(complement) == 2, "internal: the hyperbolic plane has no 2-dim complement")
     c = Matrix.from_columns(field, complement)
     sub_gram = form.congruent(c).gram * s_val.inverse()

@@ -64,6 +64,8 @@ class KAlgebra(Field):
         self.field = field
         self.delta = delta
         self.order = None if field.order is None else field.order ** 2
+        zero = field._from_int(0)
+        self._constants = ((zero, zero), (field._from_int(1), zero))
 
     # -- payload primitives on pairs (x0, x1) ------------------------------
     def _add(self, a, b):
@@ -118,7 +120,7 @@ class KAlgebra(Field):
         return j_part if field._is_zero(a[0]) else f"{x0}+{j_part}"
 
     def _from_int(self, n):
-        return (self.field._from_int(n), self.field._from_int(0))
+        return self._constants[n & 1]
 
     # -- elements ------------------------------------------------------------
     def element(self, x0, x1) -> FieldElement:

@@ -1,11 +1,18 @@
 """Dense exact linear algebra over a field (or local ring) of characteristic 2.
 
-Matrices and vectors are immutable and generic over a ring object: it builds
-their elements (``zero()``, ``one()``, ``coerce()``) and computes on element
-payloads (``_add``, ``_mul``, ``_inv``, ``_is_zero``, ``_is_unit``,
-``_from_int``).  Each operation reads the payloads of its operands once and
-wraps only the entries of its result; the operand rings of a call must be
-equal, else `DescriptorMismatch` (one check per call).  Every product is
+Matrices and vectors are immutable and generic over a ring object: it
+coerces what a public constructor is given (``coerce()``) and computes on
+element payloads (``_add``, ``_mul``, ``_inv``, ``_is_zero``, ``_is_unit``,
+``_from_int``, ``_format``).  A matrix stores the tuple `rows` of its
+payload rows and a vector the tuple `payloads`: every operation reads
+payloads and builds its result from payload rows (`_from_payloads`, with no
+coercion), so products, transposes, inverses, minors and comparisons wrap
+no element.  An entry becomes a `FieldElement` only where it is read
+(``m[i, j]``, `entries`, iteration); `entries` is built on first read and
+kept, and ``str`` formats the payloads.  ``==`` and ``hash`` compare the
+ring once and then the payload tuples, which is the relation the elements
+define.  The operand rings of a call must be equal, else
+`DescriptorMismatch` (one check per call).  Every product is
 `product_rows`: each row of A B combines the rows of B, with the
 coefficients in that row of A.  It skips the zero entries of both sides,
 and a factor one on either side gives the other factor without a product.
@@ -19,17 +26,18 @@ of `minors` that no zero row decides, is the product of the pivots above
 multiply by no one; `rank` counts the pivots; `echelon`, behind
 `inverse`, `kernel_basis` and `solve`, adds back substitution.
 
-Per call (Python 3.11.7, 2 shared x86-64 cores; random invertible matrices
-with a quarter zero entries and `random_element` entries, seed 5; best of
-10 repeats of 200 calls, 20 over F2(t)(u), and of 3 runs):
+Per call (Python 3.11.7, 2 shared x86-64 cores; random matrices and
+vectors with a quarter zero entries and `random_element` entries, seed 5;
+best of 10 repeats of 200 calls, 20 over F2(t)(u), in each of 6 runs):
 
 ==================  =======  =======  ========
                     GF(4)    F2(t)    F2(t)(u)
 ==================  =======  =======  ========
-4x4 product         29 us    57 us    7.3 ms
-6x6 product         56 us    88 us    16 ms
-6x6 pairing         19 us    50 us    1.4 ms
-6x6 matrix-vector   19 us    37 us    1.0 ms
+4x4 product         15 us    31 us    7.9 ms
+6x6 product         28 us    93 us    13 ms
+6x6 pairing         20 us    37 us    68 ms
+6x6 matrix-vector   13 us    17 us    3.5 ms
+6x6 transpose       1.9 us   2.1 us   2.1 us
 ==================  =======  =======  ========
 
 Over F2(t)(u) the time goes to the gcds of the fractions, and the echelon
@@ -60,27 +68,53 @@ class NonUnitColumn(LinalgError):
     ring such as k(1)), so the echelon does not decide the linear system."""
 
 
+_setattr = object.__setattr__  # the one way past the immutability guards
+
+
 class Vector:
-    __slots__ = ("ring", "entries")
+    """A column of ring elements, stored as the tuple `payloads` of their
+    payloads; `entries` wraps them on first read and keeps them."""
+
+    __slots__ = ("ring", "payloads", "_entries")
 
     def __init__(self, ring, entries: Iterable):
-        object.__setattr__(self, "ring", ring)
-        coerce = ring.coerce
-        object.__setattr__(self, "entries", tuple([coerce(e) for e in entries]))
+        self._fill(ring, tuple([_payload(ring, e) for e in entries]))
+
+    @classmethod
+    def _from_payloads(cls, ring, payloads) -> "Vector":
+        """The vector with these payloads of `ring`, taken as they are."""
+        v = object.__new__(cls)
+        v._fill(ring, tuple(payloads))
+        return v
+
+    def _fill(self, ring, payloads: tuple) -> None:
+        _setattr(self, "ring", ring)
+        _setattr(self, "payloads", payloads)
+        _setattr(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("vectors are immutable")
 
     @classmethod
     def unit(cls, ring, n: int, i: int) -> "Vector":
-        return cls(ring, [ring.one() if j == i else ring.zero() for j in range(n)])
+        zero, one = ring._from_int(0), ring._from_int(1)
+        return cls._from_payloads(ring, [one if j == i else zero for j in range(n)])
 
     @classmethod
     def zero(cls, ring, n: int) -> "Vector":
-        return cls(ring, [ring.zero()] * n)
+        return cls._from_payloads(ring, [ring._from_int(0)] * n)
+
+    @property
+    def entries(self) -> tuple:
+        entries = self._entries
+        if entries is None:
+            ring = self.ring
+            entries = tuple([_element(ring, p) for p in self.payloads])
+            _setattr(self, "_entries", entries)
+        return entries
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.payloads)
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -91,16 +125,19 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         if len(other) != len(self):
             raise DimensionMismatch("vector lengths differ")
-        return Vector(self.ring, [a + b for a, b in zip(self.entries, other.entries)])
+        ring = self.ring
+        _same_ring(ring, other.ring)
+        add = ring._add
+        return Vector._from_payloads(ring, [add(a, b)
+                                            for a, b in zip(self.payloads, other.payloads)])
 
     __sub__ = __add__
 
     def scale(self, s) -> "Vector":
-        ring, s = self.ring, self.ring.coerce(s)
-        p, one, mul, is_zero = s.payload, ring._from_int(1), ring._mul, ring._is_zero
-        return self if p == one else Vector(ring, [
-            a if is_zero(a.payload) else s if a.payload == one else type(s)(ring, mul(a.payload, p))
-            for a in self.entries])
+        ring = self.ring
+        p, one, mul, is_zero = ring.coerce(s).payload, ring._from_int(1), ring._mul, ring._is_zero
+        return self if p == one else Vector._from_payloads(ring, [
+            a if is_zero(a) else p if a == one else mul(a, p) for a in self.payloads])
 
     def __mul__(self, s):
         return self.scale(s)
@@ -108,39 +145,51 @@ class Vector:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        is_zero = self.ring._is_zero
+        return all(is_zero(p) for p in self.payloads)
 
     def __eq__(self, other):
         return (isinstance(other, Vector) and self.ring == other.ring
-                and self.entries == other.entries)
+                and self.payloads == other.payloads)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.payloads)
 
     def __str__(self):
-        return " ".join(str(e) for e in self.entries)
+        return " ".join(map(self.ring._format, self.payloads))
 
     def __repr__(self):
         return f"Vector({self})"
 
 
 class Matrix:
-    __slots__ = ("ring", "nrows", "ncols", "entries")
+    """A matrix over a ring, stored as the tuple `rows` of its payload rows;
+    `entries`, the rows of elements, is wrapped on first read and kept."""
+
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_entries")
 
     def __init__(self, ring, rows: Iterable[Iterable]):
-        coerce = ring.coerce
-        # entries that are elements of `ring` already are kept as they are
-        rows = tuple([tuple([e if getattr(e, "field", None) is ring else coerce(e)
-                             for e in row]) for row in rows])
+        rows = tuple([tuple([_payload(ring, e) for e in row]) for row in rows])
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix needs at least one row and column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "entries", rows)
+        self._fill(ring, rows)
+
+    @classmethod
+    def _from_payloads(cls, ring, rows) -> "Matrix":
+        """The matrix with these payload rows of `ring`, taken as they are."""
+        m = object.__new__(cls)
+        m._fill(ring, tuple([tuple(row) for row in rows]))
+        return m
+
+    def _fill(self, ring, rows: tuple) -> None:
+        _setattr(self, "ring", ring)
+        _setattr(self, "nrows", len(rows))
+        _setattr(self, "ncols", len(rows[0]))
+        _setattr(self, "rows", rows)
+        _setattr(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -148,25 +197,26 @@ class Matrix:
     # -- constructors -------------------------------------------------------
     @classmethod
     def identity(cls, ring, n: int) -> "Matrix":
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        zero, one = ring._from_int(0), ring._from_int(1)
+        return cls._from_payloads(ring, [[one if i == j else zero for j in range(n)]
+                                         for i in range(n)])
 
     @classmethod
     def zeros(cls, ring, nrows: int, ncols: int) -> "Matrix":
-        zero = ring.zero()
-        return cls(ring, [[zero] * ncols for _ in range(nrows)])
+        return cls._from_payloads(ring, [[ring._from_int(0)] * ncols] * nrows)
 
     @classmethod
     def diagonal(cls, ring, diag: Sequence) -> "Matrix":
-        diag = [ring.coerce(d) for d in diag]
-        zero = ring.zero()
-        n = len(diag)
-        return cls(ring, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
+        diag = [_payload(ring, d) for d in diag]
+        zero, n = ring._from_int(0), len(diag)
+        return cls._from_payloads(ring, [[diag[i] if i == j else zero for j in range(n)]
+                                         for i in range(n)])
 
     @classmethod
     def from_columns(cls, ring, columns: Sequence[Vector]) -> "Matrix":
-        n = len(columns[0])
-        return cls(ring, [[col[i] for col in columns] for i in range(n)])
+        for col in columns:
+            _same_ring(ring, col.ring)
+        return cls._from_payloads(ring, zip(*[col.payloads for col in columns]))
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
@@ -176,30 +226,41 @@ class Matrix:
             height = band[0].nrows
             if any(b.nrows != height for b in band):
                 raise DimensionMismatch("block heights differ within a band")
-            for i in range(height):
-                row = []
-                for b in band:
-                    row.extend(b.entries[i])
-                rows.append(row)
-        return cls(ring, rows)
+            for b in band:
+                _same_ring(ring, b.ring)
+            rows.extend(sum(parts, ()) for parts in zip(*[b.rows for b in band]))
+        return cls._from_payloads(ring, rows)
 
     # -- access --------------------------------------------------------------
+    @property
+    def entries(self) -> tuple:
+        entries = self._entries
+        if entries is None:
+            ring = self.ring
+            entries = tuple([tuple([_element(ring, p) for p in row]) for row in self.rows])
+            _setattr(self, "_entries", entries)
+        return entries
+
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        return _element(self.ring, self.rows[i][j])
 
     def column(self, j: int) -> Vector:
-        return Vector(self.ring, [self.entries[i][j] for i in range(self.nrows)])
+        return Vector._from_payloads(self.ring, [row[j] for row in self.rows])
 
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
+        ring = self.ring
+        return [Vector._from_payloads(ring, col) for col in zip(*self.rows)]
 
     # -- algebra --------------------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix(self.ring, [[a + b for a, b in zip(r1, r2)]
-                                  for r1, r2 in zip(self.entries, other.entries)])
+        ring = self.ring
+        _same_ring(ring, other.ring)
+        add = ring._add
+        return Matrix._from_payloads(ring, [[add(a, b) for a, b in zip(r1, r2)]
+                                            for r1, r2 in zip(self.rows, other.rows)])
 
     __sub__ = __add__
 
@@ -210,41 +271,40 @@ class Matrix:
                 raise DimensionMismatch(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
             _same_ring(ring, other.ring)
-            rows = product_rows(ring, _payload_rows(self), _payload_rows(other))
-            return Matrix(ring, [_elements(self, row) for row in rows])
+            return Matrix._from_payloads(ring, product_rows(ring, self.rows, other.rows))
         if isinstance(other, Vector):
             if self.ncols != len(other):
                 raise DimensionMismatch("matrix/vector shapes differ")
             _same_ring(ring, other.ring)
             # one row: v combines the columns of the matrix
-            row = product_rows(ring, [[e.payload for e in other.entries]],
-                               list(zip(*_payload_rows(self))))[0]
-            return Vector(ring, _elements(self, row))
+            row = product_rows(ring, [other.payloads], list(zip(*self.rows)))[0]
+            return Vector._from_payloads(ring, row)
         s, one, mul, is_zero = ring.coerce(other).payload, ring._from_int(1), ring._mul, ring._is_zero
-        return self if s == one else Matrix(ring, [
-            _elements(self, [p if is_zero(p) else s if p == one else mul(p, s) for p in row])
-            for row in _payload_rows(self)])
+        return self if s == one else Matrix._from_payloads(ring, [
+            [p if is_zero(p) else s if p == one else mul(p, s) for p in row]
+            for row in self.rows])
 
     __rmul__ = __mul__
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, list(zip(*self.entries)))
+        return Matrix._from_payloads(self.ring, zip(*self.rows))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_symmetric(self) -> bool:
+        rows = self.rows
         return self.is_square() and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.nrows) for j in range(i))
+            rows[i][j] == rows[j][i] for i in range(self.nrows) for j in range(i))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        is_zero = self.ring._is_zero
+        return all(is_zero(p) for row in self.rows for p in row)
 
     def is_diagonal(self) -> bool:
+        is_zero = self.ring._is_zero
         return self.is_square() and all(
-            self.entries[i][j].is_zero()
-            for i in range(self.nrows) for j in range(self.ncols) if i != j)
+            is_zero(p) for i, row in enumerate(self.rows) for j, p in enumerate(row) if i != j)
 
     def det(self):
         """The determinant, computed on payloads with the ring's primitives.
@@ -255,18 +315,18 @@ class Matrix:
         """
         if not self.is_square():
             raise LinalgError("determinant needs a square matrix")
-        return _elements(self, [det_rows(self.ring, _payload_rows(self))])[0]
+        return _element(self.ring, det_rows(self.ring, _payload_rows(self)))
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise SingularMatrix("inverse needs a square matrix")
         ring, n = self.ring, self.nrows
         zero, one = ring._from_int(0), ring._from_int(1)
-        rows = [row + [one if j == i else zero for j in range(n)]
-                for i, row in enumerate(_payload_rows(self))]
+        rows = [list(row) + [one if j == i else zero for j in range(n)]
+                for i, row in enumerate(self.rows)]
         if len(echelon(ring, rows, n)) < n:
             raise SingularMatrix("matrix is not invertible")
-        return Matrix(ring, [_elements(self, row[n:]) for row in rows])
+        return Matrix._from_payloads(ring, [row[n:] for row in rows])
 
     def rank(self) -> int:
         return len(_forward(self.ring, _payload_rows(self), self.ncols))
@@ -277,8 +337,8 @@ class Matrix:
         Raises `NonUnitColumn` where the echelon leaves a nonzero non-unit in
         a column without a pivot.
         """
-        return [Vector(self.ring, _elements(self, vec))
-                for vec in kernel_rows(self.ring, _payload_rows(self))]
+        ring = self.ring
+        return [Vector._from_payloads(ring, vec) for vec in kernel_rows(ring, _payload_rows(self))]
 
     def solve(self, rhs: Vector) -> Optional[Vector]:
         """One solution of self * x = rhs, or None (free variables zero).
@@ -290,7 +350,7 @@ class Matrix:
             raise DimensionMismatch("right-hand side has wrong length")
         ring = self.ring
         _same_ring(ring, rhs.ring)
-        rows = [row + [b.payload] for row, b in zip(_payload_rows(self), rhs.entries)]
+        rows = [list(row) + [b] for row, b in zip(self.rows, rhs.payloads)]
         pivots = echelon(ring, rows, self.ncols)
         _require_decided(ring, rows, len(pivots), self.ncols)
         if any(not ring._is_zero(rows[r][-1]) for r in range(len(pivots), self.nrows)):
@@ -298,17 +358,17 @@ class Matrix:
         x = [ring._from_int(0)] * self.ncols
         for r, c in enumerate(pivots):
             x[c] = rows[r][-1]
-        return Vector(ring, _elements(self, x))
+        return Vector._from_payloads(ring, x)
 
     def minors(self, row_sets: Sequence[Sequence[int]],
                col_sets: Sequence[Sequence[int]]) -> "Matrix":
         """The matrix whose entry (i, j) is the minor on the rows `row_sets[i]`
         and the columns `col_sets[j]` (0-based index sets, all of one size),
-        each by `det_rows` on payload rows; only the results are wrapped.
+        each by `det_rows` on payload rows.
 
         A minor with a row that is zero on its columns is zero without a
         `det_rows` call, so a diagonal matrix costs only its diagonal minors."""
-        ring, rows = self.ring, _payload_rows(self)
+        ring, rows = self.ring, self.rows
         zero, is_zero = ring._from_int(0), ring._is_zero
         support = [frozenset(j for j, x in enumerate(row) if not is_zero(x)) for row in rows]
 
@@ -317,18 +377,19 @@ class Matrix:
                 return zero
             return det_rows(ring, [[rows[i][j] for j in cols] for i in row_set])
 
-        return Matrix(ring, [_elements(self, [minor(row_set, cols) for cols in col_sets])
-                             for row_set in row_sets])
+        return Matrix._from_payloads(ring, [[minor(row_set, cols) for cols in col_sets]
+                                            for row_set in row_sets])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.rows)
 
     def __str__(self):
-        return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
+        fmt = self.ring._format
+        return "\n".join(" ".join(map(fmt, row)) for row in self.rows)
 
     def __repr__(self):
         return f"Matrix(\n{self}\n)"
@@ -343,8 +404,20 @@ def bilinear(gram: Matrix, x: Vector, y: Vector):
     ring = gram.ring
     _same_ring(ring, x.ring)
     _same_ring(ring, y.ring)
-    xg = product_rows(ring, [[e.payload for e in x.entries]], _payload_rows(gram))
-    return _elements(gram, product_rows(ring, xg, [[e.payload] for e in y.entries])[0])[0]
+    xg = product_rows(ring, [x.payloads], gram.rows)
+    return _element(ring, product_rows(ring, xg, [[p] for p in y.payloads])[0][0])
+
+
+def _payload(ring, e):
+    """The payload of `e` in `ring`: an element of `ring` as it is, anything
+    else (an int, an element of the base field of a K-algebra) coerced."""
+    return e.payload if getattr(e, "field", None) is ring else ring.coerce(e).payload
+
+
+def _element(ring, payload):
+    """The element of `ring` with this payload, built where an entry is read."""
+    from .fields import FieldElement  # fields imports this module
+    return FieldElement(ring, payload)
 
 
 def _same_ring(ring, other) -> None:
@@ -354,14 +427,8 @@ def _same_ring(ring, other) -> None:
 
 
 def _payload_rows(m: Matrix) -> list[list]:
-    return [[e.payload for e in row] for row in m.entries]
-
-
-def _elements(m: Matrix, payloads) -> list:
-    """The elements of the ring of `m` with the given payloads."""
-    # the element class comes from an entry: fields imports linalg, not the reverse
-    ring, cls = m.ring, type(m.entries[0][0])
-    return [cls(ring, p) for p in payloads]
+    """A list copy of the payload rows, for the in-place elimination."""
+    return [list(row) for row in m.rows]
 
 
 def product_rows(ring, a, b) -> list[list]:
@@ -416,44 +483,36 @@ def det_rows(ring, rows):
 def _cofactor_det(ring, e):
     """Determinant payload of the square payload rows `e` by cofactor
     expansion along the first row (no signs in characteristic 2), unrolled
-    up to 3x3.  A zero entry or a zero minor drops its term, and a factor
-    one gives the other factor without a product."""
+    up to 3x3: each a `sum_of_products`, where a zero entry or a zero minor
+    drops its term and a factor one gives the other factor without a
+    product.  The minor of a zero entry is not computed."""
     n = len(e)
     if n == 1:
         return e[0][0]
-    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
-    one = ring._from_int(1)
     if n == 2:
-        total = None
-        for x, y in ((e[0][0], e[1][1]), (e[0][1], e[1][0])):
-            if not (is_zero(x) or is_zero(y)):
-                y = y if x == one else x if y == one else mul(x, y)
-                total = y if total is None else add(total, y)
-        return ring._from_int(0) if total is None else total
-
-    def term(x, y):
-        # x*y, or None when a factor is zero
-        if is_zero(x) or is_zero(y):
-            return None
-        return y if x == one else x if y == one else mul(x, y)
-
-    def plus(x, y):
-        return y if x is None else x if y is None else add(x, y)
-
+        return sum_of_products(ring, ((e[0][0], e[1][1]), (e[0][1], e[1][0])))
+    is_zero = ring._is_zero
     if n == 3:
         (a, b, c), (d, f, g), (h, i, k) = e
-        total = None
-        for x, p, q, r, s in ((a, f, k, g, i), (b, d, k, g, h), (c, d, i, f, h)):
-            if not is_zero(x):
-                minor = plus(term(p, q), term(r, s))
-                if minor is not None:
-                    total = plus(total, term(x, minor))
-    else:
-        total = None
-        for j, x in enumerate(e[0]):
-            if not is_zero(x):
-                total = plus(total, term(x, _cofactor_det(
-                    ring, [row[:j] + row[j + 1:] for row in e[1:]])))
+        return sum_of_products(ring, (
+            (x, sum_of_products(ring, ((p, q), (r, s))))
+            for x, p, q, r, s in ((a, f, k, g, i), (b, d, k, g, h), (c, d, i, f, h))
+            if not is_zero(x)))
+    return sum_of_products(ring, (
+        (x, _cofactor_det(ring, [row[:j] + row[j + 1:] for row in e[1:]]))
+        for j, x in enumerate(e[0]) if not is_zero(x)))
+
+
+def sum_of_products(ring, pairs):
+    """The payload of the sum of x*y over the payload pairs (x, y): a pair
+    with a zero makes no product and no sum, and a factor one gives the
+    other factor without a product."""
+    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
+    one, total = ring._from_int(1), None
+    for x, y in pairs:
+        if not (is_zero(x) or is_zero(y)):
+            y = y if x == one else x if y == one else mul(x, y)
+            total = y if total is None else add(total, y)
     return ring._from_int(0) if total is None else total
 
 

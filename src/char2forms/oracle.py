@@ -252,18 +252,26 @@ class _Sliced:
     """GF(2^k) arithmetic on a value at every point at once (bit-slicing).
 
     A value is its k planes: ints whose bit i is bit b of the payload at
-    point i, for b < k.  `_add` and `_mul` follow the payload protocol of
-    `Field`, so `exterior._pq_payload` runs on planes unchanged.
+    point i, for b < k; the points are the q^6 2-vectors.  `_add`, `_mul`,
+    `_is_zero` and `_from_int` follow the payload protocol of `Field`, so
+    `exterior._pq_payload` runs on planes unchanged.
     """
 
     def __init__(self, intf: IntField):
         k = self.k = intf.k
+        self.ones = (1 << intf.order ** 6) - 1  # bit i set at every point i
         # x^t reduced by the modulus, for every degree t a product reaches
         self.powers = [intf.mul[1 << min(t, k - 1)][1 << max(t - k + 1, 0)]
                        for t in range(2 * k - 1)]
 
     def _add(self, a, b):
         return [x ^ y for x, y in zip(a, b)]
+
+    def _is_zero(self, a):
+        return not any(a)
+
+    def _from_int(self, n):
+        return [self.ones if n & 1 else 0] + [0] * (self.k - 1)
 
     def _mul(self, a, b):
         wide = [0] * (2 * self.k - 1)

@@ -8,8 +8,8 @@ from char2forms import linalg
 from char2forms.cli import main
 from char2forms.exterior import (ExteriorSpace, WrongDimension, ZeroVolume, alt_matrix,
                                  compound_matrix, exterior_form_gram, hodge,
-                                 hodge_identities, klein_scalar, pfaffian_gram, pq,
-                                 wedge, wedge_coefficient)
+                                 _pq_payload, hodge_identities, klein_scalar,
+                                 pfaffian_gram, pq, wedge, wedge_coefficient)
 from char2forms.forms import BilinearForm
 from char2forms.linalg import Matrix, Vector
 from char2forms.oracle import compound_by_expansion
@@ -262,6 +262,40 @@ def test_pq_polar_form_is_pf(gf4, rng):
         for a, b in zip(x, gy):
             total = total + a * b
         assert polar == total
+
+
+class _RecordingField:
+    """A field whose payload products record their operands."""
+
+    def __init__(self, field):
+        self.field, self.products = field, []
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def _mul(self, a, b):
+        self.products.append((a, b))
+        return self.field._mul(a, b)
+
+
+@pytest.mark.parametrize("name", ["gf4", "f2t", "f2tu"])
+def test_pq_skips_zero_and_unit_operands(name, gf4, f2t, f2tu):
+    # Pq = p12 p34 + p13 p24 + p14 p23 on payloads, with no product by a zero
+    # or a one; coordinates are drawn with zeros and ones over-represented
+    field = {"gf4": gf4, "f2t": f2t, "f2tu": f2tu}[name]
+    rng = random.Random(24)
+    pool = [field.zero(), field.one()]
+    recording = _RecordingField(field)
+    zero, one = field._from_int(0), field._from_int(1)
+    for _ in range(60):
+        x = [rng.choice(pool) if rng.random() < 0.5 else field.random_element(rng, size=1)
+             for _ in range(6)]
+        p12, p13, p14, p23, p24, p34 = x
+        expected = p12 * p34 + p13 * p24 + p14 * p23
+        assert pq(Vector(field, x)) == expected
+        assert _pq_payload(recording, [e.payload for e in x]) == expected.payload
+    assert recording.products
+    assert all(zero not in pair and one not in pair for pair in recording.products)
 
 
 def test_decomposable_vectors_lie_on_quadric(gf4, rng):

@@ -146,8 +146,16 @@ def test_block_and_solve(gf2, f2t):
 
 def test_matrix_keeps_ring_elements_and_coerces_the_rest(gf2, gf4):
     g = gf4.generator
-    a = Matrix(gf4, [[g, 1], [0, g]])
-    assert a[0, 0] is g
+    coerced = []
+    coerce = gf4.coerce
+    gf4.coerce = lambda x: coerced.append(x) or coerce(x)
+    try:
+        a = Matrix(gf4, [[g, 1], [0, g]])
+    finally:
+        del gf4.coerce
+    # the two ring elements are taken as they are; only the ints are coerced
+    assert coerced == [1, 0]
+    assert a[0, 0] == g and a[1, 1] == g
     assert a[0, 1] == gf4.one() and a[1, 0] == gf4.zero()
     assert all(e.field is gf4 for row in a.entries for e in row)
     with pytest.raises(DescriptorMismatch):
@@ -558,3 +566,119 @@ def test_equal_rings_built_apart_multiply():
     m = Matrix(f2t_a, [[t, 1], [1, 0]])
     assert (m * Matrix.identity(f2t_b, 2)) == m
     assert m.solve(Vector(f2t_b, [1, 0])) == Vector(f2t_a, [0, 1])
+
+
+def _comparison_rings():
+    gf2 = GF2()
+    f2t = RationalFunctionField(gf2, "t")
+    return {
+        "gf2": gf2,
+        "gf4": GF2k(2, 0b111),
+        "f2t": f2t,
+        "f2tu": RationalFunctionField(f2t, "u"),
+        "k_t": KAlgebra(f2t, f2t.generator),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_comparison_rings()))
+def test_matrix_eq_and_hash_agree_with_entrywise_comparison(name):
+    # Matrix == compares the ring once and then the payload rows; it must be
+    # the relation of the entries compared one element at a time
+    ring = _comparison_rings()[name]
+    rng = random.Random(24)
+    draw = _entry_sampler(ring, rng)
+    mats = []
+    for _ in range(12):
+        a = Matrix(ring, [[draw() for _ in range(3)] for _ in range(3)])
+        # an equal copy built apart, one with a changed entry and one with
+        # the same entries in another shape
+        copy = Matrix(ring, [[x for x in row] for row in a.entries])
+        changed = [list(row) for row in a.entries]
+        changed[rng.randrange(3)][rng.randrange(3)] += ring.one()
+        mats += [a, copy, Matrix(ring, changed), Matrix(ring, [list(sum(a.entries, ()))[:9]])]
+    for a in mats:
+        for b in mats:
+            entrywise = ((a.nrows, a.ncols) == (b.nrows, b.ncols) and all(
+                x == y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)))
+            assert (a == b) == entrywise
+            assert (a != b) == (not entrywise)
+            if entrywise:
+                assert hash(a) == hash(b)
+        vector = a.column(0)
+        assert vector == Vector(ring, list(vector))
+        assert hash(vector) == hash(Vector(ring, list(vector)))
+        assert (vector == a.column(1)) == all(x == y for x, y in zip(vector, a.column(1)))
+
+
+def test_equal_payloads_over_other_rings_differ():
+    # GF(2) and GF(4) share the payloads 0 and 1: the ring tells them apart,
+    # as it does for the elements
+    gf2, gf4 = GF2(), GF2k(2, 0b111)
+    assert Matrix.identity(gf2, 2).rows == Matrix.identity(gf4, 2).rows
+    assert Matrix.identity(gf2, 2) != Matrix.identity(gf4, 2)
+    assert Matrix.identity(gf2, 2)[0, 0] != Matrix.identity(gf4, 2)[0, 0]
+    assert Vector(gf2, [1, 0]) != Vector(gf4, [1, 0])
+    with pytest.raises(DescriptorMismatch):
+        Matrix.identity(gf2, 2) + Matrix.identity(gf4, 2)
+    with pytest.raises(DescriptorMismatch):
+        Vector(gf2, [1, 0]) + Vector(gf4, [1, 0])
+
+
+@pytest.mark.parametrize("name", ["gf4", "f2tu", "k_t"])
+def test_kernels_wrap_no_element_until_an_entry_is_read(name, monkeypatch):
+    from char2forms.fields import FieldElement
+    ring = _comparison_rings()[name]
+    rng = random.Random(7)
+    draw = _entry_sampler(ring, rng)
+    while True:
+        a = Matrix(ring, [[draw() for _ in range(4)] for _ in range(4)])
+        if ring.is_unit(a.det()):
+            break
+    b = Matrix(ring, [[draw() for _ in range(4)] for _ in range(4)])
+    s, x = draw(), Vector(ring, [draw() for _ in range(4)])
+    sets = [[0, 1], [0, 2], [1, 3], [2, 3]]
+    made = []
+    init = FieldElement.__init__
+
+    def counting(self, field, payload):
+        # str over F2(t)(u) formats coefficients through base-field elements
+        if field is ring:
+            made.append(payload)
+        init(self, field, payload)
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    results = [a * b, a.transpose(), a.inverse(), a.minors(sets, sets), a * s, a + b,
+               Matrix.block([[a, b]]), Matrix.identity(ring, 4), a.column(2), a * x,
+               x.scale(s), x + x, a.solve(x)]
+    results += a.kernel_basis() + Matrix.block([[a, b]]).kernel_basis()
+    assert made == []
+    assert results[0] == results[0] and hash(results[2]) == hash(a.inverse())
+    assert str(results[0]) and made == []
+    # reading builds the elements read, and no more
+    assert results[0][1, 2] == results[0].entries[1][2]
+    assert len(made) == 1 + 16
+    assert results[0].entries is results[0].entries and len(made) == 17
+    monkeypatch.undo()
+    assert a * a.inverse() == Matrix.identity(ring, 4)
+    assert results[0] == Matrix(ring, _ref_mul(a, b))
+
+
+def test_matrices_and_vectors_stay_immutable(gf4):
+    g = gf4.generator
+    a = Matrix(gf4, [[g, 1], [0, g]])
+    v = Vector(gf4, [g, 0, 1])
+    for obj, names in ((a, ("ring", "nrows", "ncols", "rows", "entries", "_entries")),
+                       (v, ("ring", "payloads", "entries", "_entries"))):
+        before = obj.entries
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        # the entry cache is built once and is itself immutable
+        assert obj.entries is before and isinstance(before, tuple)
+    assert all(isinstance(row, tuple) for row in a.entries + (a.rows,) + a.rows)
+    with pytest.raises(TypeError):
+        a.entries[0][0] = g
+    with pytest.raises(TypeError):
+        v.entries[0] = g
+    with pytest.raises(TypeError):
+        a.rows[0] = (0, 0)
+    assert a == Matrix(gf4, [[g, 1], [0, g]]) and v == Vector(gf4, [g, 0, 1])

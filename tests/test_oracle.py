@@ -346,6 +346,37 @@ def test_oracle_matches_closure_on_3x3_gf8_form():
     assert all(not m.det().is_zero() for m in result.elements)
 
 
+SINGULAR_CLOSURE_CHILD = """\
+import sys
+from char2forms.fields import GF2k
+from char2forms.groups import GroupError, generate_closure
+from char2forms.linalg import Matrix
+
+assert sys.flags.optimize == 1
+gf512 = GF2k(9, 0b1000010001)
+try:
+    generate_closure([Matrix.diagonal(gf512, [1, 0])])
+except GroupError as error:
+    sys.exit(0 if str(error) == "closure generators must be invertible" else str(error))
+sys.exit("a singular generator was accepted")
+"""
+
+
+def test_matrix_closure_rejects_singular_generators_under_python_and_python_O():
+    # GF(2^9) has no packed view, so the closure takes Dimino's algorithm on
+    # matrices; a singular generator would make it list a monoid, and the
+    # check that rejects it is explicit code, so python -O keeps it
+    gf512 = GF2k(9, 0b1000010001)
+    assert try_int_field(gf512) is None
+    g = gf512.generator
+    assert len(G.generate_closure([Matrix.diagonal(gf512, [g, 1])])) == 511
+    for gens in ([Matrix.diagonal(gf512, [1, 0])],
+                 [Matrix.diagonal(gf512, [g, 1]), Matrix(gf512, [[1, g], [1, g]])]):
+        with pytest.raises(G.GroupError, match="closure generators must be invertible"):
+            G.generate_closure(gens)
+    _run_under_python_O(SINGULAR_CLOSURE_CHILD)
+
+
 def test_enumerate_small_gf4(gf4):
     result = enumerate_isometries(BilinearForm(Matrix.identity(gf4, 2)))
     form = BilinearForm(Matrix.identity(gf4, 2))
