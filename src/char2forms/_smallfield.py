@@ -1,27 +1,26 @@
-"""Packed-row arithmetic for small finite fields of characteristic 2.
+"""Matrix rows for finite groups: packed over small fields, payload rows
+over every other finite ring.
 
-Group enumeration multiplies thousands of matrices and pairs thousands of
-vectors; doing that on wrapped field elements is needlessly slow.  Over
-GF(2) and GF(2^k) with q = 2^k <= 256 a vector of F_q^n is packed into one
-int, coordinate j in bits [k*j, k*j + k), and a matrix into the tuple of its
-n packed rows.  Every map the enumeration needs (v -> v*B for a right
-factor B, the pairing v -> c^T H v of a chosen column c, the scaling of a
-row, the spreading of a column into a matrix) is GF(2)-linear on those k*n
-bits, so `IntField.row_tables` tabulates it in chunks of at most 8 bits, at
-one xor per table entry; applying it costs one lookup per chunk.  Results
-stay packed rows (`EncodedMatrices`) and are decoded into matrices of
-payload rows only where they are read.
+Over GF(2) and GF(2^k) with q = 2^k <= 256 a vector of F_q^n is packed into
+one int, coordinate j in bits [k*j, k*j + k), and a matrix into the tuple
+of its n packed rows.  Every map the enumeration needs (v -> v*B, the
+pairing v -> c^T H v of a chosen column c, the scaling of a row, the
+spreading of a column into a matrix) is GF(2)-linear on those k*n bits, so
+`IntField.row_tables` tabulates it in chunks of at most 8 bits, at one xor
+per table entry; applying it costs one lookup per chunk.  Other rings get
+`PayloadRows`, the same operations on the payload rows of `Matrix`, and
+`row_view` picks a field's view.
 
-A matrix group is held as its chain of column stabilizers: the oracle's
-transversals, or the `StabilizerChain` that `stabilizer_chain` (Sims'
-algorithm) builds for `groups.generate_closure`; its elements are listed
-(`chain_products`) only where they are read.  On the identity form over
-GF(4) (3,840 isometries) the chain of the `classify` generators, bounded by
-the oracle's order, takes 0.8-1.6 ms and the oracle's transversal search
-2.9-6.9 ms; over GF(8) (258,048 isometries) 3.5-6.5 ms and 0.2-0.37 s
-(Python 3.11, 2 shared x86-64 cores).  Listing the groups with Dimino's
-closure and the oracle's products took 3-7.5 ms and 6-14 ms over GF(4), and
-0.5-1.2 s and 0.65-1.2 s over GF(8).
+A finite group is one `ChainGroup`: the transversals of its chain of column
+stabilizers, found by the oracle's column search or built from generators
+by `stabilizer_chain` (Sims' algorithm, the one closure loop).  Its order
+is the product of the transversal sizes, and its elements are listed
+(`chain_products`) only when read.  On the identity form over GF(4) (3,840
+isometries) the chain of the `classify` generators, bounded by the oracle's
+order, takes 0.8-1.6 ms and the oracle's search 2.9-6.9 ms; over GF(8)
+(258,048) 3.5-6.5 ms and 0.2-0.37 s.  On payload rows, the chain of hat L_g
+and hat U_1 over GF(2^9) (1,022 elements) takes 0.12 s to build and 0.14 s
+to build and list (Python 3.11, 2 shared x86-64 cores).
 """
 
 from __future__ import annotations
@@ -31,12 +30,61 @@ import math
 from collections.abc import Sequence
 
 from .fields import GF2, GF2k
-from .linalg import Matrix
+from .linalg import Matrix, SingularMatrix, product_rows
 
 CHUNK, CHUNK_MASK = 8, 0xFF
 
 
-class IntField:
+class PayloadRows:
+    """The view of any ring: a matrix is its payload rows (`Matrix.rows`),
+    the "row tables" of B are B's rows, products are `linalg.product_rows`,
+    and `inverse` is None for a singular matrix.  `IntField` packs rows."""
+
+    def __init__(self, ring):
+        self.field = ring
+
+    def encode_matrix(self, m: Matrix) -> tuple:
+        return m.rows
+
+    def decode_matrix(self, rows) -> Matrix:
+        return Matrix._from_payloads(self.field, rows)
+
+    def identity(self, n) -> tuple:
+        return Matrix.identity(self.field, n).rows
+
+    def transpose(self, rows) -> tuple:
+        return tuple(zip(*rows))
+
+    def row_tables(self, rows):
+        return rows
+
+    def apply(self, rows, v) -> tuple:
+        return tuple(product_rows(self.field, [v], rows)[0])
+
+    def mat_mul(self, a, rows) -> tuple:
+        return tuple(map(tuple, product_rows(self.field, a, rows)))
+
+    def inverse(self, rows):
+        try:
+            return Matrix._from_payloads(self.field, rows).inverse().rows
+        except SingularMatrix:
+            return None
+
+    def preserve(self, matrices, gram) -> bool:
+        """Whether A^T H A = H for every square matrix A (rows of this
+        view), with H the Gram `gram`.  H A is one product, and (H A)^T A,
+        the transpose of A^T H A, is compared with H^T."""
+        gram_t = self.transpose(gram)
+        for a in matrices:
+            if len(a) != len(gram):
+                return False
+            right = self.row_tables(a)
+            if self.mat_mul(self.transpose(self.mat_mul(gram, right)), right) != gram_t:
+                return False
+        return True
+
+
+class IntField(PayloadRows):
     """Packed-row view of GF(2) or GF(2^k) with q <= 256.
 
     Tables made by `row_tables` are plain lists of chunk tables; they hold
@@ -185,19 +233,6 @@ class IntField:
                     work[i] ^= scale(row, x)
         return tuple([row >> width for row in work])
 
-    def preserve(self, matrices, gram) -> bool:
-        """Whether A^T H A = H for every square matrix A (packed rows), with H
-        the packed `gram`.  H A is one product, and (H A)^T A, the transpose
-        of A^T H A, is compared with H^T."""
-        gram_t = self.transpose(gram)
-        for a in matrices:
-            if len(a) != len(gram):
-                return False
-            right = self.row_tables(a)
-            if self.mat_mul(self.transpose(self.mat_mul(gram, right)), right) != gram_t:
-                return False
-        return True
-
     # -- the two kernels bench/tracing.py counts, by these names -----------
     def mat_mul(self, a, right) -> tuple[int, ...]:
         """A*B on packed rows, B given by its `row_tables`: one lookup per
@@ -226,33 +261,7 @@ class IntField:
         return acc
 
 
-class EncodedMatrices(Sequence):
-    """A read-only sequence of square matrices kept as packed rows over `field`.
-
-    Reading an element (by index, slice or iteration) decodes it; `len`
-    and the `rows` themselves need no decoding.
-    """
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field, rows):
-        self.field = field
-        self.rows = tuple(rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        decode = try_int_field(self.field).decode_matrix
-        if isinstance(index, slice):
-            return [decode(m) for m in self.rows[index]]
-        return decode(self.rows[index])
-
-    def __iter__(self):
-        return map(try_int_field(self.field).decode_matrix, self.rows)
-
-
-def chain_products(intf: IntField, transversals) -> list[tuple[int, ...]]:
+def chain_products(view, transversals) -> list[tuple]:
     """The elements of a group given by a chain of column stabilizers
     G = G_0 > G_1 > ... > G_n = {I}, G_j fixing e_0..e_(j-1) as columns,
     where transversals[j] holds one element of G_j per point of the orbit of
@@ -261,54 +270,47 @@ def chain_products(intf: IntField, transversals) -> list[tuple[int, ...]]:
     G_(j+1), formed from the bottom of the chain up with one `row_tables`
     per x.
     """
-    elements = [intf.identity(len(transversals))]
+    elements = [view.identity(len(transversals))]
     for found in reversed(transversals):
         products = []
         for x in elements:
-            right = intf.row_tables(x)
-            products += [intf.mat_mul(t, right) for t in found]
+            right = view.row_tables(x)
+            products += [view.mat_mul(t, right) for t in found]
         elements = products
     return elements
 
 
-class StabilizerChain(Sequence):
-    """The group generated by `generators` (packed rows over `field`), held
-    as the levels of its chain of column stabilizers (`stabilizer_chain`).
+class ChainGroup(Sequence):
+    """A finite matrix group over `field`: the `transversals` of its chain of
+    column stabilizers (as `chain_products` reads them), in the rows of
+    `row_view(field)`.  `len` is the product of their sizes, `rows` lists
+    the elements on first read, and reading an element decodes it.  A group
+    built by `stabilizer_chain` keeps its `generators`, and `preserves(gram)`
+    tells, once per Gram, whether each is an isometry of `gram`."""
 
-    `len` is the product of the orbit sizes.  `transversals` are formed, in
-    the shape `chain_products` reads, and the elements listed as packed
-    `rows` only on first read; reading an element decodes it.  The
-    generators are invertible, and `preserves(gram)` tells whether every one
-    is an isometry of the packed Gram `gram`, checked once per Gram.
-    """
+    generators = ()
 
-    def __init__(self, field, generators, levels, preserved):
-        self.field, self.generators, self.levels = field, generators, levels
+    def __init__(self, field, transversals, generators, preserved):
+        self.field, self.transversals, self.generators = field, transversals, generators
         self._preserved = preserved
 
     def __len__(self):
-        return math.prod(len(level.points) for level in self.levels)
+        return math.prod(len(found) for found in self.transversals)
 
     @functools.cached_property
-    def transversals(self):
-        # level j holds u_v^T, with column j equal to v
-        transpose = try_int_field(self.field).transpose
-        return tuple(tuple(transpose(level.element(point)) for point in level.points)
-                     for level in self.levels)
-
-    @functools.cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(chain_products(try_int_field(self.field), self.transversals))
+    def rows(self) -> tuple:
+        return tuple(chain_products(row_view(self.field), self.transversals))
 
     def __getitem__(self, index):
-        return EncodedMatrices(self.field, self.rows)[index]
+        rows, decode = self.rows[index], row_view(self.field).decode_matrix
+        return list(map(decode, rows)) if isinstance(index, slice) else decode(rows)
 
     def __iter__(self):
-        return iter(EncodedMatrices(self.field, self.rows))
+        return map(row_view(self.field).decode_matrix, self.rows)
 
     def preserves(self, gram) -> bool:
         if gram not in self._preserved:
-            self._preserved[gram] = try_int_field(self.field).preserve(self.generators, gram)
+            self._preserved[gram] = row_view(self.field).preserve(self.generators, gram)
         return self._preserved[gram]
 
 
@@ -316,10 +318,11 @@ class _Level:
     """One level of a stabilizer chain acting on rows: the orbit of the base
     point e_j under the strong generators that fix e_0..e_(j-1), kept as a
     Schreier vector (each point with the point and generator it was reached
-    from), and the Schreier generators already sifted."""
+    from), and the Schreier generators already sifted.  As a sequence it is
+    the level's transversal, in the shape `chain_products` reads."""
 
-    def __init__(self, intf, strong, base, identity):
-        self.intf, self.strong, self.base = intf, strong, base
+    def __init__(self, view, strong, base, identity):
+        self.view, self.strong, self.base = view, strong, base
         self.vector = {base: None}
         self.points = [base]
         self.gens: list[int] = []
@@ -331,7 +334,7 @@ class _Level:
         """Strong generator i joins the level and the orbit is closed again:
         the new generator on the old points, every generator on the new ones."""
         self.gens.append(i)
-        vector, points, strong, apply = self.vector, self.points, self.strong, self.intf.apply
+        vector, points, strong, apply = self.vector, self.points, self.strong, self.view.apply
         start, pos = len(points), 0
         while pos < len(points):
             point = points[pos]
@@ -351,32 +354,45 @@ class _Level:
             point = parent
         u = self.elements[point]
         for point, g in reversed(path):
-            u = self.elements[point] = self.intf.mat_mul(u, self.strong[g][1])
+            u = self.elements[point] = self.view.mat_mul(u, self.strong[g][1])
         return u
 
     def inverse_tables(self, point):
-        """The row tables of u_point^-1, inverted on packed rows."""
+        """The row tables of u_point^-1."""
         if point not in self.inverses:
-            intf = self.intf
-            self.inverses[point] = intf.row_tables(intf.inverse(self.element(point)))
+            self.inverses[point] = self.view.row_tables(self.view.inverse(self.element(point)))
         return self.inverses[point]
 
+    def __len__(self):
+        return len(self.points)
 
-def stabilizer_chain(intf: IntField, generators, cap: int, bound):
-    """The levels of the chain of column stabilizers of <generators> (packed
-    rows), with base e_0..e_(n-1), by Sims' algorithm (C. C. Sims, 1970;
-    A. Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4).
+    def __iter__(self):
+        return iter(self.transversal)
+
+    @functools.cached_property
+    def transversal(self) -> list:
+        # u_v^T, whose column j is v, for each orbit point v
+        transpose = self.view.transpose
+        return [transpose(self.element(point)) for point in self.points]
+
+
+def stabilizer_chain(view, generators, cap: int, bound):
+    """The levels of the chain of column stabilizers of <generators> (rows
+    of `view`), with base e_0..e_(n-1), by Sims' algorithm (C. C. Sims,
+    1970; A. Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4); the
+    base serves any faithful action on a finite set, so any finite ring.
 
     A acts on the column v as the row v^T A^T, so the chain is built for the
     transposes X = A^T acting on rows: e_j X is row j of X, and the image of
-    any row is one lookup per table chunk of X.  An element g is sifted
-    level by level, g <- g u_v^-1 with v = e_j g; it stops at the first level
-    whose orbit lacks e_j g, and is then a new strong generator there and at
-    every level above.  The input generators are sifted first.  The levels
-    are then completed from the bottom up: every Schreier generator
-    u_v s u_(vs)^-1 of a level, but those on the Schreier vector's own
-    edges, must sift to the identity through the levels below it, and a
-    level that gains a strong generator is completed again.
+    any row is one product by X (one lookup per table chunk when packed).
+    An element g is sifted level by level, g <- g u_v^-1 with v = e_j g; it
+    stops at the first level whose orbit lacks e_j g, and is then a new
+    strong generator there and at every level above.  The input generators
+    are sifted first.  The levels are then completed from the bottom up:
+    every Schreier generator u_v s u_(vs)^-1 of a level, but those on the
+    Schreier vector's own edges, must sift to the identity through the
+    levels below it, and a level that gains a strong generator is completed
+    again.
 
     The order is the product of the orbit sizes.  Each orbit lies in the
     orbit of its base point under the true stabilizer, so the product never
@@ -385,9 +401,9 @@ def stabilizer_chain(intf: IntField, generators, cap: int, bound):
     `cap`.
     """
     n = len(generators[0])
-    identity = intf.identity(n)
+    identity = view.identity(n)
     strong: list = []  # (X, row tables of X)
-    levels = [_Level(intf, strong, base, identity) for base in identity]
+    levels = [_Level(view, strong, base, identity) for base in identity]
 
     def sift(g, j):
         # (g reduced through the levels from j on, the level it stopped at),
@@ -397,15 +413,15 @@ def stabilizer_chain(intf: IntField, generators, cap: int, bound):
             if g[m] != level.base:
                 if g[m] not in level.vector:
                     return g, m
-                g = intf.mat_mul(g, level.inverse_tables(g[m]))
+                g = view.mat_mul(g, level.inverse_tables(g[m]))
         return None
 
     def add(g, j):
         # the order of the chain with g as a strong generator at levels 0..j
-        strong.append((g, intf.row_tables(g)))
+        strong.append((g, view.row_tables(g)))
         for level in levels[:j + 1]:
             level.extend(len(strong) - 1)
-        return math.prod(len(level.points) for level in levels)
+        return math.prod(map(len, levels))
 
     def residue(j):
         # the first Schreier generator of level j that does not sift to the identity
@@ -416,9 +432,9 @@ def stabilizer_chain(intf: IntField, generators, cap: int, bound):
                     continue
                 level.sifted.add((point, g))
                 right = strong[g][1]
-                image = intf.apply(right, point)
+                image = view.apply(right, point)
                 if level.vector[image] != (point, g):
-                    schreier = intf.mat_mul(intf.mat_mul(level.element(point), right),
+                    schreier = view.mat_mul(view.mat_mul(level.element(point), right),
                                             level.inverse_tables(image))
                     found = sift(schreier, j + 1)
                     if found is not None:
@@ -429,7 +445,7 @@ def stabilizer_chain(intf: IntField, generators, cap: int, bound):
         # the new strong generators: the input generators that do not sift
         # to the identity, then the Schreier generators, bottom level first
         for a in generators:
-            found = sift(intf.transpose(a), 0)
+            found = sift(view.transpose(a), 0)
             if found is not None:
                 yield found
         j = n - 1
@@ -446,14 +462,19 @@ def stabilizer_chain(intf: IntField, generators, cap: int, bound):
         order = add(*found)
         if order > cap or order == bound:
             break
-    return None if order > cap else levels
+    return None if order > cap else tuple(levels)
 
 
-# one view per field: its tables are built once, for the closure and the
-# oracle alike
+# one packed view per field: its tables are built once, for the closure and
+# the oracle alike
 @functools.lru_cache(maxsize=None)
 def try_int_field(field):
     try:
         return IntField(field)
     except ValueError:
         return None
+
+
+def row_view(field):
+    """The packed view of `field` where it has one, else its payload rows."""
+    return try_int_field(field) or PayloadRows(field)

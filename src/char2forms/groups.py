@@ -16,11 +16,11 @@ the matching normal form by constructive basis changes and checks the
 generators there; the report keeps only that computed data, and moves the
 generators to the input coordinates on first read.
 
-All group elements are plain matrices with a multiplier.  Over GF(2) and
-GF(2^k) the group a generator set generates is held as a Schreier-Sims
-chain of column stabilizers on packed rows, whose order is known before
-any element is listed; over other finite rings it is listed by Dimino's
-coset closure.
+All group elements are plain matrices with a multiplier.  Over every
+finite ring the group a generator set generates is held as a Schreier-Sims
+chain of column stabilizers (`_smallfield.ChainGroup`), on packed rows over
+GF(2^k) with q <= 256 and on payload rows elsewhere; its order is known
+before any element is listed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from ._smallfield import StabilizerChain, stabilizer_chain, try_int_field
+from ._smallfield import ChainGroup, row_view, stabilizer_chain
 from .errors import Char2FormsError, CheckFailed, require
 from .exterior import compound_matrix, hodge
 from .fields import FieldElement, square_span_solve
@@ -75,15 +75,15 @@ def similitude_multiplier(form: BilinearForm, a: Matrix) -> Optional[FieldElemen
     if not a.is_square() or a.nrows != form.dim:
         raise DimensionMismatch("candidate has the wrong shape")
     m = a.transpose() * form.gram * a
-    n = form.dim
+    ring, gram, n = form.gram.ring, form.gram.rows, form.dim
     anchor = next(((i, j) for i in range(n) for j in range(n)
-                   if not form.gram[i, j].is_zero()), None)
+                   if not ring._is_zero(gram[i][j])), None)
     if anchor is None:
         return None
     i, j = anchor
-    if m[i, j].is_zero():
+    if ring._is_zero(m.rows[i][j]):
         return None
-    r = m[i, j] * form.gram[i, j].inverse()
+    r = FieldElement(ring, ring._mul(m.rows[i][j], ring._inv(gram[i][j])))
     if m != form.gram * r:
         return None
     return r
@@ -215,79 +215,31 @@ def o3_standard_form_group(ring) -> O3Data:
 
 def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6,
                      within=None) -> Sequence[Matrix]:
-    """Every element of a finite matrix group; raises beyond `cap` elements.
-
-    Over small finite fields the group is its `_smallfield.StabilizerChain`
-    on packed rows: its `len` is the chain's order, and its elements are
-    listed only where they are read.  `within` may be an
-    `oracle.EnumerationResult`, the isometry group O(V,h) of a form over
-    the generators' field.  When every generator is an invertible isometry
-    of that form (checked on packed rows, and kept on the chain for
-    `oracle.closure_order_matches`), <gens> lies in O(V,h), so the chain
-    stops growing once its order reaches |O(V,h)|; otherwise it runs to
-    completion.  Either way `len` is the exact order.  Over other rings the
-    closure is a list of matrices.  A singular generator raises `GroupError`
-    on either path.
+    """The group the invertible `generators` generate, a
+    `_smallfield.ChainGroup` built by Sims' algorithm on the rows of the
+    ring's `row_view` (packed over GF(2^k) with q <= 256, payload rows over
+    any other finite ring); raises beyond `cap` elements, and `GroupError`
+    on a singular generator.  Its `len` is the chain's order, and its
+    elements are listed only where they are read.  `within` may be an
+    `oracle.EnumerationResult`, O(V,h) for a form over the generators'
+    field.  When every generator is an isometry of that form (checked on
+    packed rows, and kept for `oracle.closure_order_matches`), <gens> lies
+    in O(V,h), so the chain stops growing once its order reaches |O(V,h)|.
     """
     if not generators:
         return []
-    ring = generators[0].ring
-    intf = try_int_field(ring)
-    if intf is None:
-        if not all(ring.is_unit(g.det()) for g in generators):
-            raise GroupError("closure generators must be invertible")
-        return _closure(generators, cap)
-    gens = tuple(intf.encode_matrix(g) for g in generators)
-    if not all(intf.independent(g) for g in gens):
+    view = row_view(generators[0].ring)
+    gens = tuple(view.encode_matrix(g) for g in generators)
+    if any(view.inverse(g) is None for g in gens):
         raise GroupError("closure generators must be invertible")
-    preserved, bound = {}, None
-    if within is not None and within.field == ring:
-        preserved[within.gram] = intf.preserve(gens, within.gram)
-        if preserved[within.gram]:
-            bound = within.order
-    levels = stabilizer_chain(intf, gens, cap, bound)
+    preserved = {}
+    if within is not None and within.field == view.field:
+        preserved[within.gram] = view.preserve(gens, within.gram)
+    bound = within.order if any(preserved.values()) else None
+    levels = stabilizer_chain(view, gens, cap, bound)
     if levels is None:
         raise EnumerationTooLarge(f"closure exceeds cap {cap}")
-    return StabilizerChain(ring, gens, levels, preserved)
-
-
-def _closure(generators: Sequence[Matrix], cap: int) -> list[Matrix]:
-    """Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
-    Groups*, LNCS 559, 1991, ch. 6), for matrices over rings without a
-    packed view.
-
-    The subgroup H = <g1..g(i-1)> grows to <g1..gi> by whole right cosets Hx.
-    A coset costs one product per element, and its representative x probes
-    x*g1 .. x*gi for cosets not seen yet.  The element list keeps H as its
-    prefix and each later coset as a block of |H| that starts with its
-    representative.
-    """
-    identity = Matrix.identity(generators[0].ring, generators[0].nrows)
-    elements = [identity]
-    seen = {identity}
-
-    def add_coset(rep, subgroup):
-        if len(elements) + 1 + len(subgroup) > cap:
-            raise EnumerationTooLarge(f"closure exceeds cap {cap}")
-        coset = [rep] + [h * rep for h in subgroup]
-        elements.extend(coset)
-        seen.update(coset)
-
-    for i, g in enumerate(generators):
-        if g in seen:
-            continue
-        size = len(elements)
-        subgroup = elements[1:size]  # H without the identity
-        add_coset(g, subgroup)
-        rep_pos = size
-        while rep_pos < len(elements):
-            rep = elements[rep_pos]
-            for s in generators[:i + 1]:
-                x = rep * s
-                if x not in seen:
-                    add_coset(x, subgroup)
-            rep_pos += size
-    return elements
+    return ChainGroup(view.field, levels, gens, preserved)
 
 
 # ---------------------------------------------------------------------------

@@ -253,18 +253,18 @@ def build_module(data: HodgeData) -> KModule:
         raise KAlgebraError("build the module over an orthogonal basis "
                             "(diagonal Gram matrix); orthogonalize first")
     algebra = KAlgebra(data.field, data.delta)
-    space, j = data.space, data.j_matrix
+    space, j, is_zero = data.space, data.j_matrix.rows, data.field._is_zero
     basis_sets = tuple(s for s in space.sets if 1 in s)
     for s in basis_sets:
         p, c = space.position(s), space.complement(s)
         q = space.position(c)
-        if j[q, p].is_zero() or any(not j[i, p].is_zero() for i in range(space.dim) if i != q):
+        if is_zero(j[q][p]) or any(not is_zero(j[i][p]) for i in range(space.dim) if i != q):
             raise KAlgebraError(f"J does not map wedge {s} to a nonzero multiple of wedge {c}")
 
-    # g on two wedge basis vectors reads the entries of Lh and Pf
+    # g on two wedge basis vectors pairs the payloads of Lh and Pf
     b1 = [space.position(s) for s in basis_sets]
-    gram = Matrix(algebra, [[algebra.element(data.lh_gram[i, k], data.pf_gram[i, k])
-                             for k in b1] for i in b1])
+    lh, pf = data.lh_gram.rows, data.pf_gram.rows
+    gram = Matrix._from_payloads(algebra, [[(lh[i][k], pf[i][k]) for k in b1] for i in b1])
     return KModule(hodge=data, algebra=algebra, basis_sets=basis_sets,
                    g_gram=gram, split=algebra.is_split())
 

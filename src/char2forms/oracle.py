@@ -24,13 +24,14 @@ assumed about H; otherwise it is labelled `backtracking`, and completions
 are rank-checked when H is degenerate (a non-degenerate H makes every
 congruent matrix invertible).  The search runs on the packed vectors and
 rows of `_smallfield.IntField`: each chosen column's pairing is a table
-lookup per candidate, and what it finds stays packed rows.
+lookup per candidate, and what it finds stays packed rows, in the one group
+type `_smallfield.ChainGroup` that `generate_closure` returns as well.
 
 `closure_order_matches` proves a `generate_closure` chain equal to the
 enumerated group from equal orders and a packed-row check that every
-generator is an isometry of H, so neither group is listed; a list of
-matrices is compared as a set.  On the identity form (in-process, Python
-3.11, 2 shared cores) the enumeration takes 2.9-6.9 ms over GF(4) and
+generator is an isometry of H, so neither group is listed; any other
+sequence of matrices is compared as a set.  On the identity form
+(in-process, Python 3.11, 2 shared cores) the enumeration takes 2.9-6.9 ms over GF(4) and
 0.2-0.37 s over GF(8), against 6-14 ms and 0.65-1.2 s when it listed the
 products, and the comparison about 10 us; listing the 258,048 GF(8)
 products takes 0.55-0.72 s more when `rows` is read.
@@ -44,14 +45,12 @@ and 2.9 s for the walk over payload 6-tuples it replaced.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
-from ._smallfield import (EncodedMatrices, IntField, StabilizerChain, chain_products,
-                          try_int_field)
+from ._smallfield import ChainGroup, IntField, chain_products, try_int_field
 from .errors import Char2FormsError, require
 from .exterior import _alt_rows, _pq_payload, index_sets
 from .fields import Field, FieldElement
@@ -79,14 +78,11 @@ KLEIN_EXHAUSTIVE_ORDER = 8
 
 
 @dataclass(frozen=True)
-class EnumerationResult:
-    """The invertible isometries of the packed Gram `gram`, kept as the
-    transversals of their chain of column stabilizers (`chain_products`).
-
-    `order` is the product of the transversal sizes.  `rows` lists the
-    products t x as packed rows on first read, and raises OracleError unless
-    they are distinct; `elements` reads them as matrices, decoding each one
-    where it is read.
+class EnumerationResult(ChainGroup):
+    """The invertible isometries of the packed Gram `gram`, a `ChainGroup`
+    whose `order` is its `len`.  `rows` lists the products t x on first
+    read, and raises OracleError unless they are distinct; `elements` is
+    the group itself, which decodes each element where it is read.
     """
     field: Field
     gram: tuple[int, ...]
@@ -95,7 +91,7 @@ class EnumerationResult:
 
     @property
     def order(self) -> int:
-        return math.prod(len(found) for found in self.transversals)
+        return len(self)
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -105,8 +101,8 @@ class EnumerationResult:
         return rows
 
     @property
-    def elements(self) -> EncodedMatrices:
-        return EncodedMatrices(self.field, self.rows)
+    def elements(self) -> "EnumerationResult":
+        return self
 
 
 def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
@@ -385,18 +381,18 @@ def closure_order_matches(result: EnumerationResult, closure: Sequence[Matrix]) 
     """Set equality between an enumeration and a generated closure.
 
     The closure must lie over the enumerated form's field and have the
-    enumerated order.  A `StabilizerChain` (`generate_closure` over a small
-    field) then equals the enumerated group exactly when every generator is
-    an invertible isometry of the form: <gens> lies in O(V,h), and a
-    subgroup of the same finite order is the whole group.  That check runs
-    on packed rows, and no element of either group is listed.  A list of
-    matrices is encoded through the same int view and compared with the
-    enumeration as a set of packed payload rows.
+    enumerated order.  A chain that `generate_closure` built then equals the
+    enumerated group exactly when its (invertible) generators are isometries
+    of the form: <gens> lies in O(V,h), and a subgroup of the same finite
+    order is the whole group.  That check runs on packed rows, once per
+    chain and Gram, and lists no element.  Any other sequence (a list, or an
+    `EnumerationResult`, which has no generators) is compared with the
+    enumeration as a set of packed rows.
     """
     field = result.field
     if len(closure) != result.order:
         return False
-    if isinstance(closure, StabilizerChain):
+    if isinstance(closure, ChainGroup) and closure.generators:
         return closure.field == field and closure.preserves(result.gram)
     if any(m.ring != field for m in closure):
         return False

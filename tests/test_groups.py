@@ -655,14 +655,20 @@ def _bfs_closure(generators):
     return seen
 
 
-@pytest.mark.parametrize("ring_name", ["gf2", "gf4", "gf8", "split_k"])
+@pytest.mark.parametrize("ring_name", ["gf2", "gf4", "gf8", "split_k", "gf512"])
 def test_closure_matches_breadth_first_reference(ring_name, gf2, gf4):
     # GF(2), GF(4) and GF(8) close on packed rows; the split K-algebra
-    # F2[z]/(z^2) closes with the generic Matrix.__mul__
+    # F2[z]/(z^2) and GF(2^9) have no packed view and close on payload rows
     if ring_name == "split_k":
         ring = KAlgebra(gf2, 1)
         pool = [G.hat_l(ring, x) for x in ring.elements() if not x.is_zero()] + \
             [G.hat_u(ring, x) for x in ring.elements() if not x.is_zero()]
+    elif ring_name == "gf512":
+        # hat L_g and hat U_1 generate a group of order 1,022, and each of
+        # their two products one of order 511; every subset stays inside it
+        ring = GF2k(9, 0b1000010001)
+        lg, u1 = G.hat_l(ring, ring.generator), G.hat_u(ring, 1)
+        pool = [lg, u1, lg * u1, u1 * lg]
     elif ring_name == "gf8":
         # diag(1, hat L/U) over GF(8): 12-bit packed rows, so every product
         # takes two table chunks; the groups stay within SL2(8) (order 504)
@@ -683,6 +689,31 @@ def test_closure_matches_breadth_first_reference(ring_name, gf2, gf4):
     assert len(G.generate_closure(gens, cap=len(closure))) == len(closure)
     with pytest.raises(G.EnumerationTooLarge):
         G.generate_closure(gens, cap=len(closure) - 1)
+
+
+def test_closure_order_on_payload_rows_lists_no_element(gf2, monkeypatch):
+    # split K and GF(2^9) have no packed view: there too the chain's order
+    # is the product of its orbit sizes, and `len` lists no element
+    from char2forms import _smallfield
+    from char2forms._smallfield import try_int_field
+
+    def no_listing(*args):
+        raise AssertionError("listed the elements of a group")
+
+    monkeypatch.setattr(_smallfield, "chain_products", no_listing)
+    split = KAlgebra(gf2, 1)
+    units = [x for x in split.elements() if not x.is_zero()]
+    gf512 = GF2k(9, 0b1000010001)
+    g = gf512.generator
+    for gens, order in (([G.hat_l(split, x) for x in units]
+                         + [G.hat_u(split, x) for x in units], 48),
+                        ([Matrix.diagonal(gf512, [g, 1])], 511),
+                        ([G.hat_l(gf512, g), G.hat_u(gf512, 1)], 1022)):
+        assert try_int_field(gens[0].ring) is None
+        closure = G.generate_closure(gens)
+        assert len(closure) == order
+        with pytest.raises(AssertionError, match="listed the elements"):
+            closure.rows
 
 
 def _packed_bfs_closure(intf, generators):

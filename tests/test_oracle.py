@@ -61,6 +61,11 @@ def test_closure_order_matches_compares_sets_not_counts(gf2, gf4):
               for m in closure]
     assert not closure_order_matches(result, lifted)
     assert not closure_order_matches(replace(result, field=gf4), closure)
+    # an enumeration has no generators, so it is compared as a set: the
+    # isometries of x1 y1 + x2 y3 + x3 y2 are another 6 matrices
+    other = enumerate_isometries(BilinearForm(G.o3_prime_gram(gf2)))
+    assert other.order == 6 and not closure_order_matches(result, other)
+    assert closure_order_matches(result, result)
 
 
 def _gf4_mul(a, b):
@@ -363,9 +368,9 @@ sys.exit("a singular generator was accepted")
 
 
 def test_matrix_closure_rejects_singular_generators_under_python_and_python_O():
-    # GF(2^9) has no packed view, so the closure takes Dimino's algorithm on
-    # matrices; a singular generator would make it list a monoid, and the
-    # check that rejects it is explicit code, so python -O keeps it
+    # GF(2^9) has no packed view, so the closure runs the stabilizer chain
+    # on payload rows; a singular generator would make it close a monoid,
+    # and the check that rejects it is explicit code, so python -O keeps it
     gf512 = GF2k(9, 0b1000010001)
     assert try_int_field(gf512) is None
     g = gf512.generator
