@@ -2,9 +2,9 @@
 
 from .errors import Char2FormsError, CheckFailed
 from .fields import (GF2, GF2k, RationalFunctionField, FieldElement, FieldError,
-                     DescriptorMismatch, DivisionByZero, ParseError, parse_field,
+                     DescriptorMismatch, DivisionByZero, ParseError, parse_field)
+from .linalg import (Matrix, Vector, LinalgError, DimensionMismatch, SingularMatrix,
                      square_span_dimension, square_span_kernel, square_span_solve)
-from .linalg import Matrix, Vector, LinalgError, DimensionMismatch, SingularMatrix
 from .forms import (BilinearForm, QuadraticData, AlternatingForm, DegenerateForm,
                     ZeroForm, FormError, discriminant_class, orthogonalize,
                     orthonormalize, quadratic_data)

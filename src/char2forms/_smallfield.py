@@ -7,7 +7,9 @@ of its n packed rows.  Every map the enumeration needs (v -> v*B, the
 pairing v -> c^T H v of a chosen column c, the scaling of a row, the
 spreading of a column into a matrix) is GF(2)-linear on those k*n bits, so
 `IntField.row_tables` tabulates it in chunks of at most 8 bits, at one xor
-per table entry; applying it costs one lookup per chunk.  Other rings get
+per table entry; applying it costs one lookup per chunk.  `IntField.inverse`
+is the one packed elimination: the chain inverts with it, and the oracle's
+rank checks ask it for None.  Other rings get
 `PayloadRows`, the same operations on the payload rows of `Matrix`, and
 `row_view` picks a field's view.
 
@@ -191,27 +193,6 @@ class IntField(PayloadRows):
         width = self.k * n
         mask = (1 << width) - 1
         return tuple([m >> shift & mask for shift in range(0, width * n, width)])
-
-    def independent(self, rows) -> bool:
-        """Whether the packed rows are linearly independent.
-
-        Each row is reduced by the rows kept before it, keyed by their lowest
-        nonzero coordinate; a row that reduces to zero is dependent.
-        """
-        k, mask, mul, inv, scale = self.k, self.order - 1, self.mul, self.inv, self.scale
-        pivots: dict[int, tuple[int, int]] = {}
-        for v in rows:
-            while v:
-                shift = ((v & -v).bit_length() - 1) // k * k
-                pivot = pivots.get(shift)
-                if pivot is None:
-                    pivots[shift] = (v, inv[v >> shift & mask])
-                    break
-                row, row_inv = pivot
-                v ^= scale(row, mul[v >> shift & mask][row_inv])
-            else:
-                return False
-        return True
 
     def inverse(self, rows):
         """The inverse of the square matrix with these packed rows, or None

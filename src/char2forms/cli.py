@@ -32,24 +32,10 @@ from .errors import Char2FormsError, CheckFailed
 from .exterior import hodge, hodge_identities, klein_scalar, pq
 from .fields import Field, FieldError, ParseError, parse_expression, parse_field
 from .forms import BilinearForm, FormError, quadratic_data, discriminant_class
-from .groups import NotUnimodular, classify, generate_closure, sl2_decompose
+from .groups import (MAX_VERIFIED_ORDER, NotUnimodular, classify, generate_closure,
+                     sl2_decompose)
 from .kalgebra import KAlgebra, KAlgebraError, build_module, normalize_split, wz_submodule
 from .linalg import Matrix, Vector
-
-
-# `classify` proves <gens> = O(V,h) only up to this order: the identity form
-# gives 48 over GF(2), 3,840 over GF(4), 258,048 over GF(8) and 16,711,680
-# over GF(16).  The oracle finds the transversals of its chain of column
-# stabilizers, one isometry per point of the orbit of e_j under G_j (the
-# isometries fixing e_0..e_(j-1)), and their sizes multiply to |O(V,h)|;
-# the generators, checked as isometries, close to a Schreier-Sims chain
-# whose order is then exact, and equal orders prove the groups equal.
-# Neither group is listed.  Over GF(8) the transversal search takes
-# 0.2-0.37 s and the chain 3.5-6.5 ms, and a run of classify about 0.5 s at
-# an 18 MB peak (listing both groups took about 2.7 s at 143 MB); over
-# GF(16) the transversal search alone takes about 11 s (Python 3.11, 2
-# shared cores)
-MAX_VERIFIED_ORDER = 10 ** 6
 
 
 class CliInputError(Char2FormsError):
@@ -347,9 +333,9 @@ def _verify_pq(doc: InputDocument, data, rng, report: Report) -> None:
     dim = data.space.dim
     basis = [Vector.unit(field, dim, i) for i in range(dim)]
     # the polar-form comparison is stated at volume scale 1
-    pf = data.pf_gram * data.volume_scale.inverse()
+    pf = (data.pf_gram * data.volume_scale.inverse()).rows
     polar_ok = all(
-        pq(x + y) + pq(x) + pq(y) == pf[i, j]
+        (pq(x + y) + pq(x) + pq(y)).payload == pf[i][j]
         for i, x in enumerate(basis) for j, y in enumerate(basis))
     report.check("Pq polar form = Pf (scale 1)", polar_ok)
     if field.order is not None and field.order <= oracle.KLEIN_EXHAUSTIVE_ORDER:

@@ -19,9 +19,10 @@ stores the payloads of its coefficients, not elements, and computes with the
 base field's payload primitives, so a nested tower such as F2(t)(u) runs on
 packed coefficients without wrapping them.
 
-Every field also exposes the decomposition of F as a vector space over its
-subfield of squares, which is what degenerate/defect computations downstream
-are built on.
+Every field also exposes the coordinates of an element over its subfield of
+squares (`square_coordinates`); the linear algebra on those coordinates,
+which the defect computations downstream are built on, is in `linalg`.
+This is the bottom layer of the package: it imports only `errors`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import re
 from typing import Iterator, Optional
 
 from .errors import DescriptorMismatch, FieldError
-from .linalg import Matrix, Vector
 
 
 class DivisionByZero(FieldError, ZeroDivisionError):
@@ -948,50 +948,16 @@ class RationalFunctionField(Field):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over the subfield of squares.
-#
-# square_coordinates is additive and satisfies coords(s^2 * a) = s * coords(a),
-# so F^2-linear questions about elements translate into plain F-linear
-# questions about their coordinate vectors.
-
-def _coordinate_columns(elements) -> tuple[Field, list[list[FieldElement]]]:
-    if not elements:
-        raise FieldError("need at least one element")
-    field = elements[0].field
-    cols = []
-    for el in elements:
-        if el.field != field:
-            raise DescriptorMismatch("span inputs come from different fields")
-        cols.append(list(field.square_coordinates(el)))
-    return field, cols
-
-
-def square_span_dimension(elements) -> int:
-    """Dimension over F^2 of the F^2-span of the given elements of F."""
-    field, cols = _coordinate_columns(list(elements))
-    return Matrix(field, cols).rank()
-
-
-def square_span_solve(target: FieldElement, basis) -> Optional[list[FieldElement]]:
-    """Coefficients x_i with target = sum x_i^2 * basis_i, or None."""
-    field, cols = _coordinate_columns([target] + list(basis))
-    solution = Matrix(field, cols[1:]).transpose().solve(Vector(field, cols[0]))
-    return None if solution is None else list(solution)
-
-
-def square_span_kernel(elements) -> list[list[FieldElement]]:
-    """All F-linear dependencies x with sum x_i^2 * elements_i = 0 (a basis)."""
-    field, cols = _coordinate_columns(list(elements))
-    return [list(v) for v in Matrix(field, cols).transpose().kernel_basis()]
-
-
-# ---------------------------------------------------------------------------
 # Element expressions.  One grammar serves parsing user input for every field
 # in a tower (and, with an extra variable, for the quadratic algebras built on
 # top): sums of monomials in the declared variables, `^` powers, juxtaposition
 # or `*` for products, `/` for fractions, parentheses.
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[a-zA-Z])|(?P<op>[-+*/^()]))")
+
+# the parser recurses once per level of parentheses, so an expression may
+# nest them at most this deep; a deeper '(' is a ParseError
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -1017,7 +983,7 @@ def _tokenize(text: str):
 def parse_expression(text: str, variables: dict, ring):
     """Evaluate an element expression in `ring` with the given variable map."""
     tokens = _tokenize(text)
-    idx = 0
+    idx = depth = 0
 
     def peek():
         return tokens[idx]
@@ -1065,9 +1031,10 @@ def parse_expression(text: str, variables: dict, ring):
         return value
 
     def parse_atom():
+        nonlocal depth
         kind, val, pos = advance()
-        if kind == "op" and val in "+-":  # unary sign; negation is identity
-            return parse_atom()
+        while kind == "op" and val in "+-":  # unary signs; negation is identity
+            kind, val, pos = advance()
         if kind == "int":
             return ring.from_int(val)
         if kind == "name":
@@ -1075,7 +1042,11 @@ def parse_expression(text: str, variables: dict, ring):
                 raise ParseError(f"unknown variable {val!r}", pos)
             return variables[val]
         if kind == "op" and val == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
+            depth += 1
             value = parse_sum()
+            depth -= 1
             kind, val, pos = advance()
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", pos)

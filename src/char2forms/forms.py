@@ -16,16 +16,15 @@ products of payload rows by `linalg.product_rows`, the one product behind
 its free column and zeros at the other free columns, which that product
 adds or skips without multiplying.  Per call, on a form whose det(H)
 is known (Python 3.11, 2 shared cores, best of 9 runs of 5 calls on the
-`tests/golden` forms): defect-3 F2(t) form 1.2-1.4 -> 0.5-0.6 ms, defect-0
-F2(t)(u) form 17-20 -> 8-11 ms, repair-step F2(t)(u) form 1.5-2.5 -> 0.9-1.4
-ms, against the vector-pairing loop it replaced. Other families are paired
+`tests/golden` forms): defect-3 F2(t) form 0.5-0.6 ms, defect-0 F2(t)(u)
+form 8-11 ms, repair-step F2(t)(u) form 0.9-1.4 ms.  Other families are paired
 as one Gram product X^T G Y and combined as one product S c, not pair by
 pair and term by term.
 
 On an orthogonal basis with diagonal values c_i the quadratic form
 q(x) = h(x,x) = sum x_i^2 c_i is semilinear over the subfield of squares, so
 its kernel and the dimension of its range reduce to the square-span machinery
-in :mod:`char2forms.fields`.
+in :mod:`char2forms.linalg`.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Char2FormsError, require
-from .fields import (FieldElement, square_span_dimension, square_span_kernel)
-from .linalg import Matrix, Vector, bilinear, echelon, kernel_rows, product_rows
+from .fields import FieldElement
+from .linalg import (Matrix, Vector, bilinear, echelon, kernel_rows, product_rows,
+                     square_span_dimension, square_span_kernel)
 
 
 class FormError(Char2FormsError):

@@ -32,10 +32,24 @@ from typing import Callable, Optional, Sequence
 from ._smallfield import ChainGroup, row_view, stabilizer_chain
 from .errors import Char2FormsError, CheckFailed, require
 from .exterior import compound_matrix, hodge
-from .fields import FieldElement, square_span_solve
+from .fields import FieldElement
 from .forms import BilinearForm, DegenerateForm, FormError, quadratic_data
 from .kalgebra import KAlgebra, KModule, NotSplit, build_module, wz_submodule
-from .linalg import DimensionMismatch, Matrix, Vector
+from .linalg import DimensionMismatch, Matrix, Vector, square_span_solve
+
+
+# `classify` proves <gens> = O(V,h) only up to this order: the identity form
+# gives 48 over GF(2), 3,840 over GF(4), 258,048 over GF(8) and 16,711,680
+# over GF(16).  The oracle finds the transversals of its chain of column
+# stabilizers, one isometry per point of the orbit of e_j under G_j (the
+# isometries fixing e_0..e_(j-1)), and their sizes multiply to |O(V,h)|;
+# the generators, checked as isometries, close to a Schreier-Sims chain
+# whose order is then exact, and equal orders prove the groups equal.
+# Neither group is listed.  Over GF(8) the transversal search takes
+# 0.2-0.37 s and the chain 3.5-6.5 ms, and a run of classify about 0.5 s at
+# an 18 MB peak; over GF(16) the transversal search alone takes about 11 s
+# (Python 3.11, 2 shared cores)
+MAX_VERIFIED_ORDER = 10 ** 6
 
 
 class GroupError(Char2FormsError):
@@ -180,14 +194,11 @@ def o3_prime_gram(ring) -> Matrix:
 
 @dataclass(frozen=True)
 class O3Data:
-    """Generators of O(R^3, f) for the sum-of-products form f, plus f' data."""
+    """Generators of O(R^3, f) for the sum-of-products form f."""
 
     ring: object
     generators: tuple[Matrix, ...]
-    parameters: tuple
     f_gram: Matrix
-    f_prime_gram: Matrix
-    t_matrix: Matrix
 
 
 def o3_standard_form_group(ring) -> O3Data:
@@ -208,12 +219,10 @@ def o3_standard_form_group(ring) -> O3Data:
     else:
         params = [ring.one()]
     gens = tuple(hat_l(ring, x) for x in params) + tuple(hat_u(ring, x) for x in params)
-    return O3Data(ring=ring, generators=gens, parameters=tuple(params),
-                  f_gram=Matrix.identity(ring, 3), f_prime_gram=o3_prime_gram(ring),
-                  t_matrix=t_hat(ring))
+    return O3Data(ring=ring, generators=gens, f_gram=Matrix.identity(ring, 3))
 
 
-def generate_closure(generators: Sequence[Matrix], cap: int = 10 ** 6,
+def generate_closure(generators: Sequence[Matrix], cap: int = MAX_VERIFIED_ORDER,
                      within=None) -> Sequence[Matrix]:
     """The group the invertible `generators` generate, a
     `_smallfield.ChainGroup` built by Sims' algorithm on the rows of the
@@ -334,12 +343,12 @@ def xi_matrix(field, t1, t2, t3) -> Matrix:
 
 def sigma_matrix(b: Matrix) -> Matrix:
     """diag(1, B, 1) for B in SL2(F), in the b-basis coordinates."""
-    field = b.ring
-    one, zero = field.one(), field.zero()
-    return Matrix(field, [[one, zero, zero, zero],
-                          [zero, b[0, 0], b[0, 1], zero],
-                          [zero, b[1, 0], b[1, 1], zero],
-                          [zero, zero, zero, one]])
+    field, (top, bottom) = b.ring, b.rows
+    one, zero = field._from_int(1), field._from_int(0)
+    return Matrix._from_payloads(field, [[one, zero, zero, zero],
+                                         [zero, *top, zero],
+                                         [zero, *bottom, zero],
+                                         [zero, zero, zero, one]])
 
 
 def _field_additive_basis(field) -> list[FieldElement]:

@@ -30,8 +30,8 @@ from typing import Optional
 
 from .errors import Char2FormsError, require
 from .exterior import HodgeData, hodge
-from .fields import Field, FieldElement, square_span_solve
-from .linalg import Matrix, Vector, bilinear
+from .fields import Field, FieldElement
+from .linalg import Matrix, Vector, bilinear, square_span_solve
 
 
 class KAlgebraError(Char2FormsError):

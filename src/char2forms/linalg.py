@@ -42,13 +42,18 @@ best of 10 repeats of 200 calls, 20 over F2(t)(u), in each of 6 runs):
 
 Over F2(t)(u) the time goes to the gcds of the fractions, and the echelon
 is no exception: a dense 4x4 inverse takes 30-400 ms.
+
+The square-span functions at the end answer F^2-linear questions about
+elements of F as F-linear ones about their `square_coordinates`.  This
+module sits on `fields`, and imports `FieldElement` once, at the top.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import Char2FormsError, DescriptorMismatch
+from .errors import Char2FormsError, DescriptorMismatch, FieldError
+from .fields import Field, FieldElement
 
 
 class LinalgError(Char2FormsError):
@@ -109,7 +114,7 @@ class Vector:
         entries = self._entries
         if entries is None:
             ring = self.ring
-            entries = tuple([_element(ring, p) for p in self.payloads])
+            entries = tuple([FieldElement(ring, p) for p in self.payloads])
             _setattr(self, "_entries", entries)
         return entries
 
@@ -237,13 +242,13 @@ class Matrix:
         entries = self._entries
         if entries is None:
             ring = self.ring
-            entries = tuple([tuple([_element(ring, p) for p in row]) for row in self.rows])
+            entries = tuple([tuple([FieldElement(ring, p) for p in row]) for row in self.rows])
             _setattr(self, "_entries", entries)
         return entries
 
     def __getitem__(self, key):
         i, j = key
-        return _element(self.ring, self.rows[i][j])
+        return FieldElement(self.ring, self.rows[i][j])
 
     def column(self, j: int) -> Vector:
         return Vector._from_payloads(self.ring, [row[j] for row in self.rows])
@@ -315,7 +320,7 @@ class Matrix:
         """
         if not self.is_square():
             raise LinalgError("determinant needs a square matrix")
-        return _element(self.ring, det_rows(self.ring, _payload_rows(self)))
+        return FieldElement(self.ring, det_rows(self.ring, _payload_rows(self)))
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -405,19 +410,13 @@ def bilinear(gram: Matrix, x: Vector, y: Vector):
     _same_ring(ring, x.ring)
     _same_ring(ring, y.ring)
     xg = product_rows(ring, [x.payloads], gram.rows)
-    return _element(ring, product_rows(ring, xg, [[p] for p in y.payloads])[0][0])
+    return FieldElement(ring, product_rows(ring, xg, [[p] for p in y.payloads])[0][0])
 
 
 def _payload(ring, e):
     """The payload of `e` in `ring`: an element of `ring` as it is, anything
     else (an int, an element of the base field of a K-algebra) coerced."""
     return e.payload if getattr(e, "field", None) is ring else ring.coerce(e).payload
-
-
-def _element(ring, payload):
-    """The element of `ring` with this payload, built where an entry is read."""
-    from .fields import FieldElement  # fields imports this module
-    return FieldElement(ring, payload)
 
 
 def _same_ring(ring, other) -> None:
@@ -592,3 +591,38 @@ def echelon(ring, rows, ncols: Optional[int] = None) -> list[int]:
     for r in range(len(pivots) - 1, 0, -1):
         _clear(ring, rows[:r], rows[r], pivots[r])
     return pivots
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra over the subfield of squares.
+#
+# square_coordinates is additive and satisfies coords(s^2 * a) = s * coords(a),
+# so F^2-linear questions about elements translate into plain F-linear
+# questions about their coordinate vectors.
+
+def _coordinate_columns(elements) -> tuple[Field, list[tuple[FieldElement, ...]]]:
+    if not elements:
+        raise FieldError("need at least one element")
+    field = elements[0].field
+    if any(el.field != field for el in elements):
+        raise DescriptorMismatch("span inputs come from different fields")
+    return field, [field.square_coordinates(el) for el in elements]
+
+
+def square_span_dimension(elements) -> int:
+    """Dimension over F^2 of the F^2-span of the given elements of F."""
+    field, cols = _coordinate_columns(list(elements))
+    return Matrix(field, cols).rank()
+
+
+def square_span_solve(target: FieldElement, basis) -> Optional[list[FieldElement]]:
+    """Coefficients x_i with target = sum x_i^2 * basis_i, or None."""
+    field, cols = _coordinate_columns([target] + list(basis))
+    solution = Matrix(field, cols[1:]).transpose().solve(Vector(field, cols[0]))
+    return None if solution is None else list(solution)
+
+
+def square_span_kernel(elements) -> list[list[FieldElement]]:
+    """All F-linear dependencies x with sum x_i^2 * elements_i = 0 (a basis)."""
+    field, cols = _coordinate_columns(list(elements))
+    return [list(v) for v in Matrix(field, cols).transpose().kernel_basis()]

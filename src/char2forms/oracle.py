@@ -25,22 +25,23 @@ are rank-checked when H is degenerate (a non-degenerate H makes every
 congruent matrix invertible).  The search runs on the packed vectors and
 rows of `_smallfield.IntField`: each chosen column's pairing is a table
 lookup per candidate, and what it finds stays packed rows, in the one group
-type `_smallfield.ChainGroup` that `generate_closure` returns as well.
+type `_smallfield.ChainGroup` that `generate_closure` returns as well.  A
+rank check is `IntField.inverse`, the one packed elimination, which the
+chain runs too, and the checks read columns through `IntField.transpose`.
 
 `closure_order_matches` proves a `generate_closure` chain equal to the
 enumerated group from equal orders and a packed-row check that every
 generator is an isometry of H, so neither group is listed; any other
 sequence of matrices is compared as a set.  On the identity form
-(in-process, Python 3.11, 2 shared cores) the enumeration takes 2.9-6.9 ms over GF(4) and
-0.2-0.37 s over GF(8), against 6-14 ms and 0.65-1.2 s when it listed the
-products, and the comparison about 10 us; listing the 258,048 GF(8)
-products takes 0.55-0.72 s more when `rows` is read.
+(in-process, Python 3.11, 2 shared cores) the enumeration takes 2.9-6.9 ms
+over GF(4) and 0.2-0.37 s over GF(8), and the comparison about 10 us;
+listing the 258,048 GF(8) products takes 0.55-0.72 s more when `rows` is
+read.
 
 `brute_pq_scalar` evaluates Pq(X)^2 and det(alt X) at all q^6 2-vectors at
 once, bit-sliced: each bit of a value over all points is one int, and a
 GF(2^k) product is k^2 ANDs and XORs of them.  It takes about 0.25 ms over
-GF(4) and 2.7 ms over GF(8) (Python 3.11, 2 shared cores), against 40 ms
-and 2.9 s for the walk over payload 6-tuples it replaced.
+GF(4) and 2.7 ms over GF(8) (Python 3.11, 2 shared cores).
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def enumerate_isometries(form: BilinearForm) -> EnumerationResult:
     full_scan = q ** (n * n) <= 2 ** 22
     # a non-degenerate H makes every congruent A invertible; the full scan
     # checks every completion anyway, so that it assumes nothing about H
-    check_rank = full_scan or not intf.independent(gram)
+    check_rank = full_scan or intf.inverse(gram) is None
     transversals = tuple(map(tuple, _transversals(intf, gram, n, check_rank)))
     _check_chain(intf, transversals)
     return EnumerationResult(field=form.field, gram=gram, transversals=transversals,
@@ -130,20 +131,18 @@ def _check_chain(intf: IntField, transversals) -> None:
     With invertible elements (rank-checked wherever `_transversals` checks
     rank, and forced by a non-degenerate H elsewhere) this makes the products
     t x distinct without listing them: column j of t x is t e_j, the column j
-    of t, since x fixes e_j, and t x = t x' gives x = x'.  Coordinates are
-    read off the packed rows by shifts and masks.
+    of t, since x fixes e_j, and t x = t x' gives x = x'.  The columns are
+    the rows of the transpose.
     """
-    k, mask = intf.k, intf.order - 1
     identity = intf.identity(len(transversals))
     for j, found in enumerate(transversals):
-        prefix = (1 << k * j) - 1  # the coordinates 0..j-1 of a row
-        fixed = tuple([e & prefix for e in identity])
         columns = set()
         for rows in found:
-            if tuple([row & prefix for row in rows]) != fixed:
+            cols = intf.transpose(rows)
+            if cols[:j] != identity[:j]:
                 raise OracleError(f"a transversal element of column {j} moves an earlier "
                                   f"basis vector")
-            columns.add(tuple([row >> k * j & mask for row in rows]))
+            columns.add(cols[j])
         if len(columns) != len(found):
             raise OracleError(f"two transversal elements of column {j} share that column")
 
@@ -192,7 +191,7 @@ def _transversals(intf: IntField, gram, n, check_rank: bool):
         # with levels[i] the candidates left for column j + i
         if j == n:
             rows = split_rows(matrix, n)
-            if not check_rank or intf.independent(rows):
+            if not check_rank or intf.inverse(rows) is not None:
                 yield rows
             return
         for cand in levels[0]:
@@ -202,12 +201,11 @@ def _transversals(intf: IntField, gram, n, check_rank: bool):
 
     transversals = []
     prefix, levels = 0, [by_norm.get(entries[j][j], []) for j in range(n)]
-    for j in range(n):
+    for j, unit in enumerate(intf.identity(n)):
         firsts = (next(completions(j, prefix, [[cand]] + levels[1:]), None)
                   for cand in levels[0])
         transversals.append([rows for rows in firsts if rows is not None])
         # e_j pairs correctly with every later e_i, so no list empties
-        unit = 1 << intf.k * j
         prefix ^= apply(spread[j], unit)
         levels = narrow(j, unit, levels[1:])
     return transversals

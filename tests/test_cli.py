@@ -9,6 +9,7 @@ import pytest
 from char2forms import groups
 from char2forms.cli import build_parser, main, parse_document
 from char2forms.errors import CheckFailed
+from char2forms.fields import MAX_NESTING
 from char2forms.forms import BilinearForm, quadratic_data
 from char2forms.linalg import Matrix
 
@@ -352,6 +353,47 @@ def test_unknown_variable_exit_2(tmp_path, capsys):
     doc = "field: gf2\ngram:\nx 0\n0 1\n"
     path = _write(tmp_path, "bad.txt", doc)
     assert main(["analyze", path]) == 2
+
+
+def _deep_entry(depth, signs=0):
+    """IDENT_GF2 with its first entry behind `signs` unary minus signs and
+    inside `depth` parentheses."""
+    entry = "-" * signs + "(" * depth + "1" + ")" * depth
+    return IDENT_GF2.replace("gram:\n1 ", f"gram:\n{entry} ", 1)
+
+
+def _run_child(flags, argv):
+    return subprocess.run([sys.executable, *flags, "-m", "char2forms.cli", *argv],
+                          capture_output=True, env=_child_env(), timeout=30)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 300, 5000])
+def test_deep_nesting_exits_2_without_traceback(tmp_path, capsys, depth):
+    path = _write(tmp_path, "deep.txt", _deep_entry(depth))
+    for command in ("analyze", "classify", "verify"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"parentheses nest deeper than {MAX_NESTING}" in err
+    for flags in ([], ["-O"]):
+        child = _run_child(flags, ["analyze", path])
+        err = child.stderr.decode()
+        assert child.returncode == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_entries_at_the_nesting_bound_and_long_signs_parse(tmp_path, capsys):
+    path = _write(tmp_path, "entry.txt", IDENT_GF2)
+    assert main(["analyze", path]) == 0
+    expected = capsys.readouterr().out
+    for depth, signs in ((MAX_NESTING, 0), (0, 5000), (MAX_NESTING, 5000)):
+        path = _write(tmp_path, "entry.txt", _deep_entry(depth, signs))
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == expected
+        for flags in ([], ["-O"]):
+            child = _run_child(flags, ["analyze", path])
+            assert child.returncode == 0, child.stderr.decode()
+            assert child.stdout.decode() == expected
 
 
 def test_decompose_rejects_det_not_one(tmp_path, capsys):

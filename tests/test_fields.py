@@ -4,11 +4,10 @@ import pytest
 
 from char2forms.fields import (DescriptorMismatch, DivisionByZero, FieldElement,
                                FieldError, GF2k, ParseError, Poly, RationalFunctionField,
-                               gf2_poly_is_irreducible, parse_field,
-                               square_span_dimension, square_span_kernel,
-                               square_span_solve)
+                               MAX_NESTING, gf2_poly_is_irreducible, parse_field)
 from char2forms.fields import _gf2x_invmod, _gf2x_mulmod
 from char2forms.kalgebra import KAlgebra
+from char2forms.linalg import square_span_dimension, square_span_kernel, square_span_solve
 
 
 def test_characteristic_two(gf2, gf4, f2t):
@@ -186,6 +185,20 @@ def test_parse_errors(f2t):
         f2t.parse("1/0")
     with pytest.raises(ParseError):
         f2t.parse("(t+1")
+
+
+def test_parse_nesting_bound(f2t):
+    t = f2t.generator
+    # the parser recurses once per level of parentheses: MAX_NESTING levels
+    # parse, one more is refused at its '(' before the stack runs out
+    assert f2t.parse("(" * MAX_NESTING + "t+1" + ")" * MAX_NESTING) == t + 1
+    for depth in (MAX_NESTING + 1, 5000):
+        with pytest.raises(ParseError) as info:
+            f2t.parse("(" * depth + "t" + ")" * depth)
+        assert info.value.position == MAX_NESTING
+    # unary signs are read in a loop, at any count, and nest nothing
+    assert f2t.parse("-+" * 2500 + "t") == t
+    assert f2t.parse("-(" * MAX_NESTING + "t" + ")" * MAX_NESTING) == t
 
 
 def test_descriptor_mismatch(gf2, f2t):

@@ -6,7 +6,7 @@ import pytest
 
 from char2forms import forms
 from char2forms.cli import main
-from char2forms.fields import square_span_dimension
+from char2forms.linalg import square_span_dimension
 from char2forms.forms import (AlternatingForm, BilinearForm, DegenerateForm, FormError,
                               ZeroForm, discriminant_class, orthogonalize,
                               orthonormalize, quadratic_data)

@@ -149,7 +149,7 @@ def _leaf_search(intf, gram, n, check_rank):
         if j + 1 == n:
             for cand in levels[0]:
                 rows = intf.split_rows(matrix ^ intf.apply(spread[j], cand), n)
-                if not check_rank or intf.independent(rows):
+                if not check_rank or intf.inverse(rows) is not None:
                     found.append(rows)
             return
         for cand in levels[0]:

@@ -106,7 +106,7 @@ def test_independent_matches_rank(k):
                 s = field.random_element(rng)
                 m = Matrix(field, [list(r) for r in m.entries[:-1]] +
                            [[s * a for a in m.entries[0]]])
-            assert intf.independent(intf.encode_matrix(m)) == (m.rank() == n)
+            assert (intf.inverse(intf.encode_matrix(m)) is None) == (m.rank() < n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
