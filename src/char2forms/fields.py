@@ -17,7 +17,12 @@ helpers below.  Every other rational-function field (F2(t)(u), GF(2^k)(t))
 keeps `Poly` numerators and denominators over its base field.  A `Poly`
 stores the payloads of its coefficients, not elements, and computes with the
 base field's payload primitives, so a nested tower such as F2(t)(u) runs on
-packed coefficients without wrapping them.
+packed coefficients without wrapping them.  Sums, products and inverses of
+rational functions follow Henrici's rules (P. Henrici, "A subroutine for
+computations with rational numbers", J. ACM 3(1), 1956; Knuth, TAOCP vol. 2,
+4.5.1): they take gcds only of the factors that can cancel, never of the
+full cross products, and skip them where the result is reduced by
+construction.
 
 Every field also exposes the coordinates of an element over its subfield of
 squares (`square_coordinates`); the linear algebra on those coordinates,
@@ -52,21 +57,23 @@ def _gf2x_degree(a: int) -> int:
 
 
 def _gf2x_mul(a: int, b: int) -> int:
+    # one shifted copy of the longer operand per set bit of the shorter
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
     r = 0
     while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
+        low = b & -b
+        r ^= a << (low.bit_length() - 1)
+        b ^= low
     return r
 
 
 def _gf2x_mod(a: int, m: int) -> int:
-    dm = _gf2x_degree(m)
-    da = _gf2x_degree(a)
+    dm = m.bit_length()
+    da = a.bit_length()
     while da >= dm:
         a ^= m << (da - dm)
-        da = _gf2x_degree(a)
+        da = a.bit_length()
     return a
 
 
@@ -103,16 +110,21 @@ def _gf2x_tables(k: int, modulus: int):
 
 def _gf2x_gcd(a: int, b: int) -> int:
     while b:
-        a, b = b, _gf2x_mod(a, b)
+        db = b.bit_length()
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
     return a
 
 
 def _gf2x_divexact(a: int, b: int) -> int:
     """a / b, for a divisible by b."""
     q = 0
-    db = _gf2x_degree(b)
+    db = b.bit_length()
     while a:
-        shift = _gf2x_degree(a) - db
+        shift = a.bit_length() - db
         q |= 1 << shift
         a ^= b << shift
     return q
@@ -696,7 +708,8 @@ class Poly:
         return Poly(self.field, roots)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.field == other.field and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.coeffs == other.coeffs
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
@@ -745,13 +758,24 @@ class RationalFunctionField(Field):
     arithmetic runs on the masks.  Over any other base, as in F2(t)(u) or
     GF(2^k)(t), the pair is two `Poly`s over the base field, whose
     coefficients are base-field payloads.  There a denominator of degree 0
-    is 1, because it is monic: when both denominators are 1, `_mul` and
-    `_add` multiply or add the numerators and skip `_canonical`, and `_mul`
-    returns a zero operand as it is.  The payloads of 0 and 1 are built once,
-    in the constructor, and `_from_int` returns those two constants: the
-    linear-algebra kernels ask for them on every call.  Variable names
-    are single letters, distinct throughout the tower ('g' is reserved for
-    gf2k towers).
+    is 1, because it is monic.
+
+    Both representations follow Henrici's rules for a/b op c/d, which keep
+    results canonical without a gcd of the cross products:
+
+    - sum: b = d reduces a + c by its gcd with d; b = 1, d = 1 or
+      gcd(b, d) = 1 needs no gcd, (a d + c b)/(b d); otherwise, with
+      g = gcd(b, d), a (d/g) + c (b/g) is reduced by its gcd with g only;
+    - product: gcd(a, d) and gcd(c, b) are cancelled before multiplying,
+      each skipped when its denominator is 1, so two polynomials make one
+      product;
+    - inverse: b/a is reduced already and is only rescaled to a monic
+      denominator.
+
+    The payloads of 0 and 1 are built once, in the constructor, and
+    `_from_int` returns those two constants: the linear-algebra kernels ask
+    for them on every call.  Variable names are single letters, distinct
+    throughout the tower ('g' is reserved for gf2k towers).
     """
 
     def __init__(self, base: Field, var: str):
@@ -794,36 +818,63 @@ class RationalFunctionField(Field):
         return FieldElement(self, self._canonical(num, den))
 
     def _add(self, a, b):
-        # equal denominators (most often both 1) need no cross products
+        an, ad = a
+        bn, bd = b
         if self.packed:
-            if a[1] == b[1]:
-                return _f2t_reduce(a[0] ^ b[0], a[1])
-            return _f2t_reduce(_gf2x_mul(a[0], b[1]) ^ _gf2x_mul(b[0], a[1]),
-                               _gf2x_mul(a[1], b[1]))
-        a_den, b_den = a[1], b[1]
+            if ad == bd:
+                return _f2t_reduce(an ^ bn, ad)
+            if ad == 1:
+                return (_gf2x_mul(an, bd) ^ bn, bd)
+            if bd == 1:
+                return (an ^ _gf2x_mul(bn, ad), ad)
+            g = _gf2x_gcd(ad, bd)
+            if g == 1:
+                return (_gf2x_mul(an, bd) ^ _gf2x_mul(bn, ad), _gf2x_mul(ad, bd))
+            ad, bd = _gf2x_divexact(ad, g), _gf2x_divexact(bd, g)
+            num, g = _f2t_reduce(_gf2x_mul(an, bd) ^ _gf2x_mul(bn, ad), g)
+            return (num, _gf2x_mul(_gf2x_mul(ad, bd), g)) if num else (0, 1)
         # a canonical denominator is monic, so one of degree 0 is 1
-        if len(a_den.coeffs) == 1 and len(b_den.coeffs) == 1:
-            return (a[0] + b[0], a_den)
-        if a_den == b_den:
-            return self._canonical(a[0] + b[0], a_den)
-        return self._canonical(a[0] * b_den + b[0] * a_den, a_den * b_den)
+        if len(ad.coeffs) == 1:
+            return (an + bn, ad) if len(bd.coeffs) == 1 else (an * bd + bn, bd)
+        if len(bd.coeffs) == 1:
+            return (an + bn * ad, ad)
+        if ad == bd:
+            return self._canonical(an + bn, ad)
+        g = ad.gcd(bd)
+        if g.degree == 0:
+            return (an * bd + bn * ad, ad * bd)
+        ad, bd = ad // g, bd // g
+        num, g = self._canonical(an * bd + bn * ad, g)
+        return (num, ad * bd * g) if num.coeffs else (num, g)
 
     def _mul(self, a, b):
+        an, ad = a
+        bn, bd = b
         if self.packed:
-            return _f2t_reduce(_gf2x_mul(a[0], b[0]), _gf2x_mul(a[1], b[1]))
-        if not a[0].coeffs:
-            return a
-        if not b[0].coeffs:
-            return b
-        a_den, b_den = a[1], b[1]
-        if len(a_den.coeffs) == 1 and len(b_den.coeffs) == 1:
-            return (a[0] * b[0], a_den)
-        return self._canonical(a[0] * b[0], a_den * b_den)
+            if ad == 1 and bd == 1:
+                return (_gf2x_mul(an, bn), 1)
+            an, bd = _f2t_reduce(an, bd)
+            bn, ad = _f2t_reduce(bn, ad)
+            return (_gf2x_mul(an, bn), _gf2x_mul(ad, bd))
+        if not an.coeffs or not bn.coeffs:
+            return self._constants[0]
+        if len(ad.coeffs) == 1 and len(bd.coeffs) == 1:
+            return (an * bn, ad)
+        an, bd = self._canonical(an, bd)
+        bn, ad = self._canonical(bn, ad)
+        return (an * bn, ad * bd)
 
     def _inv(self, a):
+        num, den = a
         if self.packed:
-            return (a[1], a[0])
-        return self._canonical(a[1], a[0])
+            return (den, num)
+        if not num.coeffs:
+            raise DivisionByZero(f"inverse of zero in {self.describe()}")
+        # den/num is reduced already and only needs a monic denominator
+        lead_inv = self.base._inv(num.coeffs[-1])
+        if lead_inv == self.base._from_int(1):
+            return (den, num)
+        return (den.scale(lead_inv), num.scale(lead_inv))
 
     def _sqrt(self, a):
         if self.packed:
@@ -956,7 +1007,8 @@ class RationalFunctionField(Field):
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[a-zA-Z])|(?P<op>[-+*/^()]))")
 
 # the parser recurses once per level of parentheses, so an expression may
-# nest them at most this deep; a deeper '(' is a ParseError
+# nest them at most this deep; a deeper '(' is a ParseError, and so is a
+# field descriptor with more ratfunc( levels
 MAX_NESTING = 100
 
 
@@ -1064,10 +1116,21 @@ def parse_expression(text: str, variables: dict, ring):
 # Field descriptor text format: gf2 | gf2k:<k>:<modulus> | ratfunc(<field>,<var>)
 
 def parse_field(text: str) -> Field:
+    # peel the ratfunc( levels in a loop, innermost variable last
     text = text.strip()
+    variables = []
+    while text.startswith("ratfunc(") and text.endswith(")"):
+        if len(variables) == MAX_NESTING:
+            raise ParseError(f"ratfunc descriptors nest deeper than {MAX_NESTING}")
+        inner = text[len("ratfunc("):-1]
+        cut = inner.rfind(",")
+        if cut < 0:
+            raise ParseError(f"bad ratfunc descriptor: {text!r}")
+        variables.append(inner[cut + 1:].strip())
+        text = inner[:cut].strip()
     if text == "gf2":
-        return GF2()
-    if text.startswith("gf2k:"):
+        field: Field = GF2()
+    elif text.startswith("gf2k:"):
         parts = text.split(":")
         if len(parts) != 3:
             raise ParseError(f"bad gf2k descriptor: {text!r}")
@@ -1076,11 +1139,9 @@ def parse_field(text: str) -> Field:
             modulus = int(parts[2], 0)
         except ValueError:
             raise ParseError(f"bad gf2k descriptor: {text!r}") from None
-        return GF2k(k, modulus)
-    if text.startswith("ratfunc(") and text.endswith(")"):
-        inner = text[len("ratfunc("):-1]
-        cut = inner.rfind(",")
-        if cut < 0:
-            raise ParseError(f"bad ratfunc descriptor: {text!r}")
-        return RationalFunctionField(parse_field(inner[:cut]), inner[cut + 1:].strip())
-    raise ParseError(f"unknown field descriptor: {text!r}")
+        field = GF2k(k, modulus)
+    else:
+        raise ParseError(f"unknown field descriptor: {text!r}")
+    for var in reversed(variables):
+        field = RationalFunctionField(field, var)
+    return field

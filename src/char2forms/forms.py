@@ -84,7 +84,8 @@ class BilinearForm:
 
     def is_alternating(self) -> bool:
         # q(sum x_i v_i) = sum x_i^2 q(v_i) in char 2, so the diagonal decides
-        return all(self.gram[i, i].is_zero() for i in range(self.dim))
+        is_zero = self.field._is_zero
+        return all(is_zero(row[i]) for i, row in enumerate(self.gram.rows))
 
     def is_zero(self) -> bool:
         return self.gram.is_zero()

@@ -1,7 +1,9 @@
 import ast
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -380,6 +382,85 @@ def test_deep_nesting_exits_2_without_traceback(tmp_path, capsys, depth):
         err = child.stderr.decode()
         assert child.returncode == 2, err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+def test_deep_field_descriptor_exits_2_without_traceback(tmp_path, capsys, depth):
+    # ratfunc( levels are peeled in a loop; past MAX_NESTING they are refused
+    descriptor = "ratfunc(" * depth + "gf2" + ",t)" * depth
+    path = _write(tmp_path, "deep.txt", IDENT_GF2.replace("field: gf2", f"field: {descriptor}"))
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"ratfunc descriptors nest deeper than {MAX_NESTING}" in err
+    for flags in ([], ["-O"]):
+        child = _run_child(flags, ["analyze", path])
+        err = child.stderr.decode()
+        assert child.returncode == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_field_descriptor_levels_parse_up_to_the_tower(tmp_path, capsys):
+    doc = "field: ratfunc( ratfunc(gf2 ,t) , u )\ngram:\nt 0\n0 u\n"
+    assert main(["analyze", _write(tmp_path, "tu.txt", doc)]) == 0
+    assert "field: ratfunc(ratfunc(gf2,t),u)" in capsys.readouterr().out
+    # within MAX_NESTING levels, a repeated variable is the tower's error
+    descriptor = "ratfunc(" * MAX_NESTING + "gf2" + ",t)" * MAX_NESTING
+    path = _write(tmp_path, "tt.txt", IDENT_GF2.replace("field: gf2", f"field: {descriptor}"))
+    assert main(["analyze", path]) == 2
+    assert "variable 't' already used in this tower" in capsys.readouterr().err
+
+
+def test_parse_error_quotes_a_long_entry_by_head_and_length(tmp_path, capsys):
+    path = _write(tmp_path, "deep.txt", _deep_entry(5000))
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    head = "(" * 40
+    assert f"entry 1 ('{head}'..., 10001 characters): parentheses nest" in err
+    assert err.startswith("error: ") and len(err) < len(path) + 150
+    # a short entry is quoted in full
+    assert main(["analyze", _write(tmp_path, "x.txt", "field: gf2\ngram:\n(1 0\n0 1\n")]) == 2
+    assert "entry 1 ('(1'): expected ')'" in capsys.readouterr().err
+
+
+def test_verify_reads_no_single_entry_in_cli(tmp_path, capsys, monkeypatch):
+    # the report's checks, "Pf alternating (zero diagonal)" among them, read
+    # payload rows; an entry read from cli.py would build an element
+    read_from = []
+    getitem = Matrix.__getitem__
+
+    def recording(self, key):
+        read_from.append(Path(sys._getframe(1).f_code.co_filename).name)
+        return getitem(self, key)
+    monkeypatch.setattr(Matrix, "__getitem__", recording)
+    for doc in (IDENT_GF2, H1_F2T):
+        assert main(["verify", _write(tmp_path, "doc.txt", doc)]) == 0
+        assert "check Pf alternating (zero diagonal): PASS" in capsys.readouterr().out
+    assert "cli.py" not in read_from and "forms.py" in read_from
+
+
+# seeded random symmetric F2(t)(u) forms, each classified and analyzed
+# in-process within a per-command bound: fraction growth in nested F2(t)(u)
+# arithmetic once took 12-26 s on two of them
+SWEEP_TOKENS = "0 0 1 t u t+u tu u^2+t u+1 t+1 1/u t/(u+1)".split()
+
+
+def test_random_f2tu_forms_classify_and_analyze_within_5_s(tmp_path, capsys):
+    rng = random.Random(4)
+    for k in range(40):
+        gram = [[""] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                gram[i][j] = gram[j][i] = rng.choice(SWEEP_TOKENS)
+        doc = "field: ratfunc(ratfunc(gf2,t),u)\ngram:\n"
+        path = _write(tmp_path, f"form{k}.txt", doc + "".join(" ".join(r) + "\n" for r in gram))
+        for command in ("classify", "analyze"):
+            start = time.perf_counter()
+            code = main([command, path])
+            seconds = time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert code == 0, (k, command, err)
+            assert seconds < 5, (k, command, seconds)
 
 
 def test_entries_at_the_nesting_bound_and_long_signs_parse(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -79,6 +80,97 @@ def test_packed_f2t_matches_generic_path(f2t, gf4, rng):
             assert (None if root is None else embed(root)) == embed(c).sqrt()
         if not a.is_zero():
             assert embed(a.inverse()) == embed(a).inverse()
+
+
+def _as_polys(field, payload):
+    """An F(t) payload as a pair of Polys over F (F2(t) keeps bit masks)."""
+    if field.packed:
+        return tuple(_mask_poly(field.base, mask) for mask in payload)
+    return payload
+
+
+def _reduced(num, den):
+    """num/den fully reduced: divided by gcd(num, den), denominator monic."""
+    if num.is_zero():
+        return (num, Poly.one(den.field))
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    scale = den.lead().inverse().payload
+    return (num.scale(scale), den.scale(scale))
+
+
+def _fraction_pairs(field, rng):
+    """Seeded operand pairs of F(t), built so that every rule of the sum and
+    the product applies: a zero operand, equal denominators, one polynomial
+    side, coprime denominators, denominators with a shared factor."""
+    base = field.base
+
+    def poly(size=2):
+        while True:
+            p = Poly(base, [base.random_element(rng).payload for _ in range(size + 1)])
+            if p.degree > 0:
+                return p
+
+    def fraction(den):
+        # a numerator prime to den, so that den stays the denominator
+        num = poly()
+        while num.gcd(den).degree > 0:
+            num = poly()
+        return field.from_fraction(num, den).payload
+
+    def plus(x, y):
+        (xn, xd), (yn, yd) = _as_polys(field, x), _as_polys(field, y)
+        return field.from_fraction(xn * yd + yn * xd, xd * yd).payload
+
+    one, pairs = Poly.one(base), []
+    for _ in range(16):
+        d, e, f = poly(), poly(1), poly(1)
+        x, y, z = fraction(d), fraction(d * e), fraction(e * f + one)
+        pairs += [(field.zero().payload, x), (x, field.zero().payload),
+                  (fraction(d), fraction(d)),
+                  (fraction(one), fraction(d)), (fraction(one), fraction(one)),
+                  (fraction(d), fraction(d + one)),
+                  (fraction(d * e), fraction(d * (e + one))),
+                  # sums that cancel e: (x + y) + y and (x + y + z) + y
+                  (plus(x, y), y), (plus(plus(x, y), z), y)]
+    return pairs
+
+
+def _sum_rule(field, a, b):
+    (an, ad), (bn, bd) = _as_polys(field, a), _as_polys(field, b)
+    if an.is_zero() or bn.is_zero():
+        return "zero"
+    if ad.degree == 0 or bd.degree == 0:
+        return "polynomial"
+    g = ad.gcd(bd)
+    if g.degree == 0:
+        return "coprime"
+    rule = "equal" if ad == bd else "shared"
+    # the sum cancels a factor of g beyond the lcm of the denominators
+    den = _reduced(an * bd + bn * ad, ad * bd)[1]
+    return rule + " cancelling" if den.degree < ad.degree + bd.degree - g.degree else rule
+
+
+@pytest.mark.parametrize("name", ["f2t", "f2tu"])
+def test_henrici_rules_give_the_fully_reduced_payload(name, f2t, f2tu):
+    # _add, _mul and _inv reduce only the factors that can cancel; each must
+    # give the payload that reducing the whole cross products gives
+    field = f2t if name == "f2t" else f2tu
+    rules = Counter()
+    for a, b in _fraction_pairs(field, random.Random(27)):
+        rules[_sum_rule(field, a, b)] += 1
+        (an, ad), (bn, bd) = _as_polys(field, a), _as_polys(field, b)
+        assert _as_polys(field, field._add(a, b)) == _reduced(an * bd + bn * ad, ad * bd)
+        assert _as_polys(field, field._add(b, a)) == _reduced(an * bd + bn * ad, ad * bd)
+        assert _as_polys(field, field._mul(a, b)) == _reduced(an * bn, ad * bd)
+        assert _as_polys(field, field._mul(b, a)) == _reduced(an * bn, ad * bd)
+        for p, (num, den) in ((a, (an, ad)), (b, (bn, bd))):
+            if not num.is_zero():
+                assert _as_polys(field, field._inv(p)) == _reduced(den, num)
+        # a sum that cancels to zero is the canonical zero
+        assert field._add(a, a) == field.zero().payload
+    assert set(rules) == {"zero", "polynomial", "coprime", "equal", "shared",
+                          "equal cancelling", "shared cancelling"}, rules
 
 
 def test_frobenius_values(gf4, f2t):
@@ -199,6 +291,10 @@ def test_parse_nesting_bound(f2t):
     # unary signs are read in a loop, at any count, and nest nothing
     assert f2t.parse("-+" * 2500 + "t") == t
     assert f2t.parse("-(" * MAX_NESTING + "t" + ")" * MAX_NESTING) == t
+    # field descriptors are peeled in a loop and refused past the same depth
+    for depth in (MAX_NESTING + 1, 5000):
+        with pytest.raises(ParseError, match="nest deeper"):
+            parse_field("ratfunc(" * depth + "gf2" + ",t)" * depth)
 
 
 def test_descriptor_mismatch(gf2, f2t):

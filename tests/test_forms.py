@@ -31,6 +31,18 @@ def test_is_alternating(gf2, f2t):
     assert not h.is_alternating()
 
 
+def test_is_alternating_reads_no_entry(gf2, f2tu, monkeypatch):
+    # the diagonal is tested for zero on payloads: no entry becomes an element
+    grams = [Matrix(gf2, [[0, 1], [1, 0]]), Matrix(gf2, [[0, 1], [1, 1]]),
+             Matrix.identity(f2tu, 3)]
+    forms_ = [BilinearForm(g) for g in grams]
+
+    def refuse(self, key):
+        raise AssertionError(f"entry {key} read")
+    monkeypatch.setattr(Matrix, "__getitem__", refuse)
+    assert [f.is_alternating() for f in forms_] == [True, False, False]
+
+
 def test_orthogonalize_2x2_hand_check(gf2):
     form = BilinearForm(Matrix(gf2, [[0, 1], [1, 1]]))
     basis, diag = orthogonalize(form)
