@@ -10,11 +10,12 @@ on itself.
 `orthogonalize` keeps the space still to be split as payload columns S with
 its congruent Gram M = S^T H S, so that every h-value and pairing it needs
 is an entry of M, and each step only updates S and M: it never pairs vectors
-through H again until its final check.  The updates S C and C^T M C are
-products of payload rows by `linalg.product_rows`, the one product behind
-`Matrix` products and `bilinear` as well; a kernel vector c has a one at
-its free column and zeros at the other free columns, which that product
-adds or skips without multiplying.  Per call, on a form whose det(H)
+through H again until its final check.  The update S C is a product of
+payload rows by `linalg.product_rows`, the one product behind `Matrix`
+products and `bilinear` as well, and C^T M C is `linalg.congruence_rows`,
+the one kernel behind every A^T H A of a symmetric H; a kernel vector c has
+a one at its free column and zeros at the other free columns, which both
+add or skip without multiplying.  Per call, on a form whose det(H)
 is known (Python 3.11, 2 shared cores, best of 9 runs of 5 calls on the
 `tests/golden` forms): defect-3 F2(t) form 0.5-0.6 ms, defect-0 F2(t)(u)
 form 8-11 ms, repair-step F2(t)(u) form 0.9-1.4 ms.  Other families are paired
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 
 from .errors import Char2FormsError, require
 from .fields import FieldElement
-from .linalg import (Matrix, Vector, bilinear, echelon, kernel_rows, product_rows,
-                     square_span_dimension, square_span_kernel)
+from .linalg import (Matrix, Vector, bilinear, congruence, congruence_rows, echelon,
+                     kernel_rows, product_rows, square_span_dimension, square_span_kernel)
 
 
 class FormError(Char2FormsError):
@@ -110,7 +111,7 @@ class BilinearForm:
 
     def congruent(self, basis: Matrix) -> "BilinearForm":
         """The form in the coordinates of the given basis (columns)."""
-        return BilinearForm(basis.transpose() * self.gram * basis)
+        return BilinearForm(congruence(self.gram, basis))
 
     def __eq__(self, other):
         return isinstance(other, BilinearForm) and self.gram == other.gram
@@ -216,14 +217,12 @@ def _restrict(field, space, m, constraints):
     """S C and C^T M C, on payloads, for the space S (its columns `space`)
     with congruent Gram M (its rows `m`) and the matrix C whose columns are
     the `kernel_rows` of the constraint rows: the subspace of span(S) they
-    cut out and its congruent Gram.  Each is one `product_rows`: the
-    columns of S C are the rows of C^T S^T, and C^T M C is C^T times the
-    columns M c, which are the rows of C^T M since M is symmetric."""
+    cut out and its congruent Gram: the columns of S C are the rows of
+    C^T S^T, one `product_rows`, and C^T M C is `congruence_rows`."""
     kernel = kernel_rows(field, constraints)
     if not kernel:
         return [], []
-    m_c = product_rows(field, kernel, m)
-    return product_rows(field, kernel, space), product_rows(field, kernel, list(zip(*m_c)))
+    return product_rows(field, kernel, space), congruence_rows(field, m, list(zip(*kernel)))
 
 
 def _hyperbolic_pair(field, m) -> tuple[int, int]:

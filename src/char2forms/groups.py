@@ -35,7 +35,7 @@ from .exterior import compound_matrix, hodge
 from .fields import FieldElement
 from .forms import BilinearForm, DegenerateForm, FormError, quadratic_data
 from .kalgebra import KAlgebra, KModule, NotSplit, build_module, wz_submodule
-from .linalg import DimensionMismatch, Matrix, Vector, square_span_solve
+from .linalg import DimensionMismatch, Matrix, Vector, congruence, square_span_solve
 
 
 # `classify` proves <gens> = O(V,h) only up to this order: the identity form
@@ -79,7 +79,7 @@ def is_isometry(form: BilinearForm, a: Matrix) -> bool:
     """A^T H A = H with A invertible."""
     if not a.is_square() or a.nrows != form.dim:
         raise DimensionMismatch("candidate has the wrong shape")
-    if a.transpose() * form.gram * a != form.gram:
+    if congruence(form.gram, a) != form.gram:
         return False
     return not a.det().is_zero()
 
@@ -88,7 +88,7 @@ def similitude_multiplier(form: BilinearForm, a: Matrix) -> Optional[FieldElemen
     """r with A^T H A = r H and r != 0, if one exists."""
     if not a.is_square() or a.nrows != form.dim:
         raise DimensionMismatch("candidate has the wrong shape")
-    m = a.transpose() * form.gram * a
+    m = congruence(form.gram, a)
     ring, gram, n = form.gram.ring, form.gram.rows, form.dim
     anchor = next(((i, j) for i in range(n) for j in range(n)
                    if not ring._is_zero(gram[i][j])), None)
@@ -304,11 +304,11 @@ def eta_o(module: KModule, a: Matrix, wz_basis: Optional[Sequence[Vector]] = Non
 
 def preserves_g(module: KModule, m: Matrix) -> bool:
     """Whether a K-matrix on B1 satisfies M^T G M = G for the K-valued form."""
-    return m.transpose() * module.g_gram * m == module.g_gram
+    return congruence(module.g_gram, m) == module.g_gram
 
 
 def scales_g(module: KModule, m: Matrix, r) -> bool:
-    return m.transpose() * module.g_gram * m == module.g_gram * module.algebra.coerce(r)
+    return congruence(module.g_gram, m) == module.g_gram * module.algebra.coerce(r)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +528,7 @@ def defect1_w_basis(module: KModule) -> tuple[Matrix, Matrix]:
     c = Matrix(algebra, [[zero, zero, one],
                          [one, zero, zero],
                          [zero, jc4, zero]])
-    w_gram = c.transpose() * module.g_gram * c
+    w_gram = congruence(module.g_gram, c)
     return c, w_gram
 
 
@@ -766,7 +766,7 @@ def _case_report(form, qd, k_split, case, s, scale, normal, isometries=(), simil
     row = CASES[case]
     require(qd.defect == row.defect and k_split in row.k_split,
             f"internal: case {case} does not match (defect={qd.defect}, split={k_split})")
-    require(s.transpose() * form.gram * s == normal * scale,
+    require(congruence(form.gram, s) == normal * scale,
             "internal: the normalizing basis does not reach the normal form")
     normal_form = BilinearForm(normal)
     one = form.field.one()

@@ -122,6 +122,16 @@ class KAlgebra(Field):
     def _from_int(self, n):
         return self._constants[n & 1]
 
+    def _degrees(self, a):
+        # j^2 = delta, so j weighs half of delta's degrees, rounded up
+        field = self.field
+        n0, d0 = field._degrees(a[0])
+        if field._is_zero(a[1]):
+            return (n0, d0)
+        n1, d1 = field._degrees(a[1])
+        nj, dj = field._degrees(self.delta.payload)
+        return (max(n0, n1 + (nj + 1) // 2), max(d0, d1 + (dj + 1) // 2))
+
     # -- elements ------------------------------------------------------------
     def element(self, x0, x1) -> FieldElement:
         """x0 + j*x1 for elements (or ints) x0, x1 of F."""

@@ -18,6 +18,9 @@ coefficients in that row of A.  It skips the zero entries of both sides,
 and a factor one on either side gives the other factor without a product.
 M v is the one row v^T M^T, x^T G y is the row x^T G against y, and M s and
 v s multiply by the scalar s only the entries other than zero and one.
+A^T H A of a symmetric H is `congruence`: H A is one product, and of
+A^T (H A) only the entries on and above the diagonal are computed, each
+mirrored below it; an H that is not symmetric raises `NotSymmetric`.
 Every elimination is one forward pass, `_forward`, with the first unit of
 each column as its pivot and no product by a zero or a one (the matrices
 are small: J is 70x70 for n = 8).  `det_rows`, behind `det` and each minor
@@ -66,6 +69,10 @@ class DimensionMismatch(LinalgError):
 
 class SingularMatrix(LinalgError):
     pass
+
+
+class NotSymmetric(LinalgError):
+    """A congruence A^T H A was asked of an H that is not symmetric."""
 
 
 class NonUnitColumn(LinalgError):
@@ -413,6 +420,18 @@ def bilinear(gram: Matrix, x: Vector, y: Vector):
     return FieldElement(ring, product_rows(ring, xg, [[p] for p in y.payloads])[0][0])
 
 
+def congruence(h: Matrix, a: Matrix) -> Matrix:
+    """A^T H A for a symmetric H, by `congruence_rows`; raises `NotSymmetric`
+    when H is not symmetric."""
+    if a.nrows != h.ncols:
+        raise DimensionMismatch(
+            f"cannot take the congruence of a {h.nrows}x{h.ncols} form "
+            f"by a {a.nrows}x{a.ncols} matrix")
+    ring = h.ring
+    _same_ring(ring, a.ring)
+    return Matrix._from_payloads(ring, congruence_rows(ring, h.rows, a.rows))
+
+
 def _payload(ring, e):
     """The payload of `e` in `ring`: an element of `ring` as it is, anything
     else (an int, an element of the base field of a K-algebra) coerced."""
@@ -456,6 +475,42 @@ def product_rows(ring, a, b) -> list[list]:
                     t = total[j]
                     total[j] = y if t is None else add(t, y)
         out.append([zero if t is None else t for t in total])
+    return out
+
+
+def congruence_rows(ring, h, a) -> list[list]:
+    """The payload rows of A^T H A for the payload rows `h` of a symmetric H
+    and `a` of A.  H A is one `product_rows`.  Row i of A^T (H A) combines
+    the rows of H A with the coefficients in column i of A, as in
+    `product_rows`, but only in the columns k >= i; each entry (i, k) is
+    then mirrored to (k, i), which holds because H is symmetric.  An H that
+    is not square and symmetric raises `NotSymmetric`."""
+    if list(map(tuple, h)) != list(zip(*h)):
+        raise NotSymmetric("A^T H A is taken only of a symmetric H")
+    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
+    zero, one = ring._from_int(0), ring._from_int(1)
+    width = len(a[0])
+    sparse = [[(k, y, y == one) for k, y in enumerate(row) if not is_zero(y)]
+              for row in product_rows(ring, h, a)]
+    out = [[None] * width for _ in range(width)]
+    for i, col in enumerate(zip(*a)):
+        total = out[i]
+        for x, row in zip(col, sparse):
+            if row and not is_zero(x):
+                unit = x == one
+                for k, y, y_unit in row:
+                    if k < i:
+                        continue
+                    if y_unit:
+                        y = x
+                    elif not unit:
+                        y = mul(x, y)
+                    t = total[k]
+                    total[k] = y if t is None else add(t, y)
+        for k in range(i, width):
+            if total[k] is None:
+                total[k] = zero
+            out[k][i] = total[k]
     return out
 
 

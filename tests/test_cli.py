@@ -11,7 +11,7 @@ import pytest
 from char2forms import groups
 from char2forms.cli import build_parser, main, parse_document
 from char2forms.errors import CheckFailed
-from char2forms.fields import MAX_NESTING
+from char2forms.fields import MAX_DEGREE, MAX_NESTING
 from char2forms.forms import BilinearForm, quadratic_data
 from char2forms.linalg import Matrix
 
@@ -475,6 +475,58 @@ def test_entries_at_the_nesting_bound_and_long_signs_parse(tmp_path, capsys):
             child = _run_child(flags, ["analyze", path])
             assert child.returncode == 0, child.stderr.decode()
             assert child.stdout.decode() == expected
+
+
+def _large_entry_doc(entry, field="ratfunc(gf2,t)"):
+    """A non-degenerate, non-alternating 4x4 form with `entry` first."""
+    return f"field: {field}\ngram:\n{entry} 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 t\n"
+
+
+_HALF = MAX_DEGREE // 2
+# entries refused before their large sum, product or power is computed
+LARGE_EXPONENTS = {
+    "sparse": "t^1000000",
+    "dense": f"(t^2+t+1)^{_HALF + 1}",
+    "many_powers": "*".join(["(t+1)^1024"] * (MAX_DEGREE // 1024)) + "*t",
+    "sum": f"1/(t^{MAX_DEGREE}+1)+1/(t^{MAX_DEGREE}+t+1)",
+    "f2tu": f"(t^{MAX_DEGREE}+1)*u",
+    "long_exponent": "t^" + "9" * 5000,
+}
+# entries at the bound, which parse and run
+AT_DEGREE_BOUND = {
+    "sparse": f"t^{MAX_DEGREE}",
+    "dense": f"(t^2+t+1)^{_HALF - 1}",
+    "many_powers": "*".join(["(t+1)^1024"] * (MAX_DEGREE // 1024)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_EXPONENTS))
+def test_large_exponent_exits_2_without_traceback(tmp_path, capsys, name):
+    field = "ratfunc(ratfunc(gf2,t),u)" if name == "f2tu" else "ratfunc(gf2,t)"
+    path = _write(tmp_path, "large.txt", _large_entry_doc(LARGE_EXPONENTS[name], field))
+    for command in ("analyze", "classify", "verify"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        # a literal past the interpreter's limit on digits fails to tokenize
+        assert name == "long_exponent" or f"could exceed degree {MAX_DEGREE}" in err
+    for flags in ([], ["-O"]):
+        start = time.perf_counter()
+        child = _run_child(flags, ["analyze", path])
+        err = child.stderr.decode()
+        assert child.returncode == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("name", sorted(AT_DEGREE_BOUND))
+def test_entries_at_the_degree_bound_run(tmp_path, name):
+    path = _write(tmp_path, "bound.txt", _large_entry_doc(AT_DEGREE_BOUND[name]))
+    for flags in ([], ["-O"]):
+        start = time.perf_counter()
+        child = _run_child(flags, ["analyze", path])
+        assert child.returncode == 0, child.stderr.decode()
+        assert time.perf_counter() - start < 10
 
 
 def test_decompose_rejects_det_not_one(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from char2forms.fields import (DescriptorMismatch, DivisionByZero, FieldElement,
                                FieldError, GF2k, ParseError, Poly, RationalFunctionField,
-                               MAX_NESTING, gf2_poly_is_irreducible, parse_field)
+                               MAX_DEGREE, MAX_NESTING, gf2_poly_is_irreducible, parse_field)
 from char2forms.fields import _gf2x_invmod, _gf2x_mulmod
 from char2forms.kalgebra import KAlgebra
 from char2forms.linalg import square_span_dimension, square_span_kernel, square_span_solve
@@ -173,6 +173,45 @@ def test_henrici_rules_give_the_fully_reduced_payload(name, f2t, f2tu):
                           "equal cancelling", "shared cancelling"}, rules
 
 
+def _schoolbook(p, q):
+    """p q on elements: every pair of coefficients, each sum from zero."""
+    field = p.field
+    out = [field.zero()] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + FieldElement(field, a) * FieldElement(field, b)
+    return Poly(field, [c.payload for c in out])
+
+
+@pytest.mark.parametrize("name", ["f2t", "gf4t", "f2tu"])
+def test_poly_product_matches_schoolbook(name, f2t, gf4, f2tu):
+    # Poly.__mul__ multiplies only the nonzero terms, scales the other factor
+    # when one has a single term and starts each coefficient from its first
+    # product; the payloads must be the schoolbook ones
+    field = {"f2t": f2t, "gf4t": RationalFunctionField(gf4, "t"), "f2tu": f2tu}[name]
+    rng = random.Random(28)
+    zero = field.zero().payload
+
+    def coeff():
+        # a third zeros, so that inner coefficients vanish
+        return zero if rng.randrange(3) == 0 else field.random_element(rng, size=1).payload
+
+    polys = [Poly(field, ()), Poly.one(field), Poly.x(field)]
+    for _ in range(12):
+        polys.append(Poly(field, [coeff() for _ in range(rng.randrange(1, 6))]))
+        k = rng.randrange(4)  # one term, c x^k
+        polys.append(Poly(field, [zero] * k + [field.random_element(rng, size=1).payload]))
+    polys += [p + Poly.one(field) for p in polys[-4:]]
+    terms = [sum(not field._is_zero(c) for c in p.coeffs) for p in polys]
+    assert 1 in terms and max(terms) > 2
+    assert any(field._is_zero(c) for p in polys for c in p.coeffs)
+    assert any(not field._is_zero(c) and c[1] != field._from_int(1)[1]
+               for p in polys for c in p.coeffs)  # fractional coefficients
+    for p in polys:
+        for q in polys:
+            assert (p * q).coeffs == _schoolbook(p, q).coeffs
+
+
 def test_frobenius_values(gf4, f2t):
     g = gf4.generator
     assert g.frobenius() == g + 1  # g^2 = g + 1 for the modulus x^2+x+1
@@ -295,6 +334,41 @@ def test_parse_nesting_bound(f2t):
     for depth in (MAX_NESTING + 1, 5000):
         with pytest.raises(ParseError, match="nest deeper"):
             parse_field("ratfunc(" * depth + "gf2" + ",t)" * depth)
+
+
+def test_parse_degree_bound(f2t, f2tu):
+    # a sum, product, quotient or power whose numerator or denominator could
+    # pass MAX_DEGREE is refused before it is computed
+    t, u = f2tu.variable_elements()["t"], f2tu.generator
+    at_bound = {f"t^{MAX_DEGREE}": f2t.generator ** MAX_DEGREE,
+                f"1/(t+1)^{MAX_DEGREE}": (f2t.generator + 1) ** -MAX_DEGREE,
+                f"t^{MAX_DEGREE // 2}*t^{MAX_DEGREE // 2}": f2t.generator ** MAX_DEGREE,
+                f"t^{MAX_DEGREE}+t^{MAX_DEGREE}": f2t.zero()}
+    for text, value in at_bound.items():
+        assert f2t.parse(text) == value
+    assert f2tu.parse(f"u^{MAX_DEGREE}/t^{MAX_DEGREE}") == u ** MAX_DEGREE / t ** MAX_DEGREE
+    # each refused at its operator, or at the exponent of a power
+    half = MAX_DEGREE // 2
+    above = {f"t^{MAX_DEGREE + 1}": 2, "t^1000000": 2, f"(t+1)^{MAX_DEGREE}*t": 11,
+             f"t^{half}t^{half + 1}": 2 + len(str(half)), f"1/(t+1)^{MAX_DEGREE}/t": 13,
+             f"1/t^{half}+1/(t+1)^{half + 1}": 4 + len(str(half))}
+    for text, position in above.items():
+        with pytest.raises(ParseError, match=f"could exceed degree {MAX_DEGREE}") as info:
+            f2t.parse(text)
+        assert info.value.position == position, text
+    for text in (f"u^{MAX_DEGREE + 1}", f"(t^{MAX_DEGREE}+1)*u", f"t^{MAX_DEGREE}*(u+t)"):
+        with pytest.raises(ParseError, match="could exceed degree"):
+            f2tu.parse(text)
+    # j^2 = t in K = F2(t)[j], so j^(2m) is t^m; j weighs half of the
+    # degree of t, rounded up
+    k = KAlgebra(f2t, f2t.generator)
+    assert k.parse(f"j^{MAX_DEGREE}") == k.coerce(f2t.generator ** (MAX_DEGREE // 2))
+    with pytest.raises(ParseError, match="could exceed degree"):
+        k.parse(f"j^{MAX_DEGREE + 1}")
+    # an exponent past the interpreter's limit on digits is a ParseError too
+    with pytest.raises(ParseError) as info:
+        f2t.parse("t^" + "9" * 5000)
+    assert info.value.position == 2
 
 
 def test_descriptor_mismatch(gf2, f2t):

@@ -6,8 +6,8 @@ from char2forms.fields import GF2, GF2k, DescriptorMismatch, RationalFunctionFie
 from char2forms.forms import BilinearForm, orthogonalize
 from char2forms.groups import t_hat
 from char2forms.kalgebra import KAlgebra
-from char2forms.linalg import (DimensionMismatch, Matrix, NonUnitColumn, SingularMatrix,
-                               Vector, bilinear)
+from char2forms.linalg import (DimensionMismatch, Matrix, NonUnitColumn, NotSymmetric,
+                               SingularMatrix, Vector, bilinear, congruence)
 
 
 def _random_matrix(field, n, rng):
@@ -443,6 +443,48 @@ def test_payload_products_and_echelon_match_element_reference(name):
     # only a local ring with non-units can leave a column undecided; the
     # seeded k(1) matrices with a column of non-units include such ones
     assert (undecided > 0) == (name == "k1")
+
+
+def _congruence_rings():
+    rings = _product_rings()
+    f2t = rings["f2t"]
+    t = f2t.generator
+    return {name: rings[name] for name in ("gf2", "gf4", "f2t", "f2tu", "k1", "kt_nonsplit")} | {
+        "kt_split": KAlgebra(f2t, t * t + 1)}  # delta = (t+1)^2
+
+
+@pytest.mark.parametrize("name", sorted(_congruence_rings()))
+def test_congruence_matches_transpose_products(name):
+    # congruence(H, A) computes A^T H A for a symmetric H from H A and the
+    # upper triangle, mirrored; it must be the generic product A^T (H A),
+    # payload for payload, for square and rectangular A
+    ring = _congruence_rings()[name]
+    rng = random.Random(28)
+    draw = _small_sampler(name, ring, rng)
+    for n, widths, count in ((4, (4, 2, 3, 6), 6), (6, (6, 4), 2)):
+        for i in range(count):
+            upper = [[draw() for _ in range(n)] for _ in range(n)]
+            h = Matrix(ring, [[upper[min(r, c)][max(r, c)] for c in range(n)]
+                              for r in range(n)])
+            assert h.is_symmetric()
+            mats = [Matrix(ring, [[draw() for _ in range(m)] for _ in range(n)])
+                    for m in widths]
+            if i == 0:
+                mats += list(_unit_matrices(ring, n, draw))
+            for a in mats:
+                result = congruence(h, a)
+                assert result.rows == (a.transpose() * h * a).rows
+                assert result.is_symmetric() and result.nrows == a.ncols
+            # H itself is moved by one changed off-diagonal entry
+            broken = [list(row) for row in h.entries]
+            broken[0][n - 1] += ring.one()
+            with pytest.raises(NotSymmetric):
+                congruence(Matrix(ring, broken), mats[0])
+    one = ring.one()
+    with pytest.raises(NotSymmetric):
+        congruence(Matrix(ring, [[one, one]]), Matrix.identity(ring, 2))
+    with pytest.raises(DimensionMismatch):
+        congruence(Matrix.identity(ring, 3), Matrix.identity(ring, 2))
 
 
 class _RecordingGF4(GF2k):
