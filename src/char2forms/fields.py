@@ -743,16 +743,18 @@ class Poly:
     def format(self, var: str) -> str:
         if self.is_zero():
             return "0"
+        field = self.field
+        fmt, is_zero, one = field._format, field._is_zero, field._from_int(1)
         terms = []
         for d in range(self.degree, -1, -1):
-            c = FieldElement(self.field, self.coeffs[d])
-            if c.is_zero():
+            c = self.coeffs[d]
+            if is_zero(c):
                 continue
             if d == 0:
-                terms.append(str(c))
+                terms.append(fmt(c))
             else:
                 power = var if d == 1 else f"{var}^{d}"
-                terms.append(power if c.is_one() else _wrap(str(c)) + power)
+                terms.append(power if c == one else _wrap(fmt(c)) + power)
         return "+".join(terms)
 
     def __repr__(self):
@@ -1005,24 +1007,23 @@ class RationalFunctionField(Field):
             # num/den = (num*den)/den^2 = (e/den)^2 + t*(o/den)^2
             return tuple(FieldElement(self, _f2t_reduce(p, den))
                          for p in _gf2x_split(_gf2x_mul(num, den)))
+        base = self.base
         prod = num * den
-        base_monos = self.base.square_monomials()
-        width = len(base_monos)
-        # coefficient lists for the polynomials P[m][eps], a = sum m*t^eps*(P/den)^2
-        parts = [[[], []] for _ in range(width)]
+        width = len(base.square_monomials())
+        # coefficient lists for the polynomials P[m][eps], a = sum m*t^eps*(P/den)^2;
+        # a zero coefficient of num*den leaves its zeros in place
+        half = (len(prod.coeffs) + 1) // 2
+        zero = base._from_int(0)
+        parts = [[[zero] * half, [zero] * half] for _ in range(width)]
         for i, c in enumerate(prod.coeffs):
+            if base._is_zero(c):
+                continue
             k, eps = divmod(i, 2)
-            for m_idx, e in enumerate(self.base.square_coordinates(FieldElement(self.base, c))):
-                lst = parts[m_idx][eps]
-                while len(lst) <= k:
-                    lst.append(self.base._from_int(0))
-                lst[k] = e.payload
-        coords = []
-        for eps in (0, 1):
-            for m_idx in range(width):
-                p = Poly(self.base, parts[m_idx][eps])
-                coords.append(self.from_fraction(p, den))
-        return tuple(coords)
+            for m_idx, e in enumerate(base.square_coordinates(FieldElement(base, c))):
+                parts[m_idx][eps][k] = e.payload
+        canonical = self._canonical
+        return tuple(FieldElement(self, canonical(Poly(base, parts[m_idx][eps]), den))
+                     for eps in (0, 1) for m_idx in range(width))
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunctionField)

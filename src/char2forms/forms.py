@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .errors import Char2FormsError, require
 from .fields import FieldElement
 from .linalg import (Matrix, Vector, bilinear, congruence, congruence_rows, echelon,
-                     kernel_rows, product_rows, square_span_dimension, square_span_kernel)
+                     kernel_rows, product_rows, square_span_kernel)
 
 
 class FormError(Char2FormsError):
@@ -249,15 +249,20 @@ def orthonormalize(form: BilinearForm) -> list[Vector]:
 
 def quadratic_data(form: BilinearForm) -> QuadraticData:
     """Defect, range dimension and kernel of q for a non-degenerate form,
-    from its det(H) and orthogonal basis (each computed once per form)."""
+    from its det(H) and orthogonal basis (each computed once per form).
+
+    One `square_span_kernel` of the diagonal values gives both: the range
+    dimension is len(diag) minus the kernel's dimension, by rank-nullity on
+    the one matrix of their square coordinates."""
     if form.is_degenerate():
         raise DegenerateForm("the quadratic analysis needs a non-degenerate form")
     if form.is_alternating():
         raise AlternatingForm("q vanishes identically on an alternating form")
     basis, diag = form.orthogonal()
-    range_dimension = square_span_dimension(diag)
+    dependencies = square_span_kernel(diag)
+    range_dimension = len(diag) - len(dependencies)
     s = Matrix.from_columns(form.field, basis)
-    kernel = [s * Vector(form.field, coeffs) for coeffs in square_span_kernel(diag)]
+    kernel = [s * Vector(form.field, coeffs) for coeffs in dependencies]
     for v in kernel:
         require(form.q(v).is_zero(), "internal: a kernel vector of q has q(v) != 0")
     return QuadraticData(values=tuple(diag), basis=tuple(basis),

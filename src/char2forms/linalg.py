@@ -24,9 +24,9 @@ mirrored below it; an H that is not symmetric raises `NotSymmetric`.
 Every elimination is one forward pass, `_forward`, with the first unit of
 each column as its pivot and no product by a zero or a one (the matrices
 are small: J is 70x70 for n = 8).  `det_rows`, behind `det` and each minor
-of `minors` that no zero row decides, is the product of the pivots above
-3x3 and cofactors up to 3x3, which drop a term with a zero factor and
-multiply by no one; `rank` counts the pivots; `echelon`, behind
+of `minors` that no zero row decides, is cofactors up to 4x4, which drop a
+term with a zero factor, multiply by no one and divide by nothing, and the
+product of the pivots above; `rank` counts the pivots; `echelon`, behind
 `inverse`, `kernel_basis` and `solve`, adds back substitution.
 
 Per call (Python 3.11.7, 2 shared x86-64 cores; random matrices and
@@ -321,7 +321,7 @@ class Matrix:
     def det(self):
         """The determinant, computed on payloads with the ring's primitives.
 
-        Up to 3x3 by cofactors; above, the product of the pivots of the one
+        Up to 4x4 by cofactors; above, the product of the pivots of the one
         forward elimination, times, where a column of non-units gets no pivot
         (k(1)), the cofactor expansion of the block left without pivots.
         """
@@ -516,10 +516,11 @@ def congruence_rows(ring, h, a) -> list[list]:
 
 def det_rows(ring, rows):
     """Determinant payload of the square payload rows (changed in place):
-    cofactors up to 3x3; above, the product of the `_forward` pivots, times
-    the cofactor det of the block of non-units that k(1) can leave without
-    pivots (over a field, a block left without pivots is zero)."""
-    if len(rows) <= 3:
+    cofactors up to 4x4, which divide by nothing and so hold over k(1) as
+    well; above, the product of the `_forward` pivots, times the cofactor
+    det of the block of non-units that k(1) can leave without pivots (over
+    a field, a block left without pivots is zero)."""
+    if len(rows) <= 4:
         return _cofactor_det(ring, rows)
     one = det = ring._from_int(1)
     pivots = _forward(ring, rows, len(rows))

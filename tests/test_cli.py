@@ -760,3 +760,135 @@ def test_verify_checks_survive_python_O(tmp_path, capsys):
     for case in cases:
         assert main(["classify", case]) == 0
     assert child.stdout.decode() == capsys.readouterr().out
+
+
+# -- each distinct entry is parsed once -------------------------------------
+
+def test_repeated_entries_are_parsed_once(tmp_path, monkeypatch):
+    from char2forms import cli
+    tokens = []
+    real = cli.parse_expression
+
+    def counting(token, variables, ring):
+        tokens.append(token)
+        return real(token, variables, ring)
+    monkeypatch.setattr(cli, "parse_expression", counting)
+    doc = "field: ratfunc(gf2,t)\ngram:\nt 1/t 0 0\n1/t 1 0 0\n0 0 t+1 t\n0 0 t 1/t\n"
+    parsed = parse_document("doc.txt", doc).matrix
+    assert tokens == ["t", "1/t", "0", "1", "t+1"]
+    field = parsed.ring
+    assert parsed == Matrix(field, [[field.parse(x) for x in line.split()]
+                                    for line in doc.splitlines()[2:]])
+    k_doc = "field: ratfunc(gf2,t)\nring: k(t)\nmatrix:\nj 1+j\n1+j j\n"
+    tokens.clear()
+    k_matrix = parse_document("k.txt", k_doc).matrix
+    assert tokens == ["j", "1+j"] and k_matrix.rows[0] == k_matrix.rows[1][::-1]
+
+
+# the error line of a repeated bad entry names its first occurrence in row
+# order, byte for byte as when every occurrence was parsed
+REPEATED_BAD_ENTRIES = {
+    "unknown_variable": (
+        "field: ratfunc(gf2,t)\ngram:\nt x 0 0\nx 1 0 0\n0 0 1 0\n0 0 0 x\n",
+        "error: {path}:3: entry 2 ('x'): unknown variable 'x' (column 1 of entry)\n"),
+    "division_by_zero": (
+        "field: ratfunc(gf2,t)\ngram:\nt 0 0 0\n0 1/(t+t) 0 0\n0 0 1/(t+t) 0\n"
+        "0 0 0 1/(t+t)\n",
+        "error: {path}:4: entry 2 ('1/(t+t)'): division by zero (column 2 of entry)\n"),
+    "degree_bound": (
+        "field: ratfunc(gf2,t)\ngram:\nt^16385 0 0 0\n0 t^16385 0 0\n0 0 1 0\n0 0 0 t^16385\n",
+        "error: {path}:3: entry 1 ('t^16385'): the result could exceed degree 16384 "
+        "(column 3 of entry)\n"),
+    "k_matrix": (
+        "field: gf2\nring: k(1)\nmatrix:\nj y\ny j\n",
+        "error: {path}:4: entry 2 ('y'): unknown variable 'y' (column 1 of entry)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_BAD_ENTRIES))
+def test_repeated_bad_entry_reports_its_first_occurrence(tmp_path, capsys, name):
+    doc, expected = REPEATED_BAD_ENTRIES[name]
+    path = _write(tmp_path, "bad.txt", doc)
+    for command in ("analyze", "classify", "verify"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == expected.format(path=path)
+    child = _run_child([], ["analyze", path])
+    assert child.returncode == 2
+    assert child.stderr.decode() == expected.format(path=path)
+
+
+# -- the polar check of verify --------------------------------------------
+
+@pytest.mark.parametrize("doc", [IDENT_GF2, H1_F2T], ids=["gf2", "f2t"])
+def test_polar_check_fails_on_a_changed_pf_pair(tmp_path, capsys, monkeypatch, doc):
+    # one symmetric pair of Pf entries changed in the form's Hodge data: Pf
+    # stays symmetric and alternating, but Pq(x + y) + Pq(x) + Pq(y) no
+    # longer matches it
+    import dataclasses
+    from char2forms import cli
+    real = cli.hodge
+    calls = []
+
+    def changed(form, scale=None):
+        data = real(form, scale)
+        calls.append(form)
+        if len(calls) > 1:  # the module checks' Hodge data stays as it is
+            return data
+        rows = [list(row) for row in data.pf_gram.rows]
+        ring = data.pf_gram.ring
+        rows[0][1] = rows[1][0] = ring._add(rows[0][1], ring._from_int(1))
+        return dataclasses.replace(data, pf_gram=Matrix._from_payloads(ring, rows))
+    monkeypatch.setattr(cli, "hodge", changed)
+    path = _write(tmp_path, "doc.txt", doc)
+    assert main(["verify", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "check Pq polar form = Pf (scale 1): FAIL" in out
+    assert "check Pf symmetric: PASS" in out
+    assert "check Pf alternating (zero diagonal): PASS" in out
+    monkeypatch.undo()
+    assert main(["verify", path]) == 0
+    assert "check Pq polar form = Pf (scale 1): PASS" in capsys.readouterr().out
+
+
+# -- the dimension bound of analyze and verify -----------------------------
+
+def _identity_doc(n):
+    return "field: gf2\ngram:\n" + "".join(
+        " ".join("1" if j == i else "0" for j in range(n)) + "\n" for i in range(n))
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_large_even_dimension_exits_2_without_traceback(tmp_path, capsys, n):
+    # Lambda^{n/2} of an even n above 10 has more than C(10, 5) = 252 basis
+    # vectors; analyze and verify refuse it before building it
+    path = _write(tmp_path, f"ident{n}.txt", _identity_doc(n))
+    for command in ("analyze", "verify"):
+        start = time.perf_counter()
+        assert main([command, path]) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: dimension {n} is above 10")
+        for flags in ([], ["-O"]):
+            start = time.perf_counter()
+            child = _run_child(flags, [command, path])
+            err = child.stderr.decode()
+            assert child.returncode == 2, err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert time.perf_counter() - start < 5
+
+
+def test_dimensions_up_to_10_and_odd_dimensions_still_run(tmp_path, capsys):
+    path = _write(tmp_path, "ident10.txt", _identity_doc(10))
+    for command in ("analyze", "verify"):
+        assert main([command, path]) == 0
+    assert "result: all checks passed" in capsys.readouterr().out
+    for flags in ([], ["-O"]):
+        child = _run_child(flags, ["analyze", path])
+        assert child.returncode == 0, child.stderr.decode()
+    odd = _write(tmp_path, "ident13.txt", _identity_doc(13))
+    assert main(["analyze", odd]) == 0
+    assert "defect: 12" in capsys.readouterr().out
+    assert main(["verify", odd]) == 2
+    assert "verify needs an even-dimensional form" in capsys.readouterr().err

@@ -10,7 +10,8 @@ from char2forms.linalg import square_span_dimension
 from char2forms.forms import (AlternatingForm, BilinearForm, DegenerateForm, FormError,
                               ZeroForm, discriminant_class, orthogonalize,
                               orthonormalize, quadratic_data)
-from char2forms.groups import h_tilde_gram, sum_squares_basis
+from char2forms.groups import (defect0_gram, defect1_gram, h1_gram, h2_gram, h_tilde_gram,
+                               sum_squares_basis)
 from char2forms.linalg import Matrix, Vector
 
 
@@ -332,3 +333,48 @@ def test_analyze_orthogonalizes_once(monkeypatch, capsys):
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def _defect_normal_forms(gf2, gf4, f2t, f2tu):
+    """(field, Gram, defect): the defect 0-3 normal forms over GF(2), GF(4),
+    F2(t) and F2(t)(u)."""
+    t, tu, uu = f2t.generator, f2tu.parse("t"), f2tu.parse("u")
+    return [(gf2, Matrix.identity(gf2, 4), 3), (gf4, Matrix.identity(gf4, 4), 3),
+            (f2t, Matrix.identity(f2t, 4), 3), (f2t, h1_gram(f2t, t), 2),
+            (f2t, h2_gram(f2t, t), 2), (f2tu, h1_gram(f2tu, tu), 2),
+            (f2tu, defect1_gram(f2tu, tu, uu), 1), (f2tu, defect0_gram(f2tu, tu, uu, tu), 0)]
+
+
+def test_quadratic_data_asks_the_square_span_once(gf2, gf4, f2t, f2tu, monkeypatch):
+    # the range dimension is read off the one kernel of the square
+    # coordinates of the diagonal (rank-nullity): one square_coordinates call
+    # on the form's field per diagonal value and no rank, on normal forms and
+    # seeded scrambles
+    rng = random.Random(29)
+    asked, ranked = [], []
+    for cls in {type(gf2), type(gf4), type(f2t)}:
+        def counting(self, a, real=cls.square_coordinates):
+            asked.append(self)
+            return real(self, a)
+        monkeypatch.setattr(cls, "square_coordinates", counting)
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self) or rank(self))
+    checked = 0
+    for field, normal, defect in _defect_normal_forms(gf2, gf4, f2t, f2tu):
+        small = [field.zero(), field.zero(), field.one(), field.one(),
+                 field.random_element(rng, size=1)]
+        grams = [normal]
+        while len(grams) < 3:
+            s = Matrix(field, [[rng.choice(small) for _ in range(4)] for _ in range(4)])
+            if not s.det().is_zero():
+                grams.append(s.transpose() * normal * s)
+        for gram in grams:
+            form = BilinearForm(gram)
+            form.orthogonal()
+            asked.clear(), ranked.clear()
+            qd = quadratic_data(form)
+            assert sum(f is field for f in asked) == form.dim and ranked == []
+            assert (qd.defect, len(qd.kernel)) == (defect, defect)
+            assert qd.range_dimension == square_span_dimension(list(qd.values)) == 4 - defect
+            checked += 1
+    assert checked == 24

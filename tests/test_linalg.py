@@ -76,21 +76,28 @@ def test_det_multiplicative(gf4, f2t, rng):
         assert a.det() == _cofactor_det(a)
 
 
-def test_unrolled_cofactor_det_matches_recursive_expansion(gf4, f2t):
+def test_unrolled_cofactor_det_matches_recursive_expansion(gf4, f2t, f2tu):
     # linalg._cofactor_det spells out 2x2 and 3x3 and skips zero entries,
     # zero minors and factors one; entries are drawn with zeros and ones
-    # over-represented, so every skip is taken
+    # over-represented, so every skip is taken.  det_rows takes it up to
+    # 4x4, over F2(t)(u) and the local ring k(1) as well
     from char2forms import linalg
     rng = random.Random(23)
-    for field in (gf4, f2t):
+    k1 = _det_rings()["k1"]
+    k1_elements = list(k1.elements())
+    for field, sizes, count in ((gf4, (1, 2, 3, 4), 60), (f2t, (1, 2, 3, 4), 60),
+                                (f2tu, (4,), 15), (k1, (1, 2, 3, 4), 60)):
         pool = [field.zero(), field.one()]
-        for n in (1, 2, 3, 4):
-            for _ in range(60):
-                m = Matrix(field, [[rng.choice(pool) if rng.random() < 0.4
-                                    else field.random_element(rng) for _ in range(n)]
-                                   for _ in range(n)])
+        draw = ((lambda: rng.choice(k1_elements)) if field is k1
+                else (lambda: field.random_element(rng, size=1)))
+        for n in sizes:
+            for _ in range(count):
+                m = Matrix(field, [[rng.choice(pool) if rng.random() < 0.4 else draw()
+                                    for _ in range(n)] for _ in range(n)])
                 rows = [[x.payload for x in row] for row in m.entries]
-                assert linalg._cofactor_det(field, rows) == _cofactor_det(m).payload
+                expected = _cofactor_det(m).payload
+                assert linalg._cofactor_det(field, rows) == expected
+                assert linalg.det_rows(field, rows) == expected
 
 
 def test_inverse_round_trip(gf4, f2t, rng):
@@ -227,6 +234,7 @@ def test_det_over_split_local_ring_matches_expansion(name):
     # F2[z]/(z^2) = k(1) a column can hold nonzero entries none of which is
     # a unit, where elimination finds no pivot; det then expands the block
     # left without pivots by cofactors
+    from char2forms import linalg
     from char2forms.oracle import compound_by_expansion
     ring = _det_rings()[name]
     if name == "k1":
@@ -235,6 +243,19 @@ def test_det_over_split_local_ring_matches_expansion(name):
         assert Matrix.diagonal(ring, [z, one, one, one]).det() == z
         skipped = _skipped_column_matrix(ring)
         assert skipped.det() == compound_by_expansion(skipped, 4)[0, 0] == ring.zero()
+        # 4x4 determinants are cofactors, so `_forward`'s block of non-units
+        # is reached only above: the skipped-column matrix plus an identity
+        # block, as it is and with columns 0 and 1 swapped (column 0 then
+        # holds only the non-unit z), and diag(z, 1, ..)
+        for size in (5, 6):
+            grow = size - 4
+            identity = Matrix.identity(ring, grow)
+            zeros = Matrix.zeros(ring, 4, grow)
+            block = Matrix.block([[skipped, zeros], [zeros.transpose(), identity]])
+            swapped = Matrix._from_payloads(ring, [(r[1], r[0]) + r[2:] for r in block.rows])
+            for a in (block, swapped, Matrix.diagonal(ring, [z] + [one] * (size - 1))):
+                assert len(linalg._forward(ring, [list(r) for r in a.rows], size)) < size
+                assert a.det() == compound_by_expansion(a, size)[0, 0]
     draw = _entry_sampler(ring, random.Random(4))
     for n, count in ((4, 200 if name == "k1" else 40), (6, 10)):
         for _ in range(count):
