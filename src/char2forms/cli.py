@@ -191,7 +191,7 @@ MAX_EVEN_DIMENSION = 10
 
 def _require_middle_power_bound(doc: InputDocument, form: BilinearForm) -> None:
     n = form.dim
-    if n % 2 == 0 and n > MAX_EVEN_DIMENSION:
+    if n > MAX_EVEN_DIMENSION:
         raise CliInputError(
             f"{doc.path}: dimension {n} is above {MAX_EVEN_DIMENSION}: Lambda^{n // 2} "
             f"would have {math.comb(n, n // 2)} basis vectors")
@@ -208,7 +208,6 @@ def _volume(doc: InputDocument, text: Optional[str]):
 
 def cmd_analyze(doc: InputDocument, args, report: Report) -> int:
     form = _require_symmetric(doc)
-    _require_middle_power_bound(doc, form)
     report.item("command", "analyze")
     report.item("field", doc.field.describe())
     report.item("dimension", form.dim)
@@ -232,6 +231,7 @@ def cmd_analyze(doc: InputDocument, args, report: Report) -> int:
     rep, is_sq = discriminant_class(form)
     report.item("discriminant", f"{rep} ({'square' if is_sq else 'non-square'})")
     if form.dim % 2 == 0:
+        _require_middle_power_bound(doc, form)
         scale = _volume(doc, args.volume_scale)
         diag_form = BilinearForm(Matrix.diagonal(doc.field, diag))
         data = hodge(diag_form, scale)

@@ -853,9 +853,11 @@ def test_polar_check_fails_on_a_changed_pf_pair(tmp_path, capsys, monkeypatch, d
 
 # -- the dimension bound of analyze and verify -----------------------------
 
-def _identity_doc(n):
+def _identity_doc(n, rank=None):
+    # the GF(2) diagonal form with `rank` ones (all n by default), then zeros
+    rank = n if rank is None else rank
     return "field: gf2\ngram:\n" + "".join(
-        " ".join("1" if j == i else "0" for j in range(n)) + "\n" for i in range(n))
+        " ".join("1" if j == i < rank else "0" for j in range(n)) + "\n" for i in range(n))
 
 
 @pytest.mark.parametrize("n", [12, 16])
@@ -892,3 +894,7 @@ def test_dimensions_up_to_10_and_odd_dimensions_still_run(tmp_path, capsys):
     assert "defect: 12" in capsys.readouterr().out
     assert main(["verify", odd]) == 2
     assert "verify needs an even-dimensional form" in capsys.readouterr().err
+    # a degenerate form builds no exterior power in analyze, so it is not bounded
+    degenerate = _write(tmp_path, "degenerate12.txt", _identity_doc(12, rank=11))
+    assert main(["analyze", degenerate]) == 0
+    assert "note: degenerate form: defect analysis skipped" in capsys.readouterr().out

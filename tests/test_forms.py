@@ -176,16 +176,54 @@ def test_defect_examples(gf2, f2t, f2tu):
     assert qd.kernel == ()
 
 
-def test_defect_kernel_vectors_vanish(gf2, f2t):
-    for form in (BilinearForm(Matrix.identity(gf2, 4)),
-                 _diag(f2t, "t", "1", "1", "1"),
-                 _diag(f2t, "t", "t", "1", "1")):
-        qd = quadratic_data(form)
-        assert qd.defect + qd.range_dimension == form.dim
-        assert len(qd.kernel) == qd.defect
-        for v in qd.kernel:
-            assert form.q(v).is_zero()
-        assert square_span_dimension(list(qd.values)) == qd.range_dimension
+def _defect_forms(gf2, gf4, f2t, f2tu):
+    """(form, defect): diagonal forms and the defect 0-3 normal forms over
+    GF(2), GF(4), F2(t) and F2(t)(u)."""
+    t, tu, uu = f2t.generator, f2tu.parse("t"), f2tu.parse("u")
+    return [(BilinearForm(Matrix.identity(gf2, 4)), 3), (_diag(f2t, "t", "1", "1", "1"), 2),
+            (_diag(f2t, "t", "t", "1", "1"), 2)] + [
+        (BilinearForm(gram), defect) for gram, defect in (
+            (Matrix.identity(gf4, 4), 3), (Matrix.identity(f2t, 4), 3),
+            (h1_gram(f2t, t), 2), (h2_gram(f2t, t), 2), (h1_gram(f2tu, tu), 2),
+            (defect1_gram(f2tu, tu, uu), 1), (defect0_gram(f2tu, tu, uu, tu), 0))]
+
+
+def test_defect_kernel_vectors_vanish(gf2, gf4, f2t, f2tu, monkeypatch):
+    # on each form and two seeded scrambles: the kernel vectors of q vanish,
+    # and the range dimension is read off that one kernel of the square
+    # coordinates of the diagonal (rank-nullity), so quadratic_data makes one
+    # square_coordinates call on the form's field per diagonal value and no rank
+    rng = random.Random(29)
+    asked, ranked = [], []
+    for cls in {type(gf2), type(gf4), type(f2t)}:
+        def counting(self, a, real=cls.square_coordinates):
+            asked.append(self)
+            return real(self, a)
+        monkeypatch.setattr(cls, "square_coordinates", counting)
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self) or rank(self))
+    checked = 0
+    for base, defect in _defect_forms(gf2, gf4, f2t, f2tu):
+        field, n = base.field, base.dim
+        small = [field.zero(), field.zero(), field.one(), field.one(),
+                 field.random_element(rng, size=1)]
+        forms = [base]
+        while len(forms) < 3:
+            s = Matrix(field, [[rng.choice(small) for _ in range(n)] for _ in range(n)])
+            if not s.det().is_zero():
+                forms.append(BilinearForm(s.transpose() * base.gram * s))
+        for form in forms:
+            form.orthogonal()
+            asked.clear(), ranked.clear()
+            qd = quadratic_data(form)
+            assert sum(f is field for f in asked) == n and ranked == []
+            assert (qd.defect, len(qd.kernel)) == (defect, defect)
+            assert qd.defect + qd.range_dimension == n
+            for v in qd.kernel:
+                assert form.q(v).is_zero()
+            assert square_span_dimension(list(qd.values)) == qd.range_dimension
+            checked += 1
+    assert checked == 30
 
 
 def test_defect_rejects(gf2):
@@ -333,48 +371,3 @@ def test_analyze_orthogonalizes_once(monkeypatch, capsys):
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     assert len(calls) == 1
-
-
-def _defect_normal_forms(gf2, gf4, f2t, f2tu):
-    """(field, Gram, defect): the defect 0-3 normal forms over GF(2), GF(4),
-    F2(t) and F2(t)(u)."""
-    t, tu, uu = f2t.generator, f2tu.parse("t"), f2tu.parse("u")
-    return [(gf2, Matrix.identity(gf2, 4), 3), (gf4, Matrix.identity(gf4, 4), 3),
-            (f2t, Matrix.identity(f2t, 4), 3), (f2t, h1_gram(f2t, t), 2),
-            (f2t, h2_gram(f2t, t), 2), (f2tu, h1_gram(f2tu, tu), 2),
-            (f2tu, defect1_gram(f2tu, tu, uu), 1), (f2tu, defect0_gram(f2tu, tu, uu, tu), 0)]
-
-
-def test_quadratic_data_asks_the_square_span_once(gf2, gf4, f2t, f2tu, monkeypatch):
-    # the range dimension is read off the one kernel of the square
-    # coordinates of the diagonal (rank-nullity): one square_coordinates call
-    # on the form's field per diagonal value and no rank, on normal forms and
-    # seeded scrambles
-    rng = random.Random(29)
-    asked, ranked = [], []
-    for cls in {type(gf2), type(gf4), type(f2t)}:
-        def counting(self, a, real=cls.square_coordinates):
-            asked.append(self)
-            return real(self, a)
-        monkeypatch.setattr(cls, "square_coordinates", counting)
-    rank = Matrix.rank
-    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self) or rank(self))
-    checked = 0
-    for field, normal, defect in _defect_normal_forms(gf2, gf4, f2t, f2tu):
-        small = [field.zero(), field.zero(), field.one(), field.one(),
-                 field.random_element(rng, size=1)]
-        grams = [normal]
-        while len(grams) < 3:
-            s = Matrix(field, [[rng.choice(small) for _ in range(4)] for _ in range(4)])
-            if not s.det().is_zero():
-                grams.append(s.transpose() * normal * s)
-        for gram in grams:
-            form = BilinearForm(gram)
-            form.orthogonal()
-            asked.clear(), ranked.clear()
-            qd = quadratic_data(form)
-            assert sum(f is field for f in asked) == form.dim and ranked == []
-            assert (qd.defect, len(qd.kernel)) == (defect, defect)
-            assert qd.range_dimension == square_span_dimension(list(qd.values)) == 4 - defect
-            checked += 1
-    assert checked == 24
