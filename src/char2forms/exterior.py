@@ -82,11 +82,15 @@ def wedge_coefficient(s, t) -> int:
 
 
 def compound_matrix(a: Matrix, ell: int) -> Matrix:
-    """The matrix of Lambda^l A on the lex wedge basis: minors of A."""
+    """The matrix of Lambda^l A on the lex wedge basis: minors of A,
+    computed once per instance of A and l and kept on A."""
     if not a.is_square():
         raise WrongDimension("compound matrices need a square input")
-    sets = [[i - 1 for i in s] for s in index_sets(a.nrows, ell)]
-    return a.minors(sets, sets)
+
+    def minors():
+        sets = [[i - 1 for i in s] for s in index_sets(a.nrows, ell)]
+        return a.minors(sets, sets)
+    return a._kept(("compound", ell), minors)
 
 
 def exterior_form_gram(form: BilinearForm, ell: int) -> Matrix:

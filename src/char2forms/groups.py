@@ -258,25 +258,25 @@ def eta(module: KModule, a: Matrix) -> Matrix:
     """The matrix of Lambda^2 A on the K-basis B1, entries in K.
 
     Defined for similitudes of the underlying form; their exterior action
-    commutes with J, hence is K-linear.
+    commutes with J, hence is K-linear.  The similitude check reads the
+    congruence A^T H A that A keeps, and Lambda^2 A is kept on A as well.
     """
     r = similitude_multiplier(module.hodge.form, a)
     if r is None:
         raise NotSimilitude("eta is defined on similitudes only")
-    space = module.hodge.space
+    space, field = module.hodge.space, module.field
     la = compound_matrix(a, space.ell)
     j = module.hodge.j_matrix
-    columns = []
-    for s in module.basis_sets:
-        # the images of e_S under Lambda^2 A and J are columns S of la and j
-        p = space.position(s)
-        image = la.column(p)
-        # K-linearity probe on the basis (automatic for similitudes)
-        if j * image != la * j.column(p):
-            raise NotSimilitude("exterior action fails to be K-linear")
-        columns.append(module.k_coordinates(image))
-    return Matrix(module.algebra, [[columns[j][i] for j in range(len(columns))]
-                                   for i in range(len(module.basis_sets))])
+    # the images of the B1 wedges e_S under Lambda^2 A and J are the columns
+    # S of la and j
+    b1 = [space.position(s) for s in module.basis_sets]
+    la_b1 = Matrix._from_payloads(field, [[row[p] for p in b1] for row in la.rows])
+    j_b1 = Matrix._from_payloads(field, [[row[p] for p in b1] for row in j.rows])
+    # K-linearity probe on the basis (automatic for similitudes)
+    if j * la_b1 != la * j_b1:
+        raise NotSimilitude("exterior action fails to be K-linear")
+    columns = [module.k_coordinates(image) for image in la_b1.columns()]
+    return Matrix(module.algebra, zip(*columns))
 
 
 def eta_multiplier(module: KModule, a: Matrix) -> FieldElement:
@@ -293,13 +293,11 @@ def eta_o(module: KModule, a: Matrix, wz_basis: Optional[Sequence[Vector]] = Non
         wz_basis = wz_submodule(module)[0]
     la = compound_matrix(a, module.hodge.space.ell)
     wz_mat = Matrix.from_columns(module.field, list(wz_basis))
-    columns = []
-    for b in wz_basis:
-        sol = wz_mat.solve(la * b)
-        if sol is None:
-            raise NotSplit("Wz is not invariant under the given map")
-        columns.append(sol)
-    return Matrix.from_columns(module.field, columns)
+    # every column of Lambda^2 A W in the basis W, by one elimination
+    image = wz_mat.solve(la * wz_mat)
+    if image is None:
+        raise NotSplit("Wz is not invariant under the given map")
+    return image
 
 
 def preserves_g(module: KModule, m: Matrix) -> bool:

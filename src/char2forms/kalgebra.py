@@ -225,17 +225,22 @@ class KModule:
 
     @cached_property
     def _complements(self) -> tuple:
-        # (position of S, position of S^c, 1/J[S^c, S]) for each S in B1;
-        # cached, since eta reads coordinates repeatedly
+        # (position of S, position of S^c, payload of 1/J[S^c, S]) for each S
+        # in B1; cached, since eta reads coordinates repeatedly
         space, j = self.hodge.space, self.hodge.j_matrix
         pairs = [(space.position(s), space.position(space.complement(s)))
                  for s in self.basis_sets]
-        return tuple((p, q, j[q, p].inverse()) for p, q in pairs)
+        return tuple((p, q, j[q, p].inverse().payload) for p, q in pairs)
 
     def k_coordinates(self, w: Vector) -> list[FieldElement]:
         """Coordinates of w over the K-basis B1: J e_S = J[S^c, S] e_(S^c)
-        (`build_module` checks it), so x0 = w_S and x1 = w_(S^c) / J[S^c, S]."""
-        return [self.algebra.element(w[p], w[q] * inv) for p, q, inv in self._complements]
+        (`build_module` checks it), so x0 = w_S and x1 = w_(S^c) / J[S^c, S].
+        The pairs are built on payloads, with no product by a zero or a one."""
+        field, algebra, x = self.field, self.algebra, w.payloads
+        mul, is_zero, one = field._mul, field._is_zero, field._from_int(1)
+        return [FieldElement(algebra, (x[p], x[q] if inv == one or is_zero(x[q])
+                                       else mul(x[q], inv)))
+                for p, q, inv in self._complements]
 
     def from_k_coordinates(self, coords) -> Vector:
         w = Vector.zero(self.field, self.hodge.space.dim)
@@ -305,22 +310,22 @@ def wz_submodule(module: KModule) -> tuple[list[Vector], Matrix]:
         raise NotSplit("Wz needs a split algebra")
     if not module.hodge.delta.is_one():
         raise NotSplit("normalize the split module first (delta must be 1)")
-    field = module.field
-    z = module.z()
-    basis = [module.right_action(module.basis_vector(s), z) for s in module.basis_sets]
-    m = len(basis)
-    combined = Matrix.from_columns(
-        field, basis + [module.basis_vector(s) for s in module.basis_sets])
-    require(combined.rank() == 2 * m, "Wz does not complement the span of B1")
-    for u in basis:
-        require(module.hodge.j_matrix * u == u, "j must fix Wz pointwise")
-    wz_mat = Matrix.from_columns(field, basis)
+    field, j = module.field, module.hodge.j_matrix
+    # w z = w + J(w) for z = 1 + j, so the B1 wedges times z are the columns
+    # of B1 + J B1: one product
+    b1 = Matrix.from_columns(field, [module.basis_vector(s) for s in module.basis_sets])
+    wz_mat = b1 + j * b1
+    m = wz_mat.ncols
+    require(Matrix.block([[wz_mat, b1]]).rank() == 2 * m,
+            "Wz does not complement the span of B1")
+    require(j * wz_mat == wz_mat, "j must fix Wz pointwise")
     wz_rows = wz_mat.transpose()
     require((wz_rows * module.hodge.lh_gram * wz_mat).is_zero()
             and (wz_rows * module.hodge.pf_gram * wz_mat).is_zero(), "g must vanish on Wz")
     # rho_z sends the class of the i-th B1 wedge to the i-th basis vector of Wz;
-    # solve honestly to confirm it is the identity matrix.
-    # each image lies in the span by construction, so solve never returns None
-    rho = Matrix.from_columns(field, [wz_mat.solve(w) for w in basis])
+    # solve honestly, all columns by one elimination, to confirm it is the
+    # identity matrix (each image lies in the span by construction, so solve
+    # never returns None)
+    rho = wz_mat.solve(wz_mat)
     require(rho == Matrix.identity(field, m), "rho_z is not the identity on the B1 classes")
-    return basis, rho
+    return wz_mat.columns(), rho

@@ -9,7 +9,12 @@ payloads and builds its result from payload rows (`_from_payloads`, with no
 coercion), so products, transposes, inverses, minors and comparisons wrap
 no element.  An entry becomes a `FieldElement` only where it is read
 (``m[i, j]``, `entries`, iteration); `entries` is built on first read and
-kept, and ``str`` formats the payloads.  ``==`` and ``hash`` compare the
+kept, and ``str`` formats the payloads.  A matrix keeps, on the instance
+and nowhere else, the derived quantities it is asked for through `_kept`:
+its compound matrices (`exterior.compound_matrix`) and its latest
+`congruence` with the H object it was taken by, so a check and the
+computation after it share one A^T H A.  No cache is keyed by value: an
+equal matrix built apart computes its own.  ``==`` and ``hash`` compare the
 ring once and then the payload tuples, which is the relation the elements
 define.  The operand rings of a call must be equal, else
 `DescriptorMismatch` (one check per call).  Every product is
@@ -27,24 +32,27 @@ are small: J is 70x70 for n = 8).  `det_rows`, behind `det` and each minor
 of `minors` that no zero row decides, is cofactors up to 4x4, which drop a
 term with a zero factor, multiply by no one and divide by nothing, and the
 product of the pivots above; `rank` counts the pivots; `echelon`, behind
-`inverse`, `kernel_basis` and `solve`, adds back substitution.
+`inverse`, `kernel_basis` and `solve`, adds back substitution.  `solve`
+takes a vector or a matrix of right-hand sides, and solves all its columns
+by one `echelon` of [M | B].
 
 Per call (Python 3.11.7, 2 shared x86-64 cores; random matrices and
 vectors with a quarter zero entries and `random_element` entries, seed 5;
-best of 10 repeats of 200 calls, 20 over F2(t)(u), in each of 6 runs):
+best of 10 repeats of 200 calls, 20 over F2(t)(u), median of 6 runs):
 
 ==================  =======  =======  ========
                     GF(4)    F2(t)    F2(t)(u)
 ==================  =======  =======  ========
-4x4 product         15 us    31 us    7.9 ms
-6x6 product         28 us    93 us    13 ms
-6x6 pairing         20 us    37 us    68 ms
-6x6 matrix-vector   13 us    17 us    3.5 ms
-6x6 transpose       1.9 us   2.1 us   2.1 us
+4x4 product         13 us    26 us    0.42 ms
+6x6 product         28 us    51 us    3.7 ms
+6x6 pairing         17 us    24 us    0.11 ms
+6x6 matrix-vector   12 us    17 us    0.16 ms
+6x6 transpose       2.1 us   1.9 us   1.9 us
 ==================  =======  =======  ========
 
 Over F2(t)(u) the time goes to the gcds of the fractions, and the echelon
-is no exception: a dense 4x4 inverse takes 30-400 ms.
+is no exception: the inverse of a dense 4x4 matrix of such entries takes
+30 ms to 1.2 s.
 
 The square-span functions at the end answer F^2-linear questions about
 elements of F as F-linear ones about their `square_coordinates`.  This
@@ -176,9 +184,11 @@ class Vector:
 
 class Matrix:
     """A matrix over a ring, stored as the tuple `rows` of its payload rows;
-    `entries`, the rows of elements, is wrapped on first read and kept."""
+    `entries`, the rows of elements, is wrapped on first read and kept, and
+    so is each quantity derived through `_kept` (its compounds, its latest
+    congruence)."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_entries")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_entries", "_derived")
 
     def __init__(self, ring, rows: Iterable[Iterable]):
         rows = tuple([tuple([_payload(ring, e) for e in row]) for row in rows])
@@ -202,6 +212,7 @@ class Matrix:
         _setattr(self, "ncols", len(rows[0]))
         _setattr(self, "rows", rows)
         _setattr(self, "_entries", None)
+        _setattr(self, "_derived", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -256,6 +267,21 @@ class Matrix:
     def __getitem__(self, key):
         i, j = key
         return FieldElement(self.ring, self.rows[i][j])
+
+    def _kept(self, key, make, source=None):
+        """The value `make()` derived from this matrix and the object `source`
+        under `key`, computed on the first call and kept on this instance
+        only: the memo goes when the matrix does, an equal matrix computes
+        its own, and a call with another `source` object computes and
+        replaces the kept value."""
+        derived = self._derived
+        if derived is None:
+            derived = {}
+            _setattr(self, "_derived", derived)
+        kept = derived.get(key)
+        if kept is None or kept[0] is not source:
+            kept = derived[key] = (source, make())
+        return kept[1]
 
     def column(self, j: int) -> Vector:
         return Vector._from_payloads(self.ring, [row[j] for row in self.rows])
@@ -352,25 +378,32 @@ class Matrix:
         ring = self.ring
         return [Vector._from_payloads(ring, vec) for vec in kernel_rows(ring, _payload_rows(self))]
 
-    def solve(self, rhs: Vector) -> Optional[Vector]:
+    def solve(self, rhs: "Vector | Matrix") -> "Optional[Vector | Matrix]":
         """One solution of self * x = rhs, or None (free variables zero).
 
-        Raises `NonUnitColumn` where the echelon leaves a nonzero non-unit in
-        a column without a pivot.
+        `rhs` is a Vector, or a Matrix whose columns are right-hand sides:
+        then all of them are solved by one `echelon` of [self | rhs], and the
+        result is the Matrix of their solutions, or None if any column has
+        none.  Raises `NonUnitColumn` where the echelon leaves a nonzero
+        non-unit in a column without a pivot.
         """
-        if len(rhs) != self.nrows:
+        many = isinstance(rhs, Matrix)
+        if (rhs.nrows if many else len(rhs)) != self.nrows:
             raise DimensionMismatch("right-hand side has wrong length")
-        ring = self.ring
+        ring, n = self.ring, self.ncols
         _same_ring(ring, rhs.ring)
-        rows = [list(row) + [b] for row, b in zip(self.rows, rhs.payloads)]
-        pivots = echelon(ring, rows, self.ncols)
-        _require_decided(ring, rows, len(pivots), self.ncols)
-        if any(not ring._is_zero(rows[r][-1]) for r in range(len(pivots), self.nrows)):
+        rows = [list(row) + list(b) for row, b in
+                zip(self.rows, rhs.rows if many else zip(rhs.payloads))]
+        pivots = echelon(ring, rows, n)
+        _require_decided(ring, rows, len(pivots), n)
+        is_zero = ring._is_zero
+        if any(not is_zero(b) for row in rows[len(pivots):] for b in row[n:]):
             return None
-        x = [ring._from_int(0)] * self.ncols
+        x = [[ring._from_int(0)] * (len(rows[0]) - n)] * n
         for r, c in enumerate(pivots):
-            x[c] = rows[r][-1]
-        return Vector._from_payloads(ring, x)
+            x[c] = rows[r][n:]
+        return (Matrix._from_payloads(ring, x) if many
+                else Vector._from_payloads(ring, [row[0] for row in x]))
 
     def minors(self, row_sets: Sequence[Sequence[int]],
                col_sets: Sequence[Sequence[int]]) -> "Matrix":
@@ -422,14 +455,18 @@ def bilinear(gram: Matrix, x: Vector, y: Vector):
 
 def congruence(h: Matrix, a: Matrix) -> Matrix:
     """A^T H A for a symmetric H, by `congruence_rows`; raises `NotSymmetric`
-    when H is not symmetric."""
+    when H is not symmetric.
+
+    A keeps its latest congruence with the H object it was taken by: a call
+    with that very H reads it, any other H computes and replaces it."""
     if a.nrows != h.ncols:
         raise DimensionMismatch(
             f"cannot take the congruence of a {h.nrows}x{h.ncols} form "
             f"by a {a.nrows}x{a.ncols} matrix")
     ring = h.ring
     _same_ring(ring, a.ring)
-    return Matrix._from_payloads(ring, congruence_rows(ring, h.rows, a.rows))
+    return a._kept("congruence",
+                   lambda: Matrix._from_payloads(ring, congruence_rows(ring, h.rows, a.rows)), h)
 
 
 def _payload(ring, e):

@@ -86,6 +86,23 @@ def test_repair_document_takes_the_repair_step(monkeypatch, capsys):
     assert calls
 
 
+
+def test_verify_of_a_split_form_takes_the_compound_of_its_diagonal_gram_once(
+        monkeypatch, capsys):
+    # verify builds the module over the diagonal Gram D and rescales its
+    # volume; the rescaled Hodge data reads Lambda^2 D as D keeps it
+    calls = []
+    real = Matrix.minors
+
+    def counting(m, *args):
+        calls.append(m)
+        return real(m, *args)
+    monkeypatch.setattr(Matrix, "minors", counting)
+    assert main(["verify", str(GOLDEN / "defect2_split_f2t.txt")]) == 0
+    assert "K split: yes" in capsys.readouterr().out.splitlines()
+    diagonal = [m for m in calls if m.is_diagonal()]
+    assert len(diagonal) == 1 and diagonal[0].nrows == 4
+
 def test_verify_fails_on_a_corrupted_module_j(monkeypatch, capsys):
     # `--corrupt-j` corrupts the Hodge data of the input form; here J of the
     # module built over the orthogonal basis is corrupted instead, which

@@ -9,7 +9,7 @@ from char2forms.cli import parse_document
 from char2forms.exterior import compound_matrix, hodge
 from char2forms.fields import GF2k
 from char2forms.forms import BilinearForm, quadratic_data
-from char2forms.kalgebra import KAlgebra, build_module, normalize_split, wz_submodule
+from char2forms.kalgebra import KAlgebra, NotSplit, build_module, normalize_split, wz_submodule
 from char2forms.linalg import Matrix, Vector
 from char2forms.oracle import closure_order_matches, enumerate_isometries
 
@@ -800,3 +800,72 @@ def test_generate_closure_cap(gf2):
     gens = G.defect3_generators(gf2)
     with pytest.raises(G.EnumerationTooLarge):
         G.generate_closure(gens, cap=10)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records its first argument."""
+    seen = []
+    real = getattr(owner, name)
+
+    def wrapper(first, *args):
+        seen.append(first)
+        return real(first, *args)
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
+
+
+def test_eta_reads_the_congruence_and_compound_its_generator_keeps(f2t, monkeypatch):
+    # is_isometry and the similitude guard of eta take A^T H A of one
+    # generator by the same Gram matrix, and eta and eta_o take Lambda^2 A:
+    # each is computed once per generator instance, and an equal generator
+    # built apart computes its own
+    from char2forms import linalg
+    m = f2t.generator
+    h2 = BilinearForm(G.h2_gram(f2t, m))
+    module = normalize_split(build_module(hodge(h2)))
+    assert module.hodge.form is h2
+    wzb, _ = wz_submodule(module)
+    wz_order = [wzb[2], wzb[1], wzb[0]]
+    congruences = _counting(monkeypatch, linalg, "congruence_rows")
+    minors = _counting(monkeypatch, Matrix, "minors")
+    for a, b, c in ((1, m, 0), (m + 1, 0, 1)):
+        gen = G.h2_isometry(f2t, m, a, b, c)
+        assert G.is_isometry(h2, gen)
+        image = G.eta(module, gen)
+        assert len(congruences) == 1 and len(minors) == 1
+        assert G.eta_o(module, gen, wz_basis=wz_order) == G.h2_eta_o_matrix(f2t, m, a, b, c)
+        assert G.eta(module, gen) == image
+        assert len(congruences) == 1 and minors == [gen]
+        twin = G.h2_isometry(f2t, m, a, b, c)
+        assert twin == gen and twin is not gen
+        assert G.eta(module, twin) == image
+        assert len(congruences) == 2 and minors == [gen, twin]
+        del congruences[:], minors[:]
+
+
+def test_eta_rejects_a_corrupted_generator_is_isometry_has_seen(f2t):
+    # the memo never stands in for the check: a generator that is not a
+    # similitude is refused by eta after is_isometry has taken its congruence
+    m = f2t.generator
+    h1 = BilinearForm(G.h1_gram(f2t, m))
+    module = build_module(hodge(h1))
+    gen = G.h1_isometry_l(f2t, m + 1)
+    rows = [list(row) for row in gen.entries]
+    rows[0][1] += f2t.one()
+    bad = Matrix(f2t, rows)
+    assert G.is_isometry(h1, gen) and not G.is_isometry(h1, bad)
+    assert G.similitude_multiplier(h1, bad) is None
+    with pytest.raises(G.NotSimilitude):
+        G.eta(module, bad)
+    assert G.eta(module, gen) == G.hat_l(module.algebra, module.algebra.coerce(m + 1))
+
+
+def test_eta_o_refuses_a_map_that_moves_wz(f2t):
+    # one elimination solves for all columns of Lambda^2 A W; a shear moves
+    # Wz off itself, so a column has no solution and eta_o raises NotSplit
+    m = f2t.generator
+    module = normalize_split(build_module(hodge(BilinearForm(G.h2_gram(f2t, m)))))
+    shear = Matrix(f2t, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(NotSplit):
+        G.eta_o(module, shear)
+    assert G.eta_o(module, Matrix.identity(f2t, 4)) == Matrix.identity(f2t, 3)

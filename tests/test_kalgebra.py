@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from char2forms.errors import CheckFailed
 from char2forms.exterior import hodge, wedge
 from char2forms.fields import DescriptorMismatch, DivisionByZero, FieldElement
 from char2forms.forms import BilinearForm
@@ -284,6 +285,24 @@ def test_wz_requires_normalized_split(f2t):
     with pytest.raises(NotSplit):
         wz_submodule(split_unnormalized)
 
+
+
+@pytest.mark.parametrize("diag", [["t", "t", "1", "1"], ["t", "t", "1", "1", "t+1", "t+1"]])
+def test_wz_submodule_checks_every_column_of_j_w(f2t, diag):
+    # "j fixes Wz" is one product J W; J changed on the row of one S^c moves
+    # only the basis vector (e_S)z of Wz, and each such change must fail
+    module = normalize_split(_module(f2t, diag))
+    basis, rho = wz_submodule(module)
+    assert rho == Matrix.identity(f2t, len(basis))
+    data, space = module.hodge, module.hodge.space
+    for s in module.basis_sets:
+        q = space.position(space.complement(s))
+        rows = [list(row) for row in data.j_matrix.entries]
+        rows[q][q] += f2t.one()
+        corrupted = dataclasses.replace(
+            module, hodge=dataclasses.replace(data, j_matrix=Matrix(f2t, rows)))
+        with pytest.raises(CheckFailed, match="j must fix Wz pointwise"):
+            wz_submodule(corrupted)
 
 def test_direct_g_examples(gf2):
     module = _module(gf2, ["1", "1", "1", "1"])

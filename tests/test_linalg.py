@@ -747,3 +747,76 @@ def test_matrices_and_vectors_stay_immutable(gf4):
     with pytest.raises(TypeError):
         a.rows[0] = (0, 0)
     assert a == Matrix(gf4, [[g, 1], [0, g]]) and v == Vector(gf4, [g, 0, 1])
+
+
+@pytest.mark.parametrize("name", ["gf4", "f2t", "f2tu", "k1"])
+def test_multi_rhs_solve_matches_per_column_solve(name):
+    # solve of a Matrix of right-hand sides eliminates [M | B] once; each
+    # column of its result is the solve of that column alone, it is None when
+    # any column has no solution, and it raises NonUnitColumn exactly when
+    # the per-column solves do
+    ring = _product_rings()[name]
+    rng = random.Random(30)
+    draw = _small_sampler(name, ring, rng)
+    seen = set()
+    mats = list(_test_matrices(draw, ring, 4, 9, rng))
+    if name == "k1":
+        mats.append(_skipped_column_matrix(ring))
+    for a in mats:
+        xs = [Vector(ring, [draw() for _ in range(4)]) for _ in range(3)]
+        solvable = [a * x for x in xs]
+        free = Vector(ring, [draw() for _ in range(4)])
+        for columns in (solvable, solvable + [free], [free] + solvable[:1]):
+            rhs = Matrix.from_columns(ring, columns)
+            try:
+                each = [a.solve(b) for b in columns]
+            except NonUnitColumn:
+                with pytest.raises(NonUnitColumn):
+                    a.solve(rhs)
+                seen.add("undecided")
+                continue
+            got = a.solve(rhs)
+            if any(x is None for x in each):
+                assert got is None
+                seen.add("none")
+            else:
+                assert got.columns() == each and a * got == rhs
+                seen.add("solved")
+            # one column as a Matrix is the Vector solve as a column
+            one = a.solve(Matrix.from_columns(ring, columns[:1]))
+            assert (None if one is None else one.column(0)) == each[0]
+    assert seen == ({"solved", "none", "undecided"} if name == "k1" else {"solved", "none"})
+    a = mats[0]
+    with pytest.raises(DimensionMismatch):
+        a.solve(Matrix.identity(ring, 3))
+
+
+def test_congruence_is_kept_per_instance_and_form(f2t, monkeypatch):
+    # A keeps its latest A^T H A with the H object it was taken by: the same
+    # H reads it, another H (or an equal but distinct A) computes again
+    from char2forms import linalg
+    t = f2t.generator
+    calls = []
+    real = linalg.congruence_rows
+    monkeypatch.setattr(linalg, "congruence_rows",
+                        lambda *args: calls.append(1) or real(*args))
+    a = Matrix(f2t, [[1, t], [0, 1]])
+    h1 = Matrix.diagonal(f2t, [t, 1])
+    h2 = Matrix(f2t, [[0, 1], [1, t + 1]])
+    expected = {id(h): a.transpose() * h * a for h in (h1, h2)}
+    assert congruence(h1, a) == expected[id(h1)] and len(calls) == 1
+    assert congruence(h1, a) is congruence(h1, a) and len(calls) == 1
+    assert congruence(h2, a) == expected[id(h2)] and len(calls) == 2
+    assert congruence(h1, a) == expected[id(h1)] and len(calls) == 3
+    # an equal H that is another object is another form to the memo
+    h1_copy = Matrix.diagonal(f2t, [t, 1])
+    assert congruence(h1_copy, a) == expected[id(h1)] and len(calls) == 4
+    twin = Matrix(f2t, [[1, t], [0, 1]])
+    assert twin == a and congruence(h1, twin) == expected[id(h1)] and len(calls) == 5
+    # the memo is no part of the value: equality and hashing ignore it
+    assert hash(twin) == hash(a)
+    # a congruence that raises replaces nothing
+    with pytest.raises(NotSymmetric):
+        congruence(Matrix(f2t, [[0, 1], [0, 0]]), a)
+    assert len(calls) == 6
+    assert congruence(h1_copy, a) == expected[id(h1)] and len(calls) == 6
