@@ -15,12 +15,15 @@ rank checks ask it for None.  Other rings get
 
 A finite group is one `ChainGroup`: the transversals of its chain of column
 stabilizers, found by the oracle's column search or built from generators
-by `stabilizer_chain` (Sims' algorithm, the one closure loop).  Its order
-is the product of the transversal sizes, and its elements are listed
-(`chain_products`) only when read.  On the identity form over GF(4) (3,840
-isometries) the chain of the `classify` generators, bounded by the oracle's
-order, takes 0.8-1.6 ms and the oracle's search 2.9-6.9 ms; over GF(8)
-(258,048) 3.5-6.5 ms and 0.2-0.37 s.  On payload rows, the chain of hat L_g
+by `stabilizer_chain` (Sims' algorithm, the one closure loop).  Both keep
+their orbits in `_Level`, the one orbit loop: the oracle adds each isometry
+its search finds as a generator and searches only the candidates outside
+the orbits.  The order is the product of the transversal sizes, and the
+elements are listed (`chain_products`) only when read.  On the identity
+form over GF(4) (3,840 isometries) the chain of the `classify` generators,
+bounded by the oracle's order, takes 0.8-1.6 ms and the oracle's search
+1.2 ms; over GF(8) (258,048) 3.5-6.5 ms and 13 ms; over GF(16)
+(16,711,680) 15-31 ms and 0.17-0.34 s.  On payload rows, the chain of hat L_g
 and hat U_1 over GF(2^9) (1,022 elements) takes 0.12 s to build and 0.14 s
 to build and list (Python 3.11, 2 shared x86-64 cores).
 """

@@ -299,7 +299,7 @@ def cmd_verify(doc: InputDocument, args, report: Report) -> int:
     scale = _volume(doc, args.volume_scale)
     rng = random.Random(args.seed)
 
-    data = hodge(form, scale)
+    data = base = hodge(form, scale)
     if args.corrupt_j:
         corrupted = data.j_matrix + Matrix.identity(doc.field, data.space.dim)
         data = dataclasses.replace(data, j_matrix=corrupted)
@@ -317,10 +317,13 @@ def cmd_verify(doc: InputDocument, args, report: Report) -> int:
     if form.dim == 4:
         _verify_pq(doc, data, rng, report)
 
-    # module checks run over an orthogonal basis
+    # module checks run over an orthogonal basis; an input that is already
+    # diagonal reuses its Hodge data from before --corrupt-j
     _, diag = form.orthogonal()
-    diag_form = BilinearForm(Matrix.diagonal(doc.field, diag))
-    module = build_module(hodge(diag_form, scale))
+    diag_gram = Matrix.diagonal(doc.field, diag)
+    if diag_gram != form.gram:
+        base = hodge(BilinearForm(diag_gram), scale)
+    module = build_module(base)
     report.check("g two-formula agreement", _g_formulas_agree(module))
     report.item("K split", _yesno(module.split))
     if module.split:

@@ -102,18 +102,21 @@ def pfaffian_gram(field, n: int, ell: int, volume_scale) -> Matrix:
     """Gram of the pairing Lambda^(n-l) x Lambda^l -> F induced by the volume.
 
     Rows are indexed by (n-l)-subsets, columns by l-subsets; for n = 2l this
-    is a symmetric bilinear form on Lambda^l with zero diagonal.
+    is a symmetric bilinear form on Lambda^l with zero diagonal.  An
+    (n-l)-set S and an l-set T are disjoint exactly when S = T^c, so column
+    T holds b at row T^c and zeros elsewhere.
     """
     if not 1 <= ell <= n - 1:
         raise WrongDimension("the pairing needs 1 <= ell <= n-1")
     scale = field.coerce(volume_scale)
     if scale.is_zero():
         raise ZeroVolume("the volume identification must be nonzero")
-    zero = field.zero()
-    rows = index_sets(n, n - ell)
+    rows = {s: i for i, s in enumerate(index_sets(n, n - ell))}
     cols = index_sets(n, ell)
-    return Matrix(field, [[scale if wedge_coefficient(s, t) else zero
-                           for t in cols] for s in rows])
+    payloads = [[field._from_int(0)] * len(cols) for _ in rows]
+    for c, t in enumerate(cols):
+        payloads[rows[tuple(i for i in range(1, n + 1) if i not in t)]][c] = scale.payload
+    return Matrix._from_payloads(field, payloads)
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,11 @@ from .linalg import DimensionMismatch, Matrix, Vector, congruence, square_span_s
 # isometries fixing e_0..e_(j-1)), and their sizes multiply to |O(V,h)|;
 # the generators, checked as isometries, close to a Schreier-Sims chain
 # whose order is then exact, and equal orders prove the groups equal.
-# Neither group is listed.  Over GF(8) the transversal search takes
-# 0.2-0.37 s and the chain 3.5-6.5 ms, and a run of classify about 0.5 s at
-# an 18 MB peak; over GF(16) the transversal search alone takes about 11 s
-# (Python 3.11, 2 shared cores)
+# Neither group is listed.  Over GF(8) the transversal search takes 13 ms
+# and the chain 3.5-6.5 ms, and a run of classify about 0.17 s at an 18 MB
+# peak; over GF(16) the search takes 0.17-0.34 s and the chain 15-31 ms, so
+# this bound, not the oracle, keeps GF(16) unverified (Python 3.11, 2
+# shared cores)
 MAX_VERIFIED_ORDER = 10 ** 6
 
 

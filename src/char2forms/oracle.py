@@ -7,23 +7,31 @@ and the module form g evaluated from both of its defining formulas.
 
 The enumeration uses only the Gram matrix H.  It finds the group as its
 chain of column stabilizers G = G_0 > G_1 > ... > G_n = {I}, where G_j
-holds the invertible isometries fixing e_0..e_(j-1).  For each column j,
-a filtered column search finds one completion per point of the orbit of e_j
-under G_j: image columns are chosen among the candidates of the right norm,
-and each chosen column filters the candidates of the later columns, so a
-column prefix that breaks A^T H A = H rejects all of its completions at
-once.  Invertible isometries form a group for any H, so G_j is the disjoint
-union of the cosets t G_(j+1) over that transversal, and |G| is the product
-of the transversal sizes.  Explicit code checks, before anything is listed,
-that each element of T_j fixes e_0..e_(j-1) and that their columns j are
-distinct, which makes the products t x distinct; they are listed, and
-checked distinct once more, only when `rows` or `elements` is read.  When
-q^(n^2) <= 2^22 (so |GL_n(q)| < q^(n^2) is small too) the result is
-labelled `full_gl_scan`, and every completion is rank-checked, so nothing is
-assumed about H; otherwise it is labelled `backtracking`, and completions
-are rank-checked when H is degenerate (a non-degenerate H makes every
-congruent matrix invertible).  The search runs on the packed vectors and
-rows of `_smallfield.IntField`: each chosen column's pairing is a table
+holds the invertible isometries fixing e_0..e_(j-1), and T_j holds one
+element of G_j per point of the orbit of e_j under G_j.  A filtered column
+search decides whether a candidate column has a completion: image columns
+are chosen among the candidates of the right norm, and each chosen column
+filters the candidates of the later columns, so a column prefix that breaks
+A^T H A = H rejects all of its completions at once.  The columns are taken
+bottom up, n-1 first, with backtrack search and orbit pruning (C. C. Sims,
+1970; J. S. Leon, J. Symbolic Comput. 12, 1991): the orbit of e_j under the
+isometries found so far, all of which fix e_0..e_(j-1), is kept in a
+`_smallfield._Level`, and only a candidate outside it is searched.  Its
+first completion, checked to preserve H, is a new generator; a candidate
+with none is not in the orbit.  So the search still decides every point,
+and a fault in the orbit code could only cost searches.  Invertible
+isometries form a group for any H, so G_j is the disjoint union of the
+cosets t G_(j+1) over T_j, and |G| is the product of the orbit sizes.
+Explicit code checks, before anything is listed, that the columns j of T_j
+are the orbit points, that each element of T_j fixes e_0..e_(j-1) and that
+their columns j are distinct, which makes the products t x distinct; they
+are listed, and checked distinct once more, only when `rows` or `elements`
+is read.  When q^(n^2) <= 2^22 (so |GL_n(q)| < q^(n^2) is small too) the
+result is labelled `full_gl_scan`, and every completion is rank-checked, so
+nothing is assumed about H; otherwise it is labelled `backtracking`, and
+completions are rank-checked when H is degenerate (a non-degenerate H makes
+every congruent matrix invertible).  The search runs on the packed vectors
+and rows of `_smallfield.IntField`: each chosen column's pairing is a table
 lookup per candidate, and what it finds stays packed rows, in the one group
 type `_smallfield.ChainGroup` that `generate_closure` returns as well.  A
 rank check is `IntField.inverse`, the one packed elimination, which the
@@ -33,10 +41,10 @@ chain runs too, and the checks read columns through `IntField.transpose`.
 enumerated group from equal orders and a packed-row check that every
 generator is an isometry of H, so neither group is listed; any other
 sequence of matrices is compared as a set.  On the identity form
-(in-process, Python 3.11, 2 shared cores) the enumeration takes 2.9-6.9 ms
-over GF(4) and 0.2-0.37 s over GF(8), and the comparison about 10 us;
-listing the 258,048 GF(8) products takes 0.55-0.72 s more when `rows` is
-read.
+(in-process, Python 3.11, 2 shared cores) the enumeration takes 1.2 ms
+over GF(4), 13 ms over GF(8) and 0.17-0.34 s over GF(16) (16^4 candidates,
+a 22 MB peak), and the comparison about 10 us; listing the 258,048 GF(8)
+products takes 0.55-0.72 s more when `rows` is read.
 
 `brute_pq_scalar` evaluates Pq(X)^2 and det(alt X) at all q^6 2-vectors at
 once, bit-sliced: each bit of a value over all points is one int, and a
@@ -51,7 +59,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
-from ._smallfield import ChainGroup, IntField, chain_products, try_int_field
+from ._smallfield import ChainGroup, IntField, _Level, chain_products, try_int_field
 from .errors import Char2FormsError, require
 from .exterior import _alt_rows, _pq_payload, index_sets
 from .fields import Field, FieldElement
@@ -157,10 +165,17 @@ def _transversals(intf: IntField, gram, n, check_rank: bool):
     its pairing v -> c^T H v, tabulated once per candidate, so filtering a
     list costs one table lookup per candidate and chunk.  The filters are
     exact: a candidate leaves a list only when every completion through it
-    breaks an entry of A^T H A = H.  With columns 0..j-1 fixed to
-    e_0..e_(j-1), each candidate c of column j gets the first completion
-    the filtered search finds (with `check_rank`, the first with
-    independent rows), or none when c is not in the orbit.
+    breaks an entry of A^T H A = H.  Fixing columns 0..j-1 to e_0..e_(j-1)
+    gives column j its prefix and its candidate lists, top down.
+
+    The orbits are then found bottom up, column n-1 first.  Level j of a
+    `_smallfield._Level` chain keeps the orbit of e_j under the isometries
+    found at columns j..n-1.  Only a candidate outside that orbit is
+    searched: its first completion (with `check_rank`, the first with
+    independent rows) joins levels 0..j as a generator, as in
+    `stabilizer_chain`, and the orbits are closed again.  OracleError is
+    raised unless each generator preserves H and the columns j of T_j are
+    the orbit points.
     """
     by_norm: dict[int, list[int]] = {}
     for cand in range(intf.order ** n):
@@ -199,15 +214,36 @@ def _transversals(intf: IntField, gram, n, check_rank: bool):
             if later is not None:
                 yield from completions(j + 1, matrix ^ apply(spread[j], cand), later)
 
-    transversals = []
+    identity = intf.identity(n)
+    columns = []  # (prefix, candidate lists) per column
     prefix, levels = 0, [by_norm.get(entries[j][j], []) for j in range(n)]
-    for j, unit in enumerate(intf.identity(n)):
-        firsts = (next(completions(j, prefix, [[cand]] + levels[1:]), None)
-                  for cand in levels[0])
-        transversals.append([rows for rows in firsts if rows is not None])
+    for j, unit in enumerate(identity):
+        columns.append((prefix, levels))
         # e_j pairs correctly with every later e_i, so no list empties
         prefix ^= apply(spread[j], unit)
         levels = narrow(j, unit, levels[1:])
+
+    # generators X = A^T act on rows, so e_j X is column j of A (as _Level reads them)
+    strong: list = []
+    orbits = [_Level(intf, strong, base, identity) for base in identity]
+    for j in reversed(range(n)):
+        prefix, levels = columns[j]
+        for cand in levels[0]:
+            if cand in orbits[j].vector:
+                continue
+            rows = next(completions(j, prefix, [[cand]] + levels[1:]), None)
+            if rows is None:
+                continue
+            if not intf.preserve([rows], gram):
+                raise OracleError(f"a completion found for column {j} does not preserve H")
+            generator = intf.transpose(rows)
+            strong.append((generator, intf.row_tables(generator)))
+            for level in orbits[:j + 1]:
+                level.extend(len(strong) - 1)
+    transversals = [list(level) for level in orbits]
+    for j, (found, level) in enumerate(zip(transversals, orbits)):
+        if [intf.transpose(rows)[j] for rows in found] != level.points:
+            raise OracleError(f"the transversal of column {j} does not reach its orbit")
     return transversals
 
 

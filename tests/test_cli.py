@@ -249,13 +249,14 @@ def test_classify_gf4_decodes_no_closure_element(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("field, completions", [("gf2", 14), ("gf2k:2:7", 84),
-                                                ("gf2k:3:11", 584)])
+@pytest.mark.parametrize("field, completions", [("gf2", 4), ("gf2k:2:7", 4),
+                                                ("gf2k:3:11", 5)])
 def test_classify_lists_neither_group(field, completions, tmp_path, capsys, monkeypatch):
     # classify proves <gens> = O(V,h) from the orders of two stabilizer
-    # chains: the oracle's column search reaches one completion per
-    # transversal element (8+3+2+1, 64+15+4+1 and 512+63+8+1 on the identity
-    # form) and splits each into rows once, and neither group is listed
+    # chains: the oracle's column search reaches a completion only for a
+    # candidate that the isometries found so far do not reach (4, 4 and 5 on
+    # the identity form, against transversals of 8+3+2+1, 64+15+4+1 and
+    # 512+63+8+1) and splits each into rows once, and neither group is listed
     from char2forms import _smallfield, oracle
     from char2forms._smallfield import IntField
     path = _write(tmp_path, "ident.txt", IDENT_GF2.replace("field: gf2", f"field: {field}"))
@@ -312,8 +313,7 @@ def test_classify_large_finite_field_gives_verdict(tmp_path, field, predicted):
                    for line in lines)
 
 
-def test_verify_gf4_random_diagonal(tmp_path, capsys):
-    doc = """\
+DIAGONAL_GF4 = """\
 field: gf2k:2:7
 gram:
 g 0 0 0
@@ -321,7 +321,10 @@ g 0 0 0
 0 0 g+1 0
 0 0 0 g
 """
-    path = _write(tmp_path, "gf4.txt", doc)
+
+
+def test_verify_gf4_random_diagonal(tmp_path, capsys):
+    path = _write(tmp_path, "gf4.txt", DIAGONAL_GF4)
     assert main(["verify", path]) == 0
     out = capsys.readouterr().out
     assert "result: all checks passed" in out
@@ -333,6 +336,30 @@ def test_verify_corrupted_j_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "check J^2 = delta*id: FAIL" in out
     assert "check(s) failed" in out
+
+
+def test_verify_of_a_diagonal_form_takes_its_compound_once(tmp_path, capsys, monkeypatch):
+    # a diagonal input is its own orthogonal basis: the module is built on
+    # the Hodge data of the input, taken before --corrupt-j replaces J, so
+    # Lambda^2 H is formed once and the module checks read the true J
+    path = _write(tmp_path, "gf4.txt", DIAGONAL_GF4)
+    calls = []
+    real = Matrix.minors
+
+    def counting(m, *args):
+        calls.append(m)
+        return real(m, *args)
+    monkeypatch.setattr(Matrix, "minors", counting)
+    assert main(["verify", path]) == 0
+    passed = capsys.readouterr().out.splitlines()
+    assert len(calls) == 1 and calls[0].is_diagonal()
+    calls.clear()
+    assert main(["verify", path, "--corrupt-j"]) == 1
+    corrupted = capsys.readouterr().out.splitlines()
+    assert len(calls) == 1
+    module = passed.index("check g two-formula agreement: PASS")
+    assert corrupted[module:-1] == passed[module:-1]
+    assert "check J^2 = delta*id: FAIL (matrix mismatch)" in corrupted
 
 
 def test_volume_scale_flag(tmp_path, capsys):

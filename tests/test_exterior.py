@@ -7,7 +7,7 @@ import pytest
 from char2forms import linalg
 from char2forms.cli import main
 from char2forms.exterior import (ExteriorSpace, WrongDimension, ZeroVolume, alt_matrix,
-                                 compound_matrix, exterior_form_gram, hodge,
+                                 compound_matrix, exterior_form_gram, hodge, index_sets,
                                  _pq_payload, hodge_identities, klein_scalar,
                                  pfaffian_gram, pq, wedge, wedge_coefficient)
 from char2forms.forms import BilinearForm
@@ -156,6 +156,18 @@ def test_pfaffian_gram(gf2, f2t):
         assert nonzero == [space.position(space.complement(space.sets[i]))]
     with pytest.raises(ZeroVolume):
         pfaffian_gram(gf2, 4, 2, 0)
+
+
+def test_pfaffian_gram_matches_wedge_coefficients(gf4):
+    # Pf is set at (T^c, T) for each l-set T; the reference builds every
+    # entry from the wedge coefficient of its two index sets
+    scale, zero = gf4.generator, gf4.zero()
+    for n in range(2, 9):
+        for ell in range(1, n):
+            expected = Matrix(gf4, [[scale if wedge_coefficient(s, t) else zero
+                                     for t in index_sets(n, ell)]
+                                    for s in index_sets(n, n - ell)])
+            assert pfaffian_gram(gf4, n, ell, scale) == expected
 
 
 def test_hodge_identity_form(gf2):
