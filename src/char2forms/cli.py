@@ -374,8 +374,10 @@ def _verify_pq(doc: InputDocument, data, rng, report: Report) -> None:
     else:
         draws = (tuple(field.random_element(rng).payload for _ in range(6))
                  for _ in range(50))
+        # as in the exhaustive branch, no X with det(alt X) != 0 measures no s
         s, ok = klein_scalar(field, draws)
-        report.check(f"Pq(X)^2 = s*det(altX), sampled, s = {s}", ok)
+        report.check(f"Pq(X)^2 = s*det(altX), sampled, s = {s}", ok and s is not None,
+                     "no sampled X has det(alt X) != 0" if s is None else "")
 
 
 def cmd_decompose(doc: InputDocument, args, report: Report) -> int:

@@ -37,17 +37,20 @@ takes a vector or a matrix of right-hand sides, and solves all its columns
 by one `echelon` of [M | B].
 
 Per call (Python 3.11.7, 2 shared x86-64 cores; random matrices and
-vectors with a quarter zero entries and `random_element` entries, seed 5;
-best of 10 repeats of 200 calls, 20 over F2(t)(u), median of 6 runs):
+vectors with a quarter zero entries and `random_element` entries, drawn
+from seed 5 in the order A, B (4x4), A, B, G (6x6), x, y; the pairing is
+x^T G y and the matrix-vector product A x; best of 10 repeats of 200 calls,
+20 over F2(t)(u), and the lowest of 18 runs, as the host's speed drifts
+by up to 2x between runs):
 
 ==================  =======  =======  ========
                     GF(4)    F2(t)    F2(t)(u)
 ==================  =======  =======  ========
-4x4 product         13 us    26 us    0.42 ms
-6x6 product         28 us    51 us    3.7 ms
-6x6 pairing         17 us    24 us    0.11 ms
-6x6 matrix-vector   12 us    17 us    0.16 ms
-6x6 transpose       2.1 us   1.9 us   1.9 us
+4x4 product         13 us    16 us    0.47 ms
+6x6 product         29 us    50 us    2.2 ms
+6x6 pairing         19 us    17 us    3.5 ms
+6x6 matrix-vector   13 us    13 us    0.32 ms
+6x6 transpose       2.1 us   2.0 us   2.0 us
 ==================  =======  =======  ========
 
 Over F2(t)(u) the time goes to the gcds of the fractions, and the echelon

@@ -233,6 +233,36 @@ def test_verify_gf16_finishes(tmp_path):
     assert "result: all checks passed" in lines
 
 
+NO_SAMPLED_SCALAR_CHILD = """\
+import sys
+from char2forms.cli import main
+from char2forms.fields import RationalFunctionField
+
+assert sys.flags.optimize == 1
+RationalFunctionField.random_element = lambda field, rng, size=2: field.zero()
+sys.exit(main(["verify", sys.argv[1]]))
+"""
+
+
+def test_sampled_klein_check_without_a_scalar_fails(tmp_path, capsys, monkeypatch):
+    # every sampled X = 0 has det(alt X) = 0, so no s is measured; like the
+    # exhaustive branch's NoConsistentScalar, that is a failed check, also
+    # under python -O
+    from char2forms.fields import RationalFunctionField
+    path = _write(tmp_path, "h1.txt", H1_F2T)
+    line = ("check Pq(X)^2 = s*det(altX), sampled, s = None: FAIL "
+            "(no sampled X has det(alt X) != 0)")
+    monkeypatch.setattr(RationalFunctionField, "random_element",
+                        lambda field, rng, size=2: field.zero())
+    assert main(["verify", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines and "result: 1 check(s) failed" in lines
+    child = subprocess.run([sys.executable, "-O", "-c", NO_SAMPLED_SCALAR_CHILD, path],
+                           capture_output=True, env=_child_env(), timeout=60)
+    assert child.returncode == 1, child.stderr.decode()
+    assert child.stdout.decode().splitlines() == lines
+
+
 def test_classify_gf4_decodes_no_closure_element(tmp_path, capsys, monkeypatch):
     # classify compares the closure with the oracle on payload rows; decoding
     # an element into a Matrix is not needed for any printed line

@@ -6,7 +6,9 @@ import pytest
 from char2forms.fields import (DescriptorMismatch, DivisionByZero, FieldElement,
                                FieldError, GF2k, ParseError, Poly, RationalFunctionField,
                                MAX_DEGREE, MAX_NESTING, gf2_poly_is_irreducible, parse_field)
-from char2forms.fields import _gf2x_invmod, _gf2x_mulmod
+from char2forms import fields
+from char2forms.fields import (_gf2x_divexact, _gf2x_gcd, _gf2x_invmod, _gf2x_mul,
+                               _gf2x_mulmod)
 from char2forms.kalgebra import KAlgebra
 from char2forms.linalg import square_span_dimension, square_span_kernel, square_span_solve
 
@@ -463,6 +465,103 @@ def test_gf2k_above_order_256_reduces():
     a, b = field.parse("g^5+g"), field.parse("g^8+1")
     assert (a * b).payload == _gf2x_mulmod(a.payload, b.payload, field.modulus)
     assert (a * a.inverse()).is_one()
+
+
+# -- the GF(2)[x] kernels against plain shift-and-xor ----------------------
+
+def _ref_mul(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a, b = a << 1, b >> 1
+    return r
+
+
+def _ref_divmod(a, b):
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        q, a = q | 1 << shift, a ^ b << shift
+    return q, a
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return a
+
+
+def test_gf2x_kernels_match_reference_below_2_7():
+    # every pair below 2^7 covers both sides of the 2^5 table edge
+    for a in range(1 << 7):
+        for b in range(1 << 7):
+            assert _gf2x_mul(a, b) == _ref_mul(a, b), (a, b)
+            assert _gf2x_gcd(a, b) == _ref_gcd(a, b), (a, b)
+            if not b:
+                continue
+            q, r = _ref_divmod(a, b)
+            if r:
+                with pytest.raises(ValueError):
+                    _gf2x_divexact(a, b)
+            else:
+                assert _gf2x_divexact(a, b) == q, (a, b)
+
+
+def test_gf2x_divexact_on_every_divisible_pair_below_2_7():
+    pairs = {(_ref_mul(q, b), b) for q in range(1 << 7) for b in range(1, 1 << 7)}
+    pairs = [(a, b) for a, b in pairs if a < 1 << 7]
+    assert len(pairs) > 1 << 7
+    for a, b in pairs:
+        assert _ref_mul(_gf2x_divexact(a, b), b) == a, (a, b)
+    # below 2^5 the table holds every divisible pair, so none takes the loop
+    small = {(a, b): _ref_divmod(a, b)[0] for a, b in pairs if a < 32 and b < 32}
+    assert [(a, b) for a in range(32) for b in range(32)
+            if fields._SMALL_QUO[a << 5 | b] >= 0] == sorted(small)
+    assert all(fields._SMALL_QUO[a << 5 | b] == q for (a, b), q in small.items())
+
+
+@pytest.mark.parametrize("x", [1, 0b10110, 31, 32, 0b1011011, 1 << 200 | 0b1011])
+def test_gf2x_kernels_on_zero_operands(x):
+    assert _gf2x_mul(0, x) == _gf2x_mul(x, 0) == _gf2x_mul(0, 0) == 0
+    assert _gf2x_gcd(0, x) == _gf2x_gcd(x, 0) == x
+    assert _gf2x_gcd(0, 0) == 0
+    assert _gf2x_divexact(0, x) == 0
+
+
+def test_gf2x_kernels_match_reference_up_to_degree_200():
+    rng = random.Random(32)
+    for _ in range(300):
+        a, b, g = (rng.getrandbits(rng.randrange(1, 202)) for _ in range(3))
+        g |= 1  # nonzero
+        assert _gf2x_mul(a, b) == _ref_mul(a, b)
+        assert _gf2x_gcd(a, b) == _ref_gcd(a, b)
+        ag, bg = _ref_mul(a, g), _ref_mul(b, g)
+        assert _gf2x_gcd(ag, bg) == _ref_mul(_ref_gcd(a, b), g)
+        assert _gf2x_divexact(ag, g) == a
+        if b and _ref_divmod(a, b)[1]:
+            with pytest.raises(ValueError):
+                _gf2x_divexact(a, b)
+
+
+def test_gf2x_tables_decide_below_2_5_only(monkeypatch):
+    # with every table entry replaced by a value no kernel returns here, the
+    # pairs below 2^5 return it, and every pair with an operand of 2^5 or
+    # above still matches the reference
+    blank = {"_SMALL_MUL": -2, "_SMALL_GCD": -2, "_SMALL_QUO": 1 << 20}
+    for name, value in blank.items():
+        monkeypatch.setattr(fields, name, (value,) * (1 << 10))
+    for a in range(1 << 6):
+        for b in range(1, 1 << 6):
+            q, r = _ref_divmod(a, b)
+            if a < 32 and b < 32:
+                assert fields._gf2x_mul(a, b) == fields._gf2x_gcd(a, b) == -2
+                assert fields._gf2x_divexact(a, b) == 1 << 20
+                continue
+            assert fields._gf2x_mul(a, b) == _ref_mul(a, b)
+            assert fields._gf2x_gcd(a, b) == _ref_gcd(a, b)
+            if not r:
+                assert fields._gf2x_divexact(a, b) == q
 
 
 def test_ratfunc_variable_rules(gf2, f2t):
